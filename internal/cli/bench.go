@@ -11,10 +11,10 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
-	"time"
 
 	"mmt/internal/core"
 	"mmt/internal/obs"
+	"mmt/internal/obs/span"
 	"mmt/internal/prof"
 	"mmt/internal/runner"
 	"mmt/internal/sim"
@@ -56,7 +56,6 @@ func runBench(args []string, stdout, progress io.Writer) (runner.Summary, error)
 		profileTop    = fs.Int("profile-top", 10, "sites in the printed attribution report (0 = all)")
 
 		traceOut    = fs.String("trace-out", "", "write a Chrome trace-event JSON timeline of the runner's workers (open in Perfetto)")
-		sampleEvery = fs.Duration("sample-every", 250*time.Millisecond, "interval between worker-utilization samples on the trace")
 		metricsAddr = fs.String("metrics-addr", "", "serve live runner metrics, expvar and pprof on this address")
 		precheck    = fs.Bool("precheck", false, "statically analyze every workload program first (mmtcheck) and refuse to run on error findings")
 		version     = fs.Bool("version", false, "print version and exit")
@@ -87,11 +86,6 @@ func runBench(args []string, stdout, progress io.Writer) (runner.Summary, error)
 	}
 	if err := validateRetries(*retries); err != nil {
 		return runner.Summary{}, err
-	}
-	if *traceOut != "" {
-		if err := validateSampleEvery(*sampleEvery); err != nil {
-			return runner.Summary{}, err
-		}
 	}
 
 	// Validate requested artifact names.
@@ -132,27 +126,16 @@ func runBench(args []string, stdout, progress io.Writer) (runner.Summary, error)
 		}
 		defer srv.Close()
 	}
-	var closeTrace func() error
-	if *traceOut != "" {
-		rec, closeSinks, err := openTraceSinks(*traceOut, "", "mmtbench runner", "worker",
-			map[string]string{"version": Version(), "workers": strconv.Itoa(*jobs)})
-		if err != nil {
-			return runner.Summary{}, err
-		}
-		opts.Trace = rec
-		opts.TraceSampleEvery = *sampleEvery
-		closeTrace = closeSinks
+	jt, err := openJobTrace(*traceOut, "mmtbench runner",
+		map[string]string{"version": Version(), "workers": strconv.Itoa(*jobs)})
+	if err != nil {
+		return runner.Summary{}, err
 	}
-	// The always-on flight recorder rides the pool's job timeline; a
+	// Every job's spans feed the always-on flight ring (and -trace-out); a
 	// captured worker panic or SIGQUIT dumps the ring to disk.
-	fl, dumpDir := flf.build("mmtbench", progress)
-	opts.Flight = fl
-	opts.FlightDumpDir = dumpDir
-	if opts.Trace != nil {
-		opts.Trace = obs.Multi(opts.Trace, fl)
-	} else {
-		opts.Trace = fl
-	}
+	opts.Tracer = span.NewTracer("mmtbench", 0)
+	opts.Flight, _ = flf.build("mmtbench", opts.Tracer, jt.observe, progress)
+	opts.FlightDumpDir = *flf.dumpDir
 	// -bench-json and -profile-out observe the experiment stream through a
 	// wrapping executor; its completion hook must be installed before the
 	// pool exists.
@@ -163,9 +146,7 @@ func runBench(args []string, stdout, progress io.Writer) (runner.Summary, error)
 	}
 	pool, err := runner.New(ctx, opts)
 	if err != nil {
-		if closeTrace != nil {
-			closeTrace()
-		}
+		jt.Close()
 		return runner.Summary{}, err
 	}
 	var ex sim.Exec = pool
@@ -176,10 +157,8 @@ func runBench(args []string, stdout, progress io.Writer) (runner.Summary, error)
 
 	err = writeReport(ex, stdout, *only, *outFile)
 	pool.Close()
-	if closeTrace != nil {
-		if cerr := closeTrace(); cerr != nil && err == nil {
-			err = cerr
-		}
+	if cerr := jt.Close(); cerr != nil && err == nil {
+		err = cerr
 	}
 	if err == nil && bx != nil {
 		err = emitBenchArtifacts(stdout, bx, *benchJSON, *profileOut, *profileTop)

@@ -21,27 +21,25 @@ import (
 // diagnostics surface: the flight recorder ring, the continuous profiler
 // and the in-process metrics history behind GET /v1/debug/.
 type debugOptions struct {
-	flightEntries *int
-	flightDumpDir *string
-	profileEvery  *time.Duration
-	profileCPU    *time.Duration
-	historyEvery  *time.Duration
+	flight       flightOptions
+	profileEvery *time.Duration
+	profileCPU   *time.Duration
+	historyEvery *time.Duration
 }
 
 // addDebugFlags registers the -flight-*, -profile-* and -history-* flags.
 func addDebugFlags(fs *flag.FlagSet) debugOptions {
 	return debugOptions{
-		flightEntries: fs.Int("flight-entries", flight.DefaultCapacity, "flight recorder ring capacity (entries)"),
-		flightDumpDir: fs.String("flight-dump-dir", os.TempDir(), "where SIGQUIT/panic flight dumps land (empty = no dumps; the ring stays live)"),
-		profileEvery:  fs.Duration("profile-every", time.Minute, "continuous profiler round cadence (0 = disabled)"),
-		profileCPU:    fs.Duration("profile-cpu", 5*time.Second, "CPU window per profiler round (clamped to half the cadence)"),
-		historyEvery:  fs.Duration("history-every", 5*time.Second, "metrics history sampling cadence"),
+		flight:       addFlightFlags(fs),
+		profileEvery: fs.Duration("profile-every", time.Minute, "continuous profiler round cadence (0 = disabled)"),
+		profileCPU:   fs.Duration("profile-cpu", 5*time.Second, "CPU window per profiler round (clamped to half the cadence)"),
+		historyEvery: fs.Duration("history-every", 5*time.Second, "metrics history sampling cadence"),
 	}
 }
 
-// flightOptions carries just the flight-recorder flags for batch tools
-// (mmtsim, mmtbench) that want the black-box ring and SIGQUIT/panic dumps
-// without the daemon debug surface.
+// flightOptions carries the flight-recorder flags shared by the batch
+// tools (mmtsim, mmtbench) and the daemons: the black-box ring and its
+// SIGQUIT/panic dumps.
 type flightOptions struct {
 	entries *int
 	dumpDir *string
@@ -55,15 +53,23 @@ func addFlightFlags(fs *flag.FlagSet) flightOptions {
 	}
 }
 
-// build creates the ring and installs the SIGQUIT dump handler. The
-// returned dir is where panic dumps should land ("" when dumps are off).
-func (o flightOptions) build(service string, progress io.Writer) (*flight.Recorder, string) {
+// build creates the ring, marks the process start, installs the SIGQUIT
+// dump handler and routes every span the tracer finishes into the ring —
+// and into also, when non-nil. It returns the ring and where a SIGQUIT
+// dump will land ("" when dumps are off).
+func (o flightOptions) build(service string, tracer *span.Tracer, also func(span.Record), progress io.Writer) (*flight.Recorder, string) {
 	fl := flight.New(service, *o.entries)
 	fl.Mark("process start: " + service)
-	if *o.dumpDir != "" {
-		flight.InstallSignalDump(fl, *o.dumpDir, progress)
+	tracer.SetObserver(func(r span.Record) {
+		fl.SpanRef(r.Name, r.TraceID, r.StartUNS, r.DurNS)
+		if also != nil {
+			also(r)
+		}
+	})
+	if *o.dumpDir == "" {
+		return fl, ""
 	}
-	return fl, *o.dumpDir
+	return fl, flight.InstallSignalDump(fl, *o.dumpDir, progress)
 }
 
 // debugStack is the assembled diagnostics surface for one daemon.
@@ -76,26 +82,15 @@ type debugStack struct {
 	DumpPath string // where a SIGQUIT dump will land ("" when dumps are off)
 }
 
-// build assembles the stack for a daemon: the flight ring (always on), the
+// build assembles the stack for a daemon: the flight ring (always on, fed
+// the tracer's spans and, through also, any other span consumer), the
 // profiler and metrics-history samplers (flag-gated), the SIGQUIT dump
 // handler, and the /v1/debug/ mux. service is the fleet-visible label
 // ("mmtserved@host:port"); fs is the parsed flag set, rendered at
 // GET /v1/debug/config so a bundle records the node's exact configuration.
-func (o debugOptions) build(service string, fs *flag.FlagSet, reg *obs.Registry, tracer *span.Tracer, logger *slog.Logger, progress io.Writer) *debugStack {
-	st := &debugStack{
-		Flight:  flight.New(service, *o.flightEntries),
-		DumpDir: *o.flightDumpDir,
-	}
-	st.Flight.Mark("process start: " + service)
-	if tracer != nil {
-		fl := st.Flight
-		tracer.SetObserver(func(r span.Record) {
-			fl.SpanRef(r.Name, r.TraceID, r.StartUNS, r.DurNS)
-		})
-	}
-	if st.DumpDir != "" {
-		st.DumpPath = flight.InstallSignalDump(st.Flight, st.DumpDir, progress)
-	}
+func (o debugOptions) build(service string, fs *flag.FlagSet, reg *obs.Registry, tracer *span.Tracer, also func(span.Record), logger *slog.Logger, progress io.Writer) *debugStack {
+	st := &debugStack{DumpDir: *o.flight.dumpDir}
+	st.Flight, st.DumpPath = o.flight.build(service, tracer, also, progress)
 	if *o.profileEvery > 0 {
 		st.Profiler = profiled.New(service, profiled.Options{
 			Every:       *o.profileEvery,

@@ -158,3 +158,20 @@ func names(es []os.DirEntry) []string {
 	}
 	return out
 }
+
+// TestDoctorRendersLegacyDump: a schema-1 dump from a build whose ring
+// still held obs events and samples renders through -from-dump, with
+// those retired entries shown as kind-?.
+func TestDoctorRendersLegacyDump(t *testing.T) {
+	var out bytes.Buffer
+	dump := filepath.Join("..", "obs", "flight", "testdata", "legacy_v1.json")
+	if err := runDoctor([]string{"-from-dump", dump}, &out, io.Discard); err != nil {
+		t.Fatalf("mmtdoctor -from-dump: %v", err)
+	}
+	if n := strings.Count(out.String(), "kind-?"); n != 2 {
+		t.Errorf("%d kind-? rows, want 2:\n%s", n, out.String())
+	}
+	if !strings.Contains(out.String(), "runner.exec") {
+		t.Errorf("legacy dump lost its span entry:\n%s", out.String())
+	}
+}

@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"flag"
@@ -10,12 +11,14 @@ import (
 	"os"
 	"os/signal"
 	"sort"
+	"strconv"
 	"sync"
 	"syscall"
 	"time"
 
 	"mmt/internal/cluster"
 	"mmt/internal/obs"
+	"mmt/internal/obs/span"
 	"mmt/internal/prof"
 	"mmt/internal/serve"
 	"mmt/internal/serve/client"
@@ -50,7 +53,7 @@ func runLoad(args []string, stdout, progress io.Writer) error {
 		deadlineMS  = fs.Int64("deadline-ms", 0, "per-job queued-deadline in milliseconds (0 = server default)")
 		retries     = fs.Int("retries", 4, "client retry budget per request")
 		metricsAddr = fs.String("metrics-addr", "", "serve the load generator's own metrics on this address")
-		eventsOut   = fs.String("events-out", "", "write a JSONL client-side job timeline (one span per job, cache-hit markers)")
+		eventsOut   = fs.String("events-out", "", "write a JSONL client-side job timeline (one load.job span record per job)")
 		attribution = fs.Bool("attribution", false, "request per-PC attribution profiles from the server and merge them")
 		profileOut  = fs.String("profile-out", "", "with -attribution: write the merged attribution profile to this file")
 		profileTop  = fs.Int("profile-top", 5, "sites in the printed attribution summary (0 = all)")
@@ -93,17 +96,6 @@ func runLoad(args []string, stdout, progress io.Writer) error {
 		}
 		defer msrv.Close()
 	}
-	var rec obs.Recorder
-	var closeRec func() error
-	if *eventsOut != "" {
-		r, c, err := openTraceSinks("", *eventsOut, "mmtload", "client",
-			map[string]string{"version": Version(), "server": *server})
-		if err != nil {
-			return err
-		}
-		rec, closeRec = r, c
-	}
-
 	specs := loadSpecs(*n, *dup, *seed, sim.TaskSpec{
 		App: *app, Preset: sim.Preset(*preset), Threads: *threads,
 		Config:      &sim.ConfigOverride{MaxInsts: *maxInsts},
@@ -133,6 +125,10 @@ func runLoad(args []string, stdout, progress io.Writer) error {
 	fmt.Fprintf(stdout, "mmtload: %d jobs (%d unique specs), concurrency %d, dup ratio %.2f, seed %d -> %s\n",
 		*n, len(unique), *conc, *dup, *seed, *server)
 
+	jobLog, closeJobLog, err := openSpanLog(*eventsOut, "mmtload")
+	if err != nil {
+		return err
+	}
 	type result struct {
 		dur    time.Duration
 		source string // JobStatus.Source: "simulated" or "cache"
@@ -147,7 +143,7 @@ func runLoad(args []string, stdout, progress io.Writer) error {
 	start := time.Now()
 	for w := 0; w < *conc; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := range work {
 				// Deterministic per-job correlation id: the same seed
@@ -176,17 +172,14 @@ func runLoad(args []string, stdout, progress io.Writer) error {
 					merged.Merge(o.Attribution)
 					profMu.Unlock()
 				}
-				if rec != nil {
-					ts := uint64(t0.Sub(start) / time.Microsecond)
-					rec.Event(obs.Event{TS: ts, Kind: obs.EvJob, Track: int32(w),
-						Dur: uint64(d / time.Microsecond), Name: specs[i].Name(), Trace: traceID})
-					if st.Source == "cache" {
-						rec.Event(obs.Event{TS: ts, Kind: obs.EvCacheHit, Track: int32(w),
-							Name: specs[i].Name(), Trace: traceID})
-					}
-				}
+				// A local span: it is not propagated, so the fleet's
+				// trace trees stay as they are.
+				sp := jobLog.StartAt(span.SpanContext{TraceID: traceID}, "load.job", t0)
+				sp.SetAttr("source", st.Source)
+				sp.SetAttr("dedup", strconv.FormatBool(st.Dedup))
+				sp.End()
 			}
-		}(w)
+		}()
 	}
 	for i := range specs {
 		select {
@@ -223,18 +216,7 @@ func runLoad(args []string, stdout, progress io.Writer) error {
 			dedupJoins++
 		}
 	}
-	if rec != nil {
-		// Final counter samples make the split greppable in -events-out
-		// next to the per-job spans.
-		ts := uint64(wall / time.Microsecond)
-		rec.Event(obs.Event{TS: ts, Kind: obs.EvCounter, Name: "load-served-simulated", Arg: uint64(simulated)})
-		rec.Event(obs.Event{TS: ts, Kind: obs.EvCounter, Name: "load-served-cache", Arg: uint64(cached)})
-		rec.Event(obs.Event{TS: ts, Kind: obs.EvCounter, Name: "load-dedup-joins", Arg: uint64(dedupJoins)})
-	}
-	var recErr error
-	if closeRec != nil {
-		recErr = closeRec()
-	}
+	recErr := closeJobLog()
 	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
 	fmt.Fprintf(stdout, "mmtload: done in %s — %.1f jobs/s, %d failed\n",
 		wall.Round(time.Millisecond), float64(len(durs))/wall.Seconds(), failed)
@@ -288,6 +270,45 @@ func runLoad(args []string, stdout, progress io.Writer) error {
 		return recErr
 	}
 	return ctx.Err()
+}
+
+// openSpanLog returns a tracer whose finished spans stream into path as
+// one JSON span.Record per line, and the function that flushes and closes
+// the file, reporting the first write error. An empty path returns a nil
+// tracer, which records nothing.
+func openSpanLog(path, service string) (*span.Tracer, func() error, error) {
+	if path == "" {
+		return nil, func() error { return nil }, nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	var (
+		mu   sync.Mutex
+		bw   = bufio.NewWriter(f)
+		enc  = json.NewEncoder(bw)
+		werr error
+	)
+	tr := span.NewTracer(service, 1)
+	tr.SetObserver(func(r span.Record) {
+		mu.Lock()
+		if err := enc.Encode(r); err != nil && werr == nil {
+			werr = err
+		}
+		mu.Unlock()
+	})
+	return tr, func() error {
+		mu.Lock()
+		defer mu.Unlock()
+		if err := bw.Flush(); err != nil && werr == nil {
+			werr = err
+		}
+		if err := f.Close(); err != nil && werr == nil {
+			werr = err
+		}
+		return werr
+	}, nil
 }
 
 // printClusterReport diffs two /v1/cluster snapshots around a run and

@@ -4,16 +4,20 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
+	"time"
 
 	"mmt/internal/obs"
+	"mmt/internal/obs/span"
 )
 
-// openTraceSinks builds the recorder behind the -trace-out / -events-out
-// flags: a Chrome trace-event file (opens in Perfetto or chrome://tracing),
-// a JSONL event log, or both fanned out. The returned close function
-// finalizes every sink and closes the files, reporting the first error —
-// a truncated trace would otherwise silently fail to load in the viewer.
-func openTraceSinks(traceOut, eventsOut, process, trackPrefix string, meta map[string]string) (obs.Recorder, func() error, error) {
+// openTraceSinks builds the recorder behind mmtsim's -trace-out /
+// -events-out flags: a Chrome trace-event file of the core's cycle-domain
+// stream (opens in Perfetto or chrome://tracing), a JSONL event log, or
+// both fanned out. The returned close function finalizes every sink and
+// closes the files, reporting the first error — a truncated trace would
+// otherwise silently fail to load in the viewer.
+func openTraceSinks(traceOut, eventsOut string, meta map[string]string) (obs.Recorder, func() error, error) {
 	var (
 		sinks []obs.Recorder
 		files []*os.File
@@ -35,7 +39,7 @@ func openTraceSinks(traceOut, eventsOut, process, trackPrefix string, meta map[s
 			return nil, nil, err
 		}
 		sinks = append(sinks, obs.NewChromeTrace(f, obs.ChromeTraceConfig{
-			Process: process, TrackPrefix: trackPrefix, Meta: meta,
+			Process: "mmtsim", TrackPrefix: "thread", Meta: meta,
 		}))
 	}
 	if eventsOut != "" {
@@ -56,6 +60,57 @@ func openTraceSinks(traceOut, eventsOut, process, trackPrefix string, meta map[s
 		return err
 	}
 	return rec, closeAll, nil
+}
+
+// jobTrace is the runner's -trace-out file (mmtbench, mmtserved): every
+// finished job execution span streams into a Chrome trace-event file on
+// its worker's track, through the same mapping as mmttrace -chrome.
+// Streaming keeps a long run whole where the span and flight rings would
+// overwrite its start. A nil *jobTrace records nothing.
+type jobTrace struct {
+	f    *os.File
+	sink *obs.ChromeTraceSink
+	base int64 // unix ns the file's timestamps count from
+}
+
+// openJobTrace creates the -trace-out file; "" returns a nil trace.
+func openJobTrace(path, process string, meta map[string]string) (*jobTrace, error) {
+	if path == "" {
+		return nil, nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	return &jobTrace{
+		f:    f,
+		sink: obs.NewChromeTrace(f, obs.ChromeTraceConfig{Process: process, TrackPrefix: "worker", Meta: meta}),
+		base: time.Now().UnixNano(),
+	}, nil
+}
+
+// observe renders one finished span if it is a job execution — the
+// runner labels those with their worker — and skips every other span.
+func (t *jobTrace) observe(r span.Record) {
+	if t == nil {
+		return
+	}
+	if w, err := strconv.Atoi(r.Attrs["worker"]); err == nil {
+		chromeSpan(t.sink, int32(w), t.base, r)
+	}
+}
+
+// Close finalizes the JSON document and closes the file, reporting the
+// first error.
+func (t *jobTrace) Close() error {
+	if t == nil {
+		return nil
+	}
+	err := t.sink.Close()
+	if cerr := t.f.Close(); cerr != nil && err == nil {
+		err = fmt.Errorf("closing %s: %w", t.f.Name(), cerr)
+	}
+	return err
 }
 
 // serveMetrics starts the -metrics-addr listener and announces it on the

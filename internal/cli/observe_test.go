@@ -104,12 +104,15 @@ func TestVersionFlags(t *testing.T) {
 }
 
 // TestRunBenchWorkerTrace captures a runner timeline during a tiny bench
-// run and checks it is a loadable Chrome trace containing job spans.
+// TestRunBenchWorkerTrace: mmtbench -trace-out streams one complete event
+// per executed job, each on its worker's track and carrying the task name
+// and trace id.
 func TestRunBenchWorkerTrace(t *testing.T) {
 	dir := t.TempDir()
 	traceFile := filepath.Join(dir, "runner.json")
 	var out bytes.Buffer
-	if _, err := runBench([]string{"-only", "sec63", "-j", "2", "-trace-out", traceFile}, &out, nil); err != nil {
+	sum, err := runBench([]string{"-only", "sec63", "-j", "2", "-trace-out", traceFile}, &out, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(traceFile)
@@ -118,19 +121,29 @@ func TestRunBenchWorkerTrace(t *testing.T) {
 	}
 	var doc struct {
 		TraceEvents []struct {
-			Phase string `json:"ph"`
+			Name  string         `json:"name"`
+			Phase string         `json:"ph"`
+			TID   int64          `json:"tid"`
+			Args  map[string]any `json:"args"`
 		} `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		t.Fatalf("worker trace invalid: %v", err)
 	}
-	var spans int
+	var execs int
 	for _, r := range doc.TraceEvents {
-		if r.Phase == "X" {
-			spans++
+		if r.Phase != "X" {
+			continue
+		}
+		execs++
+		if r.Name != "runner.exec" || r.Args["name"] == nil || r.Args["trace"] == nil {
+			t.Errorf("job event: %+v", r)
+		}
+		if w := r.Args["worker"]; w != "0" && w != "1" || r.TID < 1 || r.TID > 2 {
+			t.Errorf("job event off its worker track: %+v", r)
 		}
 	}
-	if spans == 0 {
-		t.Error("worker trace has no job spans")
+	if execs == 0 || execs != sum.Executed {
+		t.Errorf("worker trace has %d job events, want one per executed job (%d)", execs, sum.Executed)
 	}
 }

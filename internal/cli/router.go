@@ -91,7 +91,7 @@ func runRouter(args []string, stdout, progress io.Writer, ready func(addr string
 	}
 	service := "mmtrouter@" + ln.Addr().String()
 	opts.Tracer = span.NewTracer(service, span.DefaultCapacity)
-	st := dbg.build(service, fs, opts.Metrics, opts.Tracer, logger, progress)
+	st := dbg.build(service, fs, opts.Metrics, opts.Tracer, nil, logger, progress)
 	defer st.Close()
 	logger = st.Wrap(logger)
 	opts.Log = logger.With("service", "mmtrouter")

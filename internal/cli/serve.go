@@ -49,8 +49,6 @@ func runServe(args []string, stdout, progress io.Writer, ready func(addr string)
 		drainTimeout = fs.Duration("drain-timeout", time.Minute, "how long a signal-triggered drain waits for in-flight jobs")
 
 		traceOut    = fs.String("trace-out", "", "write a Chrome trace-event JSON timeline of the runner's workers (open in Perfetto)")
-		eventsOut   = fs.String("events-out", "", "write the runner's job timeline as JSONL events")
-		sampleEvery = fs.Duration("sample-every", 250*time.Millisecond, "interval between worker-utilization samples on the trace")
 		metricsAddr = fs.String("metrics-addr", "", "serve live metrics, expvar and pprof on this address")
 		version     = fs.Bool("version", false, "print version and exit")
 	)
@@ -72,11 +70,6 @@ func runServe(args []string, stdout, progress io.Writer, ready func(addr string)
 	}
 	if err := validateRetries(*retries); err != nil {
 		return err
-	}
-	if *traceOut != "" || *eventsOut != "" {
-		if err := validateSampleEvery(*sampleEvery); err != nil {
-			return err
-		}
 	}
 
 	// rootCtx is the pool's hard-abort context: canceled when the drain
@@ -111,16 +104,10 @@ func runServe(args []string, stdout, progress io.Writer, ready func(addr string)
 		}
 		defer msrv.Close()
 	}
-	var closeTrace func() error
-	if *traceOut != "" || *eventsOut != "" {
-		rec, closeSinks, err := openTraceSinks(*traceOut, *eventsOut, "mmtserved runner", "worker",
-			map[string]string{"version": Version(), "workers": strconv.Itoa(*jobs)})
-		if err != nil {
-			return err
-		}
-		opts.Runner.Trace = rec
-		opts.Runner.TraceSampleEvery = *sampleEvery
-		closeTrace = closeSinks
+	jt, err := openJobTrace(*traceOut, "mmtserved runner",
+		map[string]string{"version": Version(), "workers": strconv.Itoa(*jobs)})
+	if err != nil {
+		return err
 	}
 
 	// Bind before constructing the server: the tracer's service label
@@ -128,35 +115,26 @@ func runServe(args []string, stdout, progress io.Writer, ready func(addr string)
 	// the node each span ran on.
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		if closeTrace != nil {
-			closeTrace()
-		}
+		jt.Close()
 		return err
 	}
 	service := "mmtserved@" + ln.Addr().String()
 	opts.Tracer = span.NewTracer(service, span.DefaultCapacity)
 	// The diagnostics stack: flight ring (fed admission/completion edges,
-	// finished spans, log lines and the runner's job timeline), continuous
-	// profiler, metrics history, SIGQUIT dump.
-	st := dbg.build(service, fs, opts.Metrics, opts.Tracer, logger, progress)
+	// log lines and every finished span, which also stream to -trace-out),
+	// continuous profiler, metrics history, SIGQUIT dump.
+	st := dbg.build(service, fs, opts.Metrics, opts.Tracer, jt.observe, logger, progress)
 	defer st.Close()
 	logger = st.Wrap(logger)
 	opts.Log = logger.With("service", "mmtserved")
 	opts.Flight = st.Flight
 	opts.Debug = st.Handler
 	opts.Runner.FlightDumpDir = st.DumpDir
-	if opts.Runner.Trace != nil {
-		opts.Runner.Trace = obs.Multi(opts.Runner.Trace, st.Flight)
-	} else {
-		opts.Runner.Trace = st.Flight
-	}
 
 	srv, err := serve.New(rootCtx, opts)
 	if err != nil {
 		ln.Close()
-		if closeTrace != nil {
-			closeTrace()
-		}
+		jt.Close()
 		return err
 	}
 	httpSrv := &http.Server{Handler: srv}
@@ -178,9 +156,7 @@ func runServe(args []string, stdout, progress io.Writer, ready func(addr string)
 	select {
 	case err := <-serveErr:
 		srv.Close()
-		if closeTrace != nil {
-			closeTrace()
-		}
+		jt.Close()
 		return err
 	case sig := <-sigc:
 		if progress != nil {
@@ -203,10 +179,8 @@ func runServe(args []string, stdout, progress io.Writer, ready func(addr string)
 		httpSrv.Shutdown(sctx) //nolint:errcheck // drain already bounded the wait
 		scancel()
 		srv.Close()
-		if closeTrace != nil {
-			if cerr := closeTrace(); cerr != nil && derr == nil {
-				derr = cerr
-			}
+		if cerr := jt.Close(); cerr != nil && derr == nil {
+			derr = cerr
 		}
 		if progress != nil {
 			s := srv.Pool().Summary()

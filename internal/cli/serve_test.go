@@ -2,6 +2,7 @@ package cli
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -12,7 +13,7 @@ import (
 	"testing"
 	"time"
 
-	"mmt/internal/obs"
+	"mmt/internal/obs/span"
 	"mmt/internal/prof"
 )
 
@@ -69,8 +70,8 @@ func TestServeAndLoadEndToEnd(t *testing.T) {
 	}
 
 	// A second identical run is served without new simulations: every
-	// spec is now in the pool's memo. Its -events-out timeline records a
-	// span per job and a cache-hit marker for each served outcome.
+	// spec is now in the pool's memo. Its -events-out timeline holds one
+	// load.job span per job, each naming where the outcome came from.
 	events := filepath.Join(t.TempDir(), "load.jsonl")
 	var warm bytes.Buffer
 	if err := runLoad([]string{"-server", "http://" + addr, "-n", "6", "-c", "3",
@@ -80,34 +81,24 @@ func TestServeAndLoadEndToEnd(t *testing.T) {
 	if !strings.Contains(warm.String(), "simulated=0 ") {
 		t.Errorf("warm run re-simulated:\n%s", warm.String())
 	}
-	f, err := os.Open(events)
+	raw, err := os.ReadFile(events)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines, err := obs.DecodeJSONL(f)
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
+	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	if len(lines) != 6 {
+		t.Errorf("-events-out has %d lines, want 6 (one span per job)", len(lines))
 	}
-	jobsSeen, hits := 0, 0
 	traces := map[string]int{}
-	counters := map[string]uint64{}
 	for _, l := range lines {
-		if l.Event == nil {
-			continue
+		var r span.Record
+		if err := json.Unmarshal([]byte(l), &r); err != nil {
+			t.Fatalf("span line %q: %v", l, err)
 		}
-		switch l.Event.Kind {
-		case obs.EvJob:
-			jobsSeen++
-			traces[l.Event.Trace]++
-		case obs.EvCacheHit:
-			hits++
-		case obs.EvCounter:
-			counters[l.Event.Name] = l.Event.Arg
+		if r.Name != "load.job" || r.Attrs["source"] != "cache" || r.Attrs["dedup"] == "" {
+			t.Errorf("warm job span: %+v", r)
 		}
-	}
-	if jobsSeen != 6 || hits != 6 {
-		t.Errorf("events = %d job spans, %d cache hits; want 6 and 6", jobsSeen, hits)
+		traces[r.TraceID]++
 	}
 	// Deterministic per-job correlation ids: seed 2, positions 0..5, each
 	// on exactly one span.
@@ -115,9 +106,6 @@ func TestServeAndLoadEndToEnd(t *testing.T) {
 		if id := fmt.Sprintf("load-2-%d", i); traces[id] != 1 {
 			t.Errorf("trace id %s on %d spans, want 1 (%v)", id, traces[id], traces)
 		}
-	}
-	if counters["load-served-cache"] != 6 || counters["load-served-simulated"] != 0 {
-		t.Errorf("final counters wrong on a warm run: %v", counters)
 	}
 
 	// An attributed run uses distinct task keys (attribution is in the

@@ -17,6 +17,7 @@ import (
 	"mmt/internal/asm"
 	"mmt/internal/core"
 	"mmt/internal/obs"
+	"mmt/internal/obs/span"
 	"mmt/internal/prof"
 	"mmt/internal/prog"
 	"mmt/internal/runner"
@@ -133,7 +134,7 @@ func RunSim(args []string, out io.Writer) error {
 		// A traced run must actually simulate: the pool would serve a
 		// cache or memo hit without replaying the event stream, so run
 		// the task inline on this goroutine instead.
-		rec, closeSinks, err := openTraceSinks(*traceOut, *eventsOut, "mmtsim", "thread", map[string]string{
+		rec, closeSinks, err := openTraceSinks(*traceOut, *eventsOut, map[string]string{
 			"version": Version(),
 			"app":     app.Name,
 			"preset":  *preset,
@@ -163,11 +164,12 @@ func RunSim(args []string, out io.Writer) error {
 	// mmtbench's persistent cache, timeout and panic isolation.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	// The always-on flight recorder rides the pool's job timeline; a
-	// captured worker panic or SIGQUIT dumps the ring to disk.
-	fl, dumpDir := flf.build("mmtsim", os.Stderr)
+	// The job's spans feed the always-on flight ring; a captured worker
+	// panic or SIGQUIT dumps the ring to disk.
+	tracer := span.NewTracer("mmtsim", 0)
+	fl, _ := flf.build("mmtsim", tracer, nil, os.Stderr)
 	pool, err := runner.New(ctx, runner.Options{Workers: 1, CacheDir: *cacheDir, Timeout: *timeout,
-		Metrics: reg, Trace: fl, Flight: fl, FlightDumpDir: dumpDir})
+		Metrics: reg, Tracer: tracer, Flight: fl, FlightDumpDir: *flf.dumpDir})
 	if err != nil {
 		return err
 	}

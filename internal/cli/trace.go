@@ -253,22 +253,34 @@ func writeChromeTrace(path string, t *span.Tree) error {
 	}
 	start, _ := t.Window()
 	t.Walk(func(n *span.Node, _ int) {
-		args := map[string]any{"trace": n.TraceID, "span": n.SpanID}
-		for k, v := range n.Attrs { // mmtvet:ok — viewer payload, order-free
-			args[k] = v
-		}
-		if n.LinkSpan != "" {
-			args["link"] = n.LinkSpan + "@" + n.LinkTrace
-		}
-		dur := uint64(n.DurNS) / 1000
-		if dur == 0 {
-			dur = 1 // zero-width spans vanish in the viewer
-		}
-		sink.Span(tracks[n.Service], n.Name, uint64(n.StartUNS-start)/1000, dur, args)
+		chromeSpan(sink, tracks[n.Service], start, n.Record)
 	})
 	if err := sink.Close(); err != nil {
 		f.Close()
 		return err
 	}
 	return f.Close()
+}
+
+// chromeSpan appends one finished span to sink as a complete event on
+// track, timed from base (unix ns), with the trace and span ids, link and
+// attributes as args: the span→Chrome mapping behind both mmttrace
+// -chrome and the runner's -trace-out.
+func chromeSpan(sink *obs.ChromeTraceSink, track int32, base int64, r span.Record) {
+	args := map[string]any{"trace": r.TraceID, "span": r.SpanID}
+	for k, v := range r.Attrs { // mmtvet:ok — viewer payload, order-free
+		args[k] = v
+	}
+	if r.LinkSpan != "" {
+		args["link"] = r.LinkSpan + "@" + r.LinkTrace
+	}
+	dur := uint64(r.DurNS) / 1000
+	if dur == 0 {
+		dur = 1 // zero-width spans vanish in the viewer
+	}
+	var ts uint64
+	if r.StartUNS > base {
+		ts = uint64(r.StartUNS-base) / 1000
+	}
+	sink.Span(track, r.Name, ts, dur, args)
 }

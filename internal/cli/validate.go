@@ -7,9 +7,8 @@ import (
 
 // Flag validation shared by mmtsim/mmtbench/mmtserved/mmtload. The
 // underlying layers tolerate some nonsense values in surprising ways (a
-// negative -timeout times every job out instantly; a non-positive
-// sampling period breaks the utilization ticker), so the commands reject
-// them up front with a clear message instead.
+// negative -timeout times every job out instantly), so the commands
+// reject them up front with a clear message instead.
 
 // validateTimeout rejects negative wall-clock timeouts (0 disables).
 func validateTimeout(d time.Duration) error {
@@ -23,14 +22,6 @@ func validateTimeout(d time.Duration) error {
 func validateRetries(n int) error {
 	if n < 0 {
 		return fmt.Errorf("-retries must be >= 0 (0 disables retries), got %d", n)
-	}
-	return nil
-}
-
-// validateSampleEvery rejects non-positive trace sampling periods.
-func validateSampleEvery(d time.Duration) error {
-	if d <= 0 {
-		return fmt.Errorf("-sample-every must be positive, got %s", d)
 	}
 	return nil
 }

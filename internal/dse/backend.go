@@ -63,8 +63,8 @@ func (b *LocalBackend) Run(ctx context.Context, spec sim.TaskSpec) (*sim.Outcome
 	return b.pool.Do(task)
 }
 
-// RunTraced implements TracedBackend: the id rides the task into the
-// pool's job timeline (and flight ring, when one is wired).
+// RunTraced implements TracedBackend: the id names the trace of the
+// task's runner spans (and their flight-ring entries, when one is wired).
 func (b *LocalBackend) RunTraced(ctx context.Context, spec sim.TaskSpec, trace string) (*sim.Outcome, error) {
 	task, err := spec.Task()
 	if err != nil {

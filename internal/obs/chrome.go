@@ -21,13 +21,13 @@ type ChromeTraceConfig struct {
 	Meta map[string]string
 }
 
-// ChromeTraceSink streams the event stream in Chrome trace-event JSON
-// (the "JSON Object Format"), so a run opens directly in Perfetto or
-// chrome://tracing: one track per hardware thread (or runner worker), a
-// machine track for global events, counter tracks for the fetch-mode mix
-// and the sampled occupancies, and span events for runner jobs.
-// Timestamps map 1:1 from the producer's domain (cycles or µs) onto the
-// format's µs field. It is safe for concurrent use.
+// ChromeTraceSink streams Chrome trace-event JSON (the "JSON Object
+// Format"), so a run opens directly in Perfetto or chrome://tracing. As a
+// Recorder it renders the core's stream: one track per hardware thread, a
+// machine track for global events, and counter tracks for the fetch-mode
+// mix and the sampled occupancies, with cycles mapped 1:1 onto the
+// format's µs field. Span appends wall-clock spans instead (mmttrace, the
+// runner's -trace-out). It is safe for concurrent use.
 type ChromeTraceSink struct {
 	cfg ChromeTraceConfig
 
@@ -132,8 +132,8 @@ func (s *ChromeTraceSink) NameTrack(track int32, name string) {
 		Args: map[string]any{"sort_index": tid(track)}})
 }
 
-// Span appends an arbitrary named complete event to a track — mmttrace
-// renders stitched fleet spans through this, one track per process. ts
+// Span appends an arbitrary named complete event to a track — finished
+// span records render through this (see internal/cli's chromeSpan). ts
 // and dur are in the file's µs domain.
 func (s *ChromeTraceSink) Span(track int32, name string, ts, dur uint64, args map[string]any) {
 	s.mu.Lock()
@@ -146,48 +146,37 @@ func (s *ChromeTraceSink) Span(track int32, name string, ts, dur uint64, args ma
 		TID: tid(track), Args: args})
 }
 
-// Event renders one event: counters for EvFetchMode/EvCounter, spans for
-// durations, thread-scoped instants otherwise.
+// Event renders one event: a counter for EvFetchMode, a thread-scoped
+// instant otherwise.
 func (s *ChromeTraceSink) Event(e Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return
 	}
-	switch {
-	case e.Kind == EvFetchMode:
+	if e.Kind == EvFetchMode {
 		m, d, c := UnpackModeMix(e.Arg)
 		s.record(chromeRecord{Name: "fetch groups", Phase: "C", TS: e.TS,
 			Args: map[string]any{"merge": m, "detect": d, "catchup": c}})
-	case e.Kind == EvCounter:
-		s.record(chromeRecord{Name: e.Label(), Phase: "C", TS: e.TS,
-			Args: map[string]any{"value": e.Arg}})
-	case e.Dur > 0:
-		s.ensureTrack(e.Track)
-		s.record(chromeRecord{Name: e.Label(), Phase: "X", TS: e.TS, Dur: e.Dur,
-			TID: tid(e.Track), Args: s.eventArgs(e)})
-	default:
-		s.ensureTrack(e.Track)
-		name := e.Label()
-		if e.Kind == EvStall {
-			name = "stall: " + StallCause(e.Arg).String()
-		}
-		s.record(chromeRecord{Name: name, Phase: "i", TS: e.TS,
-			TID: tid(e.Track), Scope: "t", Args: s.eventArgs(e)})
+		return
 	}
+	s.ensureTrack(e.Track)
+	name := e.Kind.String()
+	if e.Kind == EvStall {
+		name = "stall: " + StallCause(e.Arg).String()
+	}
+	s.record(chromeRecord{Name: name, Phase: "i", TS: e.TS,
+		TID: tid(e.Track), Scope: "t", Args: eventArgs(e)})
 }
 
 // eventArgs builds the args payload shown in the viewer's detail pane.
-func (s *ChromeTraceSink) eventArgs(e Event) map[string]any {
+func eventArgs(e Event) map[string]any {
 	args := map[string]any{}
 	if e.PC != 0 {
 		args["pc"] = fmt.Sprintf("%#x", e.PC)
 	}
 	if e.Arg != 0 && e.Kind != EvStall {
 		args["arg"] = e.Arg
-	}
-	if e.Trace != "" {
-		args["trace"] = e.Trace
 	}
 	if len(args) == 0 {
 		return nil

@@ -27,8 +27,7 @@ func feedChromeTrace(s *ChromeTraceSink) error {
 	s.Sample(Sample{TS: 200, Committed: 640, FetchQ: 2, ROB: 30, IQ: 6, LSQ: 4,
 		GroupsMerge: 1, GroupsDetect: 0, GroupsCatchup: 0,
 		FetchedMerge: 420, FetchedDetect: 60, FetchedCatchup: 20})
-	s.Event(Event{TS: 210, Kind: EvJob, Track: 2, Dur: 900, Name: "ammp/Base/2T", Arg: 1})
-	s.Event(Event{TS: 250, Kind: EvCounter, Track: TrackMachine, Name: "workers busy", Arg: 3})
+	s.Span(2, "runner.exec", 210, 900, map[string]any{"name": "ammp/Base/2T", "trace": "t-1"})
 	return s.Close()
 }
 
@@ -126,7 +125,7 @@ func TestChromeTraceNameTrack(t *testing.T) {
 	s := NewChromeTrace(&buf, ChromeTraceConfig{Process: "mmttrace"})
 	s.NameTrack(0, "mmtrouter@127.0.0.1:8393")
 	s.NameTrack(0, "shadowed") // second call for the same track: dropped
-	s.Event(Event{TS: 10, Kind: EvJob, Track: 0, Dur: 5, Name: "router.submit"})
+	s.Span(0, "router.submit", 10, 5, nil)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}

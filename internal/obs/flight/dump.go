@@ -81,47 +81,13 @@ func (d Dump) Render(w io.Writer) {
 			age = fmt.Sprintf("-%.3fs", float64(d.TakenUNS-e.UNS)/1e9)
 		}
 		fmt.Fprintf(w, "%10s %-9s %-40s %-24s %s\n",
-			age, e.Kind, clip(e.describe(), 40), clip(e.Trace, 24), e.detail())
-	}
-}
-
-// describe is the entry's primary label for the rendered table.
-func (e Entry) describe() string {
-	switch e.Kind {
-	case KindEvent:
-		if e.Name != "" {
-			return e.Err + " " + e.Name // Err holds the obs event kind
-		}
-		return e.Err
-	case KindSample:
-		return fmt.Sprintf("cycle %d", e.TS)
-	case KindLog:
-		return e.Name
-	default:
-		return e.Name
+			age, e.Kind, clip(e.Name, 40), clip(e.Trace, 24), e.detail())
 	}
 }
 
 // detail is the entry's kind-specific suffix for the rendered table.
 func (e Entry) detail() string {
 	switch e.Kind {
-	case KindEvent:
-		var parts []string
-		if e.Track != 0 {
-			parts = append(parts, fmt.Sprintf("track=%d", e.Track))
-		}
-		if e.PC != 0 {
-			parts = append(parts, fmt.Sprintf("pc=%#x", e.PC))
-		}
-		if e.Arg != 0 {
-			parts = append(parts, fmt.Sprintf("arg=%d", e.Arg))
-		}
-		if e.Dur != 0 {
-			parts = append(parts, fmt.Sprintf("dur=%d", e.Dur))
-		}
-		return strings.Join(parts, " ")
-	case KindSample:
-		return fmt.Sprintf("committed=%d rob=%d", e.Arg, e.Track)
 	case KindSpan:
 		return fmt.Sprintf("%.3fms", float64(e.Dur)/1e6)
 	case KindLog:

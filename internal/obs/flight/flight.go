@@ -1,15 +1,12 @@
 // Package flight is the fleet's black-box recorder: an always-on, bounded,
 // allocation-free-on-the-hot-path ring of the most recent observability
-// entries in one process — typed obs events and machine samples, finished
-// span references, structured log lines, job admission/completion edges,
-// and captured panics. When a node stalls or dies *after the fact*, the
-// ring is the replay: it is served live at GET /v1/debug/flight, dumped to
-// disk on SIGQUIT or a captured worker panic, and rendered offline by
-// `mmtdoctor -from-dump`.
+// entries in one process — finished span references (the job timeline,
+// fed from a span.Tracer observer), structured log lines, job
+// admission/completion edges, and captured panics. When a node stalls or
+// dies *after the fact*, the ring is the replay: it is served live at
+// GET /v1/debug/flight, dumped to disk on SIGQUIT or a captured worker
+// panic, and rendered offline by `mmtdoctor -from-dump`.
 //
-// The recorder implements obs.Recorder, so it fans into the existing
-// nil-safe Recorder seams (the runner pool's job timeline, the simulator
-// core's event/sample hooks) via obs.Multi without any producer changes.
 // Recording copies fixed-size values into a preallocated slot under a
 // mutex: no allocation, no I/O, no encoding — the ring costs the hot path
 // one lock and a struct copy. Every method on a nil *Recorder is a no-op.
@@ -19,8 +16,6 @@ import (
 	"os"
 	"sync"
 	"time"
-
-	"mmt/internal/obs"
 )
 
 // Kind classifies one ring entry.
@@ -30,15 +25,9 @@ const (
 	// KindMark is a free-form annotation (process start, config reload,
 	// route decisions, cache rejections).
 	KindMark Kind = iota
-	// KindEvent is an obs.Event from a Recorder seam (runner job timeline,
-	// simulator core events). TS/Track/PC/Arg/Dur carry the event payload
-	// in the producer's time domain.
-	KindEvent
-	// KindSample is an obs.Sample: TS is the cycle stamp, Arg the
-	// cumulative committed-instruction count, Track the ROB occupancy.
-	KindSample
 	// KindSpan is a finished distributed span reference: Name is the span
-	// name, Trace its trace id, UNS its start, Dur its duration in ns.
+	// name, Trace its trace id, TS its start (unix ns), Dur its duration
+	// in ns.
 	KindSpan
 	// KindLog is a structured log line: Name holds the rendered message,
 	// Arg the slog level + 8 (so debug=-4 fits an unsigned slot).
@@ -50,7 +39,7 @@ const (
 	// job's latency in ns, Err its error (empty on success).
 	KindComplete
 	// KindPanic is a captured worker panic: Name the job name, Err the
-	// panic value, Trace the job's correlation id, PC unused.
+	// panic value, Trace the job's correlation id.
 	KindPanic
 
 	numKinds // internal bound
@@ -58,8 +47,6 @@ const (
 
 var kindNames = [numKinds]string{
 	KindMark:     "mark",
-	KindEvent:    "event",
-	KindSample:   "sample",
 	KindSpan:     "span",
 	KindLog:      "log",
 	KindAdmit:    "admit",
@@ -86,7 +73,8 @@ func (k *Kind) UnmarshalText(b []byte) error {
 			return nil
 		}
 	}
-	// Tolerate dumps from newer builds: unknown kinds render as kind-?.
+	// Tolerate dumps from other builds (newer kinds, or the retired
+	// "event" and "sample"): unknown kinds render as kind-?.
 	*k = numKinds
 	return nil
 }
@@ -101,9 +89,7 @@ type Entry struct {
 	Kind  Kind   `json:"kind"`
 	Name  string `json:"name,omitempty"`
 	Trace string `json:"trace,omitempty"`
-	Track int32  `json:"track,omitempty"`
 	TS    uint64 `json:"ts,omitempty"`
-	PC    uint64 `json:"pc,omitempty"`
 	Arg   uint64 `json:"arg,omitempty"`
 	Dur   uint64 `json:"dur,omitempty"`
 	Err   string `json:"err,omitempty"`
@@ -114,8 +100,7 @@ const DefaultCapacity = 4096
 
 // Recorder is the bounded flight ring for one process. A nil *Recorder is
 // valid and records nothing, so wiring sites need no guards. It implements
-// obs.Recorder for the existing hook seams and http.Handler for the
-// GET /v1/debug/flight endpoint.
+// http.Handler for the GET /v1/debug/flight endpoint.
 type Recorder struct {
 	service string
 
@@ -125,9 +110,6 @@ type Recorder struct {
 	seq     uint64
 	dropped uint64
 }
-
-// compile-time check: the ring slots straight into the obs seams.
-var _ obs.Recorder = (*Recorder)(nil)
 
 // New returns a ring for the given service label ("mmtserved@host:port").
 // capacity <= 0 selects DefaultCapacity.
@@ -161,31 +143,6 @@ func (r *Recorder) record(e Entry) {
 	}
 	r.mu.Unlock()
 }
-
-// Event implements obs.Recorder: the runner's job timeline and the
-// simulator core's typed events land here when the ring is fanned into
-// their Trace seam.
-func (r *Recorder) Event(e obs.Event) {
-	if r == nil {
-		return
-	}
-	r.record(Entry{Kind: KindEvent, Name: e.Name, Trace: e.Trace,
-		Track: e.Track, TS: e.TS, PC: e.PC, Arg: e.Arg, Dur: e.Dur,
-		Err: e.Kind.String()})
-}
-
-// Sample implements obs.Recorder: periodic machine-occupancy samples keep
-// the ring's tail describing what the simulated machine was doing.
-func (r *Recorder) Sample(s obs.Sample) {
-	if r == nil {
-		return
-	}
-	r.record(Entry{Kind: KindSample, TS: s.TS, Arg: s.Committed, Track: int32(s.ROB)})
-}
-
-// Close implements obs.Recorder. The ring holds no resources; the entries
-// stay readable after Close so a post-shutdown dump still works.
-func (r *Recorder) Close() error { return nil }
 
 // Mark records a free-form annotation.
 func (r *Recorder) Mark(name string) {
@@ -225,7 +182,7 @@ func (r *Recorder) Complete(job, trace string, dur time.Duration, errText string
 
 // SpanRef records a finished distributed span by reference (wired from
 // span.Tracer's observer), so the ring interleaves span completions with
-// events and log lines without holding attribute maps.
+// admission edges and log lines without holding attribute maps.
 func (r *Recorder) SpanRef(name, trace string, startUNS, durNS int64) {
 	if r == nil {
 		return

@@ -10,14 +10,10 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"mmt/internal/obs"
 )
 
 func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
-	r.Event(obs.Event{Kind: obs.EvJob})
-	r.Sample(obs.Sample{TS: 1})
 	r.Mark("x")
 	r.MarkErr("x", "y")
 	r.Admit("j", "queued", "t")
@@ -68,16 +64,14 @@ func TestEvictionOrder(t *testing.T) {
 }
 
 // TestRecordDoesNotAllocate pins the zero-alloc-on-the-hot-path contract
-// for the obs.Recorder seam entry points.
+// for the entry points fed on every job.
 func TestRecordDoesNotAllocate(t *testing.T) {
 	r := New("test", 64)
-	ev := obs.Event{TS: 5, Kind: obs.EvJob, Track: 2, Name: "job", Trace: "t-1", Dur: 9}
-	if n := testing.AllocsPerRun(200, func() { r.Event(ev) }); n > 0 {
-		t.Errorf("Event allocates %.1f times per call, want 0", n)
+	if n := testing.AllocsPerRun(200, func() { r.SpanRef("runner.exec", "t-1", 5, 9) }); n > 0 {
+		t.Errorf("SpanRef allocates %.1f times per call, want 0", n)
 	}
-	s := obs.Sample{TS: 100, Committed: 42, ROB: 7}
-	if n := testing.AllocsPerRun(200, func() { r.Sample(s) }); n > 0 {
-		t.Errorf("Sample allocates %.1f times per call, want 0", n)
+	if n := testing.AllocsPerRun(200, func() { r.Complete("j-1", "t-1", time.Millisecond, "") }); n > 0 {
+		t.Errorf("Complete allocates %.1f times per call, want 0", n)
 	}
 	if n := testing.AllocsPerRun(200, func() { r.Admit("j-1", "queued", "t-1") }); n > 0 {
 		t.Errorf("Admit allocates %.1f times per call, want 0", n)
@@ -92,7 +86,7 @@ func TestConcurrentRecording(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				r.Event(obs.Event{Kind: obs.EvJob, Name: "j"})
+				r.SpanRef("runner.exec", "t", 1, 2)
 			}
 		}()
 	}
@@ -108,8 +102,6 @@ func TestConcurrentRecording(t *testing.T) {
 func TestDumpRoundTripAndRender(t *testing.T) {
 	r := New("mmtserved@127.0.0.1:9", 32)
 	r.Mark("boot")
-	r.Event(obs.Event{TS: 7, Kind: obs.EvCacheHit, Track: 1, Name: "libsvm/base", Trace: "t-9"})
-	r.Sample(obs.Sample{TS: 5000, Committed: 1234, ROB: 17})
 	r.Admit("j-1", "queued", "t-9")
 	r.Complete("j-1", "t-9", 1500*time.Microsecond, "")
 	r.SpanRef("serve.exec", "t-9", time.Now().UnixNano(), int64(2*time.Millisecond))
@@ -127,8 +119,8 @@ func TestDumpRoundTripAndRender(t *testing.T) {
 	if d.Service != "mmtserved@127.0.0.1:9" || d.Reason != "test" {
 		t.Errorf("dump header = %+v", d)
 	}
-	if len(d.Entries) != 9 { // Panic records two entries (panic + key mark)
-		t.Fatalf("entries = %d, want 9", len(d.Entries))
+	if len(d.Entries) != 7 { // Panic records two entries (panic + key mark)
+		t.Fatalf("entries = %d, want 7", len(d.Entries))
 	}
 	if p := d.Panics(); len(p) != 1 || p[0].Err != "boom" || p[0].Trace != "t-9" {
 		t.Errorf("Panics() = %+v", p)
@@ -146,9 +138,33 @@ func TestDumpRoundTripAndRender(t *testing.T) {
 	var buf bytes.Buffer
 	d.Render(&buf)
 	out := buf.String()
-	for _, want := range []string{"mmtserved@127.0.0.1:9", "PANIC: boom", "t-9", "cache-hit", "cycle 5000", "j-1", "deadbeef"} {
+	for _, want := range []string{"mmtserved@127.0.0.1:9", "PANIC: boom", "t-9", "serve.exec", "2.000ms", "j-1", "deadbeef"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendered dump missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestLegacyDumpLoads: a schema-1 dump written before the ring stopped
+// recording obs events and samples still loads, and its retired "event"
+// and "sample" entries render as kind-? beside the kinds still in use.
+func TestLegacyDumpLoads(t *testing.T) {
+	d, err := ReadDump(filepath.Join("testdata", "legacy_v1.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(d.Entries) != 5 {
+		t.Fatalf("entries = %d, want 5", len(d.Entries))
+	}
+	var buf bytes.Buffer
+	d.Render(&buf)
+	out := buf.String()
+	if n := strings.Count(out, "kind-?"); n != 2 {
+		t.Errorf("%d kind-? rows, want 2 (the event and the sample):\n%s", n, out)
+	}
+	for _, want := range []string{"process start: mmtsim", "runner.exec", "PANIC: boom"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("rendered legacy dump missing %q:\n%s", want, out)
 		}
 	}
 }

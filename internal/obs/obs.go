@@ -1,8 +1,8 @@
-// Package obs is the observability layer shared by the simulator core and
-// the experiment runner: typed discrete events (divergences, remerges,
-// catchup episodes, rollbacks, job executions, ...), periodic samples of
-// machine occupancy, and a small metrics registry with a Prometheus-style
-// text endpoint.
+// Package obs is the simulator core's observability layer: typed discrete
+// events (divergences, remerges, catchup episodes, rollbacks, ...) and
+// periodic samples of machine occupancy, all timestamped in cycles, plus a
+// small metrics registry with a Prometheus-style text endpoint. Wall-clock
+// job timelines live in internal/obs/span.
 //
 // Producers hold a Recorder and guard every emission with a nil check, so
 // a run with observability disabled pays one pointer compare per site and
@@ -17,9 +17,7 @@ import (
 	"io"
 )
 
-// EventKind classifies a discrete event. The simulator core emits the
-// cycle-domain kinds; the runner emits the wall-clock kinds (EvJob and
-// friends), with timestamps in microseconds since pool start.
+// EventKind classifies a discrete event of the simulator core.
 type EventKind uint8
 
 const (
@@ -50,16 +48,6 @@ const (
 	// EvStall: the dominant backpressure cause changed. Arg is a
 	// StallCause.
 	EvStall
-	// EvJob: the runner executed one job. Name is the job label, Track
-	// the worker, Dur the wall-clock duration; Arg counts extra attempts.
-	EvJob
-	// EvJobRetry: one failed attempt was retried. Name is the job label.
-	EvJobRetry
-	// EvCacheHit: a job was served from the persistent result cache.
-	EvCacheHit
-	// EvCounter: a generic named counter sample (Name, Arg = value);
-	// rendered as a counter track by the Chrome exporter.
-	EvCounter
 
 	numEventKinds // internal bound for validation
 )
@@ -74,10 +62,6 @@ var eventKindNames = [numEventKinds]string{
 	EvMispredict:   "mispredict",
 	EvFetchMode:    "fetch-mode",
 	EvStall:        "stall",
-	EvJob:          "job",
-	EvJobRetry:     "job-retry",
-	EvCacheHit:     "cache-hit",
-	EvCounter:      "counter",
 }
 
 func (k EventKind) String() string {
@@ -104,35 +88,17 @@ func (k *EventKind) UnmarshalText(b []byte) error {
 }
 
 // TrackMachine is the Track value for machine-wide events not attributable
-// to one hardware thread or worker.
+// to one hardware thread.
 const TrackMachine int32 = -1
 
-// Event is one discrete occurrence. TS is in the producer's time domain:
-// cycles for the simulator core, microseconds since pool start for the
-// runner. Track identifies the hardware thread or worker (TrackMachine for
-// machine-wide events). Dur, when non-zero, makes the event a span of that
-// many TS units starting at TS; otherwise it is an instant.
+// Event is one discrete occurrence at cycle TS. Track identifies the
+// hardware thread (TrackMachine for machine-wide events).
 type Event struct {
 	TS    uint64    `json:"ts"`
 	Kind  EventKind `json:"kind"`
 	Track int32     `json:"track"`
 	PC    uint64    `json:"pc,omitempty"`
 	Arg   uint64    `json:"arg,omitempty"`
-	Dur   uint64    `json:"dur,omitempty"`
-	Name  string    `json:"name,omitempty"`
-	// Trace is the job-scoped correlation id (serve mints one per job and
-	// the runner stamps it on the job's events), so one job's events are
-	// filterable in a shared sink — e.g. a Perfetto trace of a busy
-	// server. Empty for events not tied to a job.
-	Trace string `json:"trace,omitempty"`
-}
-
-// Label returns the event's display name: Name when set, else the kind.
-func (e Event) Label() string {
-	if e.Name != "" {
-		return e.Name
-	}
-	return e.Kind.String()
 }
 
 // Sample is a periodic snapshot of the simulated machine, taken every
@@ -160,10 +126,9 @@ type Sample struct {
 	FetchedCatchup uint64 `json:"fetched_catchup"`
 }
 
-// Recorder receives the event stream. Implementations must tolerate
-// concurrent calls when attached to a concurrent producer (the runner);
-// the simulator core is single-threaded. Producers keep a nil Recorder
-// when observability is off and skip every call.
+// Recorder receives the event stream of one simulator core, which calls
+// it from a single goroutine. Producers keep a nil Recorder when
+// observability is off and skip every call.
 type Recorder interface {
 	Event(e Event)
 	Sample(s Sample)

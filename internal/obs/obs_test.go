@@ -85,7 +85,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	events := []Event{
 		{TS: 10, Kind: EvDiverge, Track: 0, PC: 0x104c, Arg: 2},
 		{TS: 20, Kind: EvStall, Track: TrackMachine, Arg: uint64(StallROB)},
-		{TS: 30, Kind: EvJob, Track: 1, Dur: 1500, Name: "ammp/Base/2T"},
+		{TS: 30, Kind: EvRollback, Track: 1, PC: 0x1090, Arg: 1},
 	}
 	samples := []Sample{{TS: 100, Committed: 400, ROB: 12, GroupsMerge: 1}}
 	for _, e := range events {

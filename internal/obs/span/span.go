@@ -6,9 +6,9 @@
 // cycle loop itself.
 //
 // The design deliberately unifies the span trace id with the serving
-// layer's job trace id (PR 4): both are free-form printable ASCII, so a
+// layer's job trace id: both are free-form printable ASCII, so a
 // client-chosen correlation id like "load-5-0" names the whole distributed
-// trace, and every surface that already speaks trace ids (obs events,
+// trace, and every surface that already speaks trace ids (flight entries,
 // Prometheus exemplars, JobStatus) points into the same tree. The
 // traceparent codec is therefore tolerant: the trace-id field may contain
 // dashes; the parser anchors on the fixed-width span-id field instead.

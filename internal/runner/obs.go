@@ -1,10 +1,6 @@
 package runner
 
-import (
-	"time"
-
-	"mmt/internal/obs"
-)
+import "mmt/internal/obs"
 
 // poolMetrics holds the registry handles the pool updates while running;
 // nil when Options.Metrics is unset, so instrumented sites cost one nil
@@ -44,45 +40,5 @@ func newPoolMetrics(r *obs.Registry) *poolMetrics {
 		queued:       r.Gauge("mmt_runner_queue_depth", "Jobs waiting for a worker."),
 		queueTime:    r.Timer("mmt_runner_queue", "Time jobs spent queued before a worker picked them up."),
 		runTime:      r.Timer("mmt_runner_run", "Wall-clock time of executed simulations."),
-	}
-}
-
-// sinceStart converts a pool-relative instant into the trace time domain
-// (microseconds since pool start).
-func (p *Pool) sinceStart(t time.Time) uint64 {
-	d := t.Sub(p.start)
-	if d < 0 {
-		return 0
-	}
-	return uint64(d.Microseconds())
-}
-
-// traceEvent emits one event on the pool's trace recorder, if any.
-func (p *Pool) traceEvent(e obs.Event) {
-	if p.opts.Trace != nil {
-		p.opts.Trace.Event(e)
-	}
-}
-
-// utilLoop periodically emits worker-utilization and queue-depth counter
-// samples onto the trace while it is attached.
-func (p *Pool) utilLoop() {
-	ticker := time.NewTicker(p.opts.TraceSampleEvery)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-p.stopUtil:
-			return
-		case <-ticker.C:
-			p.mu.Lock()
-			busy := p.stats.busyWorkers
-			queued := len(p.queue)
-			p.mu.Unlock()
-			ts := p.sinceStart(time.Now())
-			p.traceEvent(obs.Event{TS: ts, Kind: obs.EvCounter, Track: obs.TrackMachine,
-				Name: "workers busy", Arg: uint64(busy)})
-			p.traceEvent(obs.Event{TS: ts, Kind: obs.EvCounter, Track: obs.TrackMachine,
-				Name: "queue depth", Arg: uint64(queued)})
-		}
 	}
 }

@@ -1,35 +1,40 @@
 package runner
 
 import (
-	"bytes"
 	"context"
 	"testing"
-	"time"
 
 	"mmt/internal/obs"
+	"mmt/internal/obs/span"
 )
 
+// spansNamed returns the tracer's finished spans with the given name.
+func spansNamed(tr *span.Tracer, name string) []span.Record {
+	var out []span.Record
+	for _, r := range tr.Records("") {
+		if r.Name == name {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
 // TestPoolMetricsAndTrace drives a cold run and a warm restart through an
-// instrumented pool and checks the metric counters and the trace event
-// stream against what actually happened.
+// instrumented pool and checks the metric counters and the recorded spans
+// against what actually happened.
 func TestPoolMetricsAndTrace(t *testing.T) {
 	dir := t.TempDir()
 	task := cheapTask(t, "libsvm", 20000)
 
-	var cold bytes.Buffer
 	reg := obs.NewRegistry()
-	rec := obs.NewJSONL(&cold, nil)
+	tr := span.NewTracer("runner-test", 64)
 	p := newPool(t, context.Background(), Options{
-		Workers: 2, CacheDir: dir,
-		Metrics: reg, Trace: rec, TraceSampleEvery: 5 * time.Millisecond,
+		Workers: 2, CacheDir: dir, Metrics: reg, Tracer: tr,
 	})
 	if _, err := p.Do(task); err != nil {
 		t.Fatal(err)
 	}
 	p.Close()
-	if err := rec.Close(); err != nil {
-		t.Fatal(err)
-	}
 
 	snap := reg.Snapshot()
 	for name, want := range map[string]uint64{
@@ -44,38 +49,25 @@ func TestPoolMetricsAndTrace(t *testing.T) {
 		}
 	}
 
-	lines, err := obs.DecodeJSONL(&cold)
-	if err != nil {
-		t.Fatal(err)
+	execs := spansNamed(tr, "runner.exec")
+	if len(execs) != 1 {
+		t.Fatalf("cold run has %d runner.exec spans, want 1", len(execs))
 	}
-	var jobs int
-	for _, l := range lines {
-		if l.Event != nil && l.Event.Kind == obs.EvJob {
-			jobs++
-			if l.Event.Name != task.Name() || l.Event.Dur == 0 {
-				t.Errorf("job span: %+v", *l.Event)
-			}
-		}
-	}
-	if jobs != 1 {
-		t.Errorf("cold trace has %d job spans, want 1", jobs)
+	if e := execs[0]; e.Attrs["name"] != task.Name() || e.Attrs["worker"] == "" || e.DurNS <= 0 {
+		t.Errorf("exec span: %+v", e)
 	}
 
 	// Warm restart against the same cache directory: the job must be a
 	// cache hit, traced as such, with nothing executed.
-	var warm bytes.Buffer
 	reg2 := obs.NewRegistry()
-	rec2 := obs.NewJSONL(&warm, nil)
+	tr2 := span.NewTracer("runner-test", 64)
 	p2 := newPool(t, context.Background(), Options{
-		Workers: 1, CacheDir: dir, Metrics: reg2, Trace: rec2,
+		Workers: 1, CacheDir: dir, Metrics: reg2, Tracer: tr2,
 	})
 	if _, err := p2.Do(task); err != nil {
 		t.Fatal(err)
 	}
 	p2.Close()
-	if err := rec2.Close(); err != nil {
-		t.Fatal(err)
-	}
 
 	snap2 := reg2.Snapshot()
 	for name, want := range map[string]uint64{
@@ -86,18 +78,11 @@ func TestPoolMetricsAndTrace(t *testing.T) {
 			t.Errorf("warm %s = %v, want %d", name, snap2[name], want)
 		}
 	}
-	warmLines, err := obs.DecodeJSONL(&warm)
-	if err != nil {
-		t.Fatal(err)
+	if n := len(spansNamed(tr2, "runner.exec")); n != 0 {
+		t.Errorf("warm run has %d runner.exec spans, want 0", n)
 	}
-	var hits int
-	for _, l := range warmLines {
-		if l.Event != nil && l.Event.Kind == obs.EvCacheHit {
-			hits++
-		}
-	}
-	if hits != 1 {
-		t.Errorf("warm trace has %d cache-hit events, want 1", hits)
+	if c := spansNamed(tr2, "runner.cache"); len(c) != 1 || c[0].Attrs["local"] != "hit" {
+		t.Errorf("warm cache spans = %+v, want one with local=hit", c)
 	}
 
 	// Queue/run timers observed something plausible.
@@ -106,7 +91,39 @@ func TestPoolMetricsAndTrace(t *testing.T) {
 	}
 }
 
-// TestPoolUninstrumented: a pool with no registry and no trace must run
+// TestUntracedJobsRootFreshTraces: with a Tracer set, jobs that carry no
+// correlation id still land on the timeline, each in a trace of its own.
+func TestUntracedJobsRootFreshTraces(t *testing.T) {
+	tr := span.NewTracer("runner-test", 64)
+	p := newPool(t, context.Background(), Options{Workers: 2, Tracer: tr})
+	const n = 3
+	for i := 0; i < n; i++ {
+		if _, err := p.Do(cheapTask(t, "libsvm", uint64(20000+64*i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.Close()
+
+	execs := spansNamed(tr, "runner.exec")
+	if len(execs) != n {
+		t.Fatalf("%d runner.exec spans, want %d", len(execs), n)
+	}
+	traces := map[string]bool{}
+	for _, e := range execs {
+		traces[e.TraceID] = true
+	}
+	if len(traces) != n {
+		t.Errorf("exec spans share traces: %v", traces)
+	}
+	// Each job's other spans join its exec span's trace.
+	for _, r := range tr.Records("") {
+		if !traces[r.TraceID] {
+			t.Errorf("span %s in trace %s has no exec span", r.Name, r.TraceID)
+		}
+	}
+}
+
+// TestPoolUninstrumented: a pool with no registry and no tracer must run
 // exactly as before — the instrumentation is nil-guarded throughout.
 func TestPoolUninstrumented(t *testing.T) {
 	p := newPool(t, context.Background(), Options{Workers: 1})

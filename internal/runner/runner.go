@@ -4,8 +4,8 @@
 // result cache over the in-memory memo, and reports live progress plus a
 // post-run summary. With Options.Metrics it feeds a live metrics registry
 // (cache hit/miss counters, worker utilization, queue/run timings) for the
-// -metrics-addr endpoint, and with Options.Trace it emits a per-worker
-// job-execution timeline in the obs event stream.
+// -metrics-addr endpoint, and with Options.Tracer it records every job's
+// spans — the process's one wall-clock job timeline.
 //
 // The Pool implements sim.Exec, so the experiment drivers in internal/sim
 // are oblivious to whether they run serially or across N workers: they
@@ -88,20 +88,11 @@ type Options struct {
 	// retries, busy workers, queue depth, and queue/run wall-clock
 	// timings — for the -metrics-addr /metrics endpoint.
 	Metrics *obs.Registry
-	// Trace, when non-nil, receives the job-execution timeline: one span
-	// per executed job on its worker's track, instants for cache hits and
-	// retries, and periodic worker-utilization counter samples, all
-	// timestamped in microseconds since pool start. The caller owns the
-	// recorder and closes it after Close.
-	Trace obs.Recorder
-	// TraceSampleEvery is the utilization sampling period for Trace
-	// (default 250ms).
-	TraceSampleEvery time.Duration
-	// Tracer, when non-nil, records distributed spans for jobs that carry
-	// a span parent or a correlation id (sim.Task.SpanParent / TraceID):
-	// pool queue wait, cache probes (local and remote tiers), the
-	// execution with its sim build/run phases, and the store-through.
-	// Untraced jobs record nothing.
+	// Tracer, when non-nil, records every job's spans: pool queue wait,
+	// cache probes (local and remote tiers), the execution with its sim
+	// build/run phases, and the store-through. A job's spans join the
+	// trace of its span parent or correlation id (sim.Task.SpanParent /
+	// TraceID); a job with neither roots a fresh trace.
 	Tracer *span.Tracer
 	// OnComplete, when non-nil, is called once per job when its outcome
 	// becomes final — after the result is recorded but before waiters
@@ -114,8 +105,8 @@ type Options struct {
 	// worker panic is recorded there with the offending job's task key
 	// and trace id, and — when FlightDumpDir is set — the whole ring is
 	// dumped to disk so the moments leading up to the panic survive the
-	// process. Fan the same recorder into Trace (obs.Multi) to keep the
-	// job timeline in the ring too.
+	// process. Route the Tracer's finished spans into the same ring
+	// (SpanRef) to keep the job timeline there too.
 	Flight *flight.Recorder
 	// FlightDumpDir is where panic-triggered flight dumps land (empty
 	// disables dumping; the ring entry is still recorded).
@@ -154,7 +145,6 @@ type Pool struct {
 	workers      sync.WaitGroup
 	stopWatch    chan struct{}
 	stopProgress chan struct{}
-	stopUtil     chan struct{}
 	closeOnce    sync.Once
 }
 
@@ -165,7 +155,6 @@ type counters struct {
 	failed      int // jobs that finished with an error
 	retries     int // extra attempts consumed
 	invalidated int // corrupt/mismatched cache entries deleted
-	busyWorkers int // workers currently inside run()
 	simTime     time.Duration
 	timings     []JobTiming
 }
@@ -182,9 +171,6 @@ func New(ctx context.Context, opts Options) (*Pool, error) {
 	if opts.ProgressEvery <= 0 {
 		opts.ProgressEvery = 2 * time.Second
 	}
-	if opts.TraceSampleEvery <= 0 {
-		opts.TraceSampleEvery = 250 * time.Millisecond
-	}
 	p := &Pool{
 		ctx:          ctx,
 		opts:         opts,
@@ -192,7 +178,6 @@ func New(ctx context.Context, opts Options) (*Pool, error) {
 		start:        time.Now(),
 		stopWatch:    make(chan struct{}),
 		stopProgress: make(chan struct{}),
-		stopUtil:     make(chan struct{}),
 	}
 	p.cond = sync.NewCond(&p.mu)
 	if opts.Metrics != nil {
@@ -218,9 +203,6 @@ func New(ctx context.Context, opts Options) (*Pool, error) {
 	go p.watchCancel()
 	if opts.Progress != nil {
 		go p.progressLoop()
-	}
-	if opts.Trace != nil {
-		go p.utilLoop()
 	}
 	return p, nil
 }
@@ -294,8 +276,8 @@ func (p *Pool) ensure(t sim.Task) (*job, error) {
 	return j, nil
 }
 
-// worker drains the queue until the pool closes or is canceled. id is the
-// worker's track in the job-timeline trace and utilization accounting.
+// worker drains the queue until the pool closes or is canceled. id labels
+// the worker on its jobs' exec spans.
 func (p *Pool) worker(id int) {
 	defer p.workers.Done()
 	for {
@@ -309,7 +291,6 @@ func (p *Pool) worker(id int) {
 		}
 		j := p.queue[0]
 		p.queue = p.queue[1:]
-		p.stats.busyWorkers++
 		p.mu.Unlock()
 		if p.met != nil {
 			p.met.queued.Add(-1)
@@ -317,9 +298,6 @@ func (p *Pool) worker(id int) {
 			p.met.busy.Add(1)
 		}
 		p.run(j, id)
-		p.mu.Lock()
-		p.stats.busyWorkers--
-		p.mu.Unlock()
 		if p.met != nil {
 			p.met.busy.Add(-1)
 		}
@@ -358,8 +336,8 @@ func (p *Pool) watchCancel() {
 
 // spanParent resolves a job's distributed-span parent: the serving
 // layer's serialized traceparent when present, else the bare correlation
-// id (locally traced jobs root their own subtree). Zero for untraced
-// jobs, which suppresses every runner span.
+// id (locally traced jobs root their own subtree). Zero for jobs with
+// neither.
 func (j *job) spanParent() span.SpanContext {
 	if parent := span.Parse(j.task.SpanParent); parent.TraceID != "" {
 		return parent
@@ -379,8 +357,9 @@ func (p *Pool) run(j *job, wid int) {
 	}
 	tracer := p.opts.Tracer
 	parent := j.spanParent()
-	if parent.TraceID == "" {
-		tracer = nil
+	if tracer != nil && parent.TraceID == "" {
+		// One fresh trace per job holds all of its spans.
+		parent.TraceID = span.NewTraceID()
 	}
 	// The schedule span back-dates to enqueue time: its duration IS the
 	// pool's queue wait for this job.
@@ -400,8 +379,6 @@ func (p *Pool) run(j *job, wid int) {
 		if ok {
 			csp.SetAttr("local", "hit")
 			csp.End()
-			p.traceEvent(obs.Event{TS: p.sinceStart(time.Now()), Kind: obs.EvCacheHit,
-				Track: int32(wid), Name: j.task.Name(), Trace: j.task.TraceID})
 			p.finish(j, out, true, 0, nil)
 			return
 		}
@@ -415,8 +392,6 @@ func (p *Pool) run(j *job, wid int) {
 	if out, ok := p.remoteLoad(j, csp.Context()); ok {
 		csp.SetAttr("remote", "hit")
 		csp.End()
-		p.traceEvent(obs.Event{TS: p.sinceStart(time.Now()), Kind: obs.EvCacheHit,
-			Track: int32(wid), Name: j.task.Name(), Trace: j.task.TraceID})
 		p.finish(j, out, true, 0, nil)
 		return
 	}
@@ -453,8 +428,6 @@ func (p *Pool) run(j *job, wid int) {
 		if p.met != nil {
 			p.met.retries.Inc()
 		}
-		p.traceEvent(obs.Event{TS: p.sinceStart(time.Now()), Kind: obs.EvJobRetry,
-			Track: int32(wid), Name: j.task.Name(), Trace: j.task.TraceID})
 	}
 	dur := time.Since(start)
 	if retries > 0 {
@@ -464,9 +437,6 @@ func (p *Pool) run(j *job, wid int) {
 		esp.SetAttr("error", err.Error())
 	}
 	esp.End()
-	p.traceEvent(obs.Event{TS: p.sinceStart(start), Kind: obs.EvJob, Track: int32(wid),
-		Name: j.task.Name(), Dur: uint64(dur.Microseconds()), Arg: uint64(retries),
-		Trace: j.task.TraceID})
 	if err == nil {
 		ssp := tracer.Start(parent, "runner.store")
 		p.storeOutcome(j, out, ssp.Context())
@@ -655,7 +625,6 @@ func (p *Pool) Close() {
 		p.workers.Wait()
 		close(p.stopWatch)
 		close(p.stopProgress)
-		close(p.stopUtil)
 		p.wall = time.Since(p.start)
 	})
 }

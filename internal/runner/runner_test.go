@@ -13,6 +13,7 @@ import (
 
 	"mmt/internal/core"
 	"mmt/internal/obs/flight"
+	"mmt/internal/obs/span"
 	"mmt/internal/prog"
 	"mmt/internal/sim"
 	"mmt/internal/workloads"
@@ -440,16 +441,22 @@ func mustApp(t *testing.T, name string) workloads.App {
 
 // TestPanicLandsInFlightRecorder is the regression test for the black-box
 // contract: a captured worker panic records the offending job's task key
-// and trace id in the flight ring and dumps the ring to disk.
+// and trace id in the flight ring and dumps the ring to disk, next to the
+// spans of the jobs that ran before it.
 func TestPanicLandsInFlightRecorder(t *testing.T) {
 	dir := t.TempDir()
 	fl := flight.New("runner-test", 64)
+	tr := span.NewTracer("runner-test", 64)
+	tr.SetObserver(func(r span.Record) { fl.SpanRef(r.Name, r.TraceID, r.StartUNS, r.DurNS) })
 	p := newPool(t, context.Background(), Options{
 		Workers:       1,
 		Flight:        fl,
 		FlightDumpDir: dir,
-		Trace:         fl, // the job timeline shares the ring
+		Tracer:        tr,
 	})
+	if _, err := p.Do(cheapTask(t, "libsvm", 20000)); err != nil {
+		t.Fatal(err)
+	}
 	bomb := sim.Task{
 		App:     mustApp(t, "libsvm"),
 		Preset:  sim.PresetBase,
@@ -495,5 +502,14 @@ func TestPanicLandsInFlightRecorder(t *testing.T) {
 	}
 	if !keyed {
 		t.Errorf("dump does not name the panicked task key %s", key)
+	}
+	var ranBefore bool
+	for _, e := range d.Entries {
+		if e.Kind == flight.KindSpan && e.Name == "runner.exec" {
+			ranBefore = true
+		}
+	}
+	if !ranBefore {
+		t.Error("dump does not show the job that ran before the panic")
 	}
 }

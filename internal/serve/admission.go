@@ -189,8 +189,8 @@ func (s *Server) submit(req SubmitRequest, parent span.SpanContext) (JobStatus, 
 	j := s.newJobLocked(task, req.Task, key, req.Priority, deadline, false, req.TraceID, now)
 	s.seq++
 	// The flight's execution is observed under its creator's correlation
-	// id: the runner stamps it on the EvJob/EvCacheHit events, so dedup
-	// joiners share the creator's timeline (they share its simulation).
+	// id: the runner's spans join that trace, so dedup joiners share the
+	// creator's timeline (they share its simulation).
 	task.TraceID = j.traceID
 	f := &flight{key: key, task: task, priority: req.Priority, seq: s.seq, jobs: []*Job{j}}
 	f.span = s.opts.Tracer.Start(parent, "serve.flight")

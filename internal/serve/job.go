@@ -41,8 +41,8 @@ type Job struct {
 	deadline time.Time // zero = none; queued-deadline only
 	dedup    bool      // joined an existing flight at submission
 	// traceID is the job-scoped correlation id: the client's, or minted
-	// from the job id. The flight's creator's id is stamped on the
-	// runner's obs events for the execution.
+	// from the job id. The runner's spans for the execution join the
+	// flight creator's trace.
 	traceID string
 
 	submitted time.Time
@@ -70,9 +70,9 @@ type SubmitRequest struct {
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 	// TraceID is an optional client-chosen correlation id for the job
 	// (printable, at most 128 characters). Empty lets the server mint
-	// one from the job id. The id is echoed in every JobStatus and
-	// stamped on the runner's obs events for the job's execution, so one
-	// job is filterable in a busy server's Perfetto trace.
+	// one from the job id. The id is echoed in every JobStatus and names
+	// the trace of the runner's spans for the job's execution, so one job
+	// is filterable in a busy server's Perfetto trace.
 	TraceID string `json:"trace_id,omitempty"`
 }
 

@@ -7,32 +7,17 @@ import (
 	"sync"
 	"testing"
 
-	"mmt/internal/obs"
+	"mmt/internal/obs/span"
 	"mmt/internal/runner"
 )
 
-// collectRecorder is a mutex-guarded obs.Recorder for asserting on the
-// runner's event stream from tests.
-type collectRecorder struct {
-	mu     sync.Mutex
-	events []obs.Event
-}
-
-func (r *collectRecorder) Event(e obs.Event) {
-	r.mu.Lock()
-	r.events = append(r.events, e)
-	r.mu.Unlock()
-}
-func (r *collectRecorder) Sample(obs.Sample) {}
-func (r *collectRecorder) Close() error      { return nil }
-
-func (r *collectRecorder) byKind(k obs.EventKind) []obs.Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []obs.Event
-	for _, e := range r.events {
-		if e.Kind == k {
-			out = append(out, e)
+// execTraces returns the trace id of every runner.exec span the tracer
+// recorded, one entry per span.
+func execTraces(tr *span.Tracer) []string {
+	var out []string
+	for _, r := range tr.Records("") {
+		if r.Name == "runner.exec" {
+			out = append(out, r.TraceID)
 		}
 	}
 	return out
@@ -72,14 +57,15 @@ func TestTraceIDMintingAndEcho(t *testing.T) {
 
 // TestTraceIDIsolationUnderConcurrency is the cross-contamination check
 // (run with -race): concurrent jobs with distinct specs and unique trace
-// ids must each stamp their own id on exactly one EvJob event — an id
-// showing up twice (or not at all) would mean jobs shared correlation
+// ids must each carry their own id on exactly one runner.exec span — an
+// id showing up twice (or not at all) would mean jobs shared correlation
 // state.
 func TestTraceIDIsolationUnderConcurrency(t *testing.T) {
-	rec := &collectRecorder{}
+	tr := span.NewTracer("serve-test", 1024)
 	_, hs := startServer(t, Options{
-		Runner:   runner.Options{Workers: 4, Trace: rec},
+		Runner:   runner.Options{Workers: 4},
 		MaxQueue: 64,
+		Tracer:   tr,
 	})
 
 	const n = 12
@@ -108,28 +94,29 @@ func TestTraceIDIsolationUnderConcurrency(t *testing.T) {
 	wg.Wait()
 
 	seen := map[string]int{}
-	for _, e := range rec.byKind(obs.EvJob) {
-		seen[e.Trace]++
+	for _, id := range execTraces(tr) {
+		seen[id]++
 	}
 	for _, id := range ids {
 		if seen[id] != 1 {
-			t.Errorf("trace id %q on %d EvJob events, want exactly 1 (all: %v)", id, seen[id], seen)
+			t.Errorf("trace id %q on %d runner.exec spans, want exactly 1 (all: %v)", id, seen[id], seen)
 		}
 	}
 	if len(seen) != n {
-		t.Errorf("%d distinct trace ids on EvJob events, want %d: %v", len(seen), n, seen)
+		t.Errorf("%d distinct trace ids on runner.exec spans, want %d: %v", len(seen), n, seen)
 	}
 }
 
 // TestDedupSharesCreatorTraceOnEvents: a dedup joiner keeps its own id in
-// its JobStatus, but the single shared execution is stamped with the
-// flight creator's id.
+// its JobStatus, but the single shared execution span carries the flight
+// creator's id.
 func TestDedupSharesCreatorTraceOnEvents(t *testing.T) {
-	rec := &collectRecorder{}
+	tr := span.NewTracer("serve-test", 256)
 	resolve, _, _, release := gatedResolve(t)
 	_, hs := startServer(t, Options{
-		Runner:  runner.Options{Workers: 1, Trace: rec},
+		Runner:  runner.Options{Workers: 1},
 		Resolve: resolve,
+		Tracer:  tr,
 	})
 
 	first, resp := postJob(t, hs.URL, SubmitRequest{Task: cheapSpec(23000), TraceID: "creator"})
@@ -150,11 +137,11 @@ func TestDedupSharesCreatorTraceOnEvents(t *testing.T) {
 	waitDone(t, hs.URL, first.ID)
 	waitDone(t, hs.URL, joiner.ID)
 
-	jobs := rec.byKind(obs.EvJob)
-	if len(jobs) != 1 {
-		t.Fatalf("%d EvJob events for a deduped pair, want 1", len(jobs))
+	execs := execTraces(tr)
+	if len(execs) != 1 {
+		t.Fatalf("%d runner.exec spans for a deduped pair, want 1", len(execs))
 	}
-	if jobs[0].Trace != "creator" {
-		t.Errorf("shared execution stamped %q, want the creator's id", jobs[0].Trace)
+	if execs[0] != "creator" {
+		t.Errorf("shared execution traced under %q, want the creator's id", execs[0])
 	}
 }

@@ -72,8 +72,8 @@ type Task struct {
 	// a plain run of the same point are distinct cache entries). Ignored
 	// by Profile (trace-alignment) tasks.
 	Attribution bool
-	// TraceID is the job-scoped correlation id stamped onto the runner's
-	// obs events for this task (serve mints one per job; local drivers
+	// TraceID is the job-scoped correlation id naming the trace of the
+	// runner's spans for this task (serve mints one per job; local drivers
 	// may set their own). Purely observational, NOT part of the key.
 	TraceID string
 	// SpanParent is the serialized distributed-span context ("traceparent"
