@@ -5,7 +5,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"sync"
 	"time"
 
 	"mmt/internal/obs"
@@ -26,7 +25,9 @@ type CacheServerOptions struct {
 	// MaxBytes caps the store's disk footprint with LRU eviction
 	// (0 = unlimited).
 	MaxBytes int64
-	// Metrics, when non-nil, receives the mmt_cached_* instruments.
+	// Metrics holds the mmt_cached_* instruments and is served at GET
+	// /metrics. Nil means a private registry (and no /metrics route);
+	// /v1/stats counts either way.
 	Metrics *obs.Registry
 	// Tracer, when non-nil, records a span per traced get/put — only for
 	// requests that arrive with a traceparent header, so untraced traffic
@@ -66,20 +67,10 @@ type CacheServer struct {
 	flight *flight.Recorder
 	log    *slog.Logger
 	start  time.Time
-
-	mu     sync.Mutex
-	counts cacheCounts
 }
 
-// cacheCounts are the serving counters behind /v1/stats.
-type cacheCounts struct {
-	hits    uint64
-	misses  uint64
-	stores  uint64
-	rejects uint64
-}
-
-// cacheMetrics are the cache service instruments.
+// cacheMetrics are the cache service instruments. They are the service's
+// only counts: /v1/stats reads them.
 type cacheMetrics struct {
 	hits      *obs.Counter
 	misses    *obs.Counter
@@ -92,25 +83,28 @@ type cacheMetrics struct {
 
 // NewCacheServer opens the store and builds the handler.
 func NewCacheServer(opts CacheServerOptions) (*CacheServer, error) {
-	store, err := runner.OpenCache(opts.Dir, opts.MaxBytes)
+	reg := opts.Metrics
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
+	met := &cacheMetrics{
+		hits:      reg.Counter("mmt_cached_hits_total", "Entry fetches that hit."),
+		misses:    reg.Counter("mmt_cached_misses_total", "Entry fetches that missed."),
+		stores:    reg.Counter("mmt_cached_stores_total", "Entries stored."),
+		rejects:   reg.Counter("mmt_cached_rejects_total", "Invalid entries refused."),
+		evictions: runner.EvictionCounter(reg),
+		entries:   reg.Gauge("mmt_cached_entries", "Entries currently stored."),
+		bytes:     reg.Gauge("mmt_cached_bytes", "Bytes currently stored."),
+	}
+	// The store counts into met from the start, so an open-time trim of an
+	// over-budget directory is exported too.
+	store, err := runner.OpenCache(opts.Dir, opts.MaxBytes, met.evictions)
 	if err != nil {
 		return nil, err
 	}
-	s := &CacheServer{store: store, tracer: opts.Tracer, flight: opts.Flight, log: opts.Log, start: time.Now()}
+	s := &CacheServer{store: store, met: met, tracer: opts.Tracer, flight: opts.Flight, log: opts.Log, start: time.Now()}
 	if s.log == nil {
 		s.log = slog.New(slog.NewTextHandler(io.Discard, nil))
-	}
-	if opts.Metrics != nil {
-		s.met = &cacheMetrics{
-			hits:      opts.Metrics.Counter("mmt_cached_hits_total", "Entry fetches that hit."),
-			misses:    opts.Metrics.Counter("mmt_cached_misses_total", "Entry fetches that missed."),
-			stores:    opts.Metrics.Counter("mmt_cached_stores_total", "Entries stored."),
-			rejects:   opts.Metrics.Counter("mmt_cached_rejects_total", "Invalid entries refused."),
-			evictions: opts.Metrics.Counter("mmt_cache_evictions_total", "Entries evicted by the byte budget."),
-			entries:   opts.Metrics.Gauge("mmt_cached_entries", "Entries currently stored."),
-			bytes:     opts.Metrics.Gauge("mmt_cached_bytes", "Bytes currently stored."),
-		}
-		store.SetEvictHook(s.met.evictions.Inc)
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/cache/{key}", s.handleGet)
@@ -161,10 +155,8 @@ func short(key string) string {
 // ServeHTTP serves the cache API.
 func (s *CacheServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
-	if s.met != nil {
-		s.met.entries.Set(int64(s.store.Len()))
-		s.met.bytes.Set(s.store.Bytes())
-	}
+	s.met.entries.Set(int64(s.store.Len()))
+	s.met.bytes.Set(s.store.Bytes())
 }
 
 // Store exposes the underlying cache (entry count and bytes feed the
@@ -180,18 +172,12 @@ func (s *CacheServer) handleGet(w http.ResponseWriter, r *http.Request) {
 		"trace", sp.Context().TraceID, "span", sp.Context().SpanID)
 	if !ok {
 		sp.SetAttr("result", "miss")
-		s.count(func(c *cacheCounts) { c.misses++ })
-		if s.met != nil {
-			s.met.misses.Inc()
-		}
+		s.met.misses.Inc()
 		writeError(w, http.StatusNotFound, 0, "no entry for key %.8s", key)
 		return
 	}
 	sp.SetAttr("result", "hit")
-	s.count(func(c *cacheCounts) { c.hits++ })
-	if s.met != nil {
-		s.met.hits.Inc()
-	}
+	s.met.hits.Inc()
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	w.Write(raw) //nolint:errcheck // client went away; nothing to do
@@ -215,26 +201,14 @@ func (s *CacheServer) handlePut(w http.ResponseWriter, r *http.Request) {
 	sp.SetAttr("result", "stored")
 	s.log.Info("entry stored", "key", short(key), "bytes", len(raw),
 		"trace", sp.Context().TraceID, "span", sp.Context().SpanID)
-	s.count(func(c *cacheCounts) { c.stores++ })
-	if s.met != nil {
-		s.met.stores.Inc()
-	}
+	s.met.stores.Inc()
 	w.WriteHeader(http.StatusNoContent)
 }
 
 func (s *CacheServer) reject(w http.ResponseWriter, status int, format string, args ...any) {
-	s.count(func(c *cacheCounts) { c.rejects++ })
-	if s.met != nil {
-		s.met.rejects.Inc()
-	}
+	s.met.rejects.Inc()
 	s.flight.MarkErr("cache entry rejected", fmt.Sprintf(format, args...))
 	writeError(w, status, 0, format, args...)
-}
-
-func (s *CacheServer) count(f func(*cacheCounts)) {
-	s.mu.Lock()
-	f(&s.counts)
-	s.mu.Unlock()
 }
 
 func (s *CacheServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -257,17 +231,14 @@ type CacheStats struct {
 }
 
 func (s *CacheServer) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	c := s.counts
-	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, CacheStats{
 		UptimeMS:  time.Since(s.start).Milliseconds(),
 		Entries:   s.store.Len(),
 		Bytes:     s.store.Bytes(),
 		Evictions: s.store.Evictions(),
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Stores:    c.stores,
-		Rejects:   c.rejects,
+		Hits:      s.met.hits.Value(),
+		Misses:    s.met.misses.Value(),
+		Stores:    s.met.stores.Value(),
+		Rejects:   s.met.rejects.Value(),
 	})
 }

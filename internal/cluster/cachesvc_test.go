@@ -3,10 +3,13 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"testing"
 
+	"mmt/internal/obs"
 	"mmt/internal/runner"
 )
 
@@ -51,11 +54,53 @@ func runPool(t *testing.T, opts runner.Options) (fromCache bool, executed int) {
 	return comp.FromCache, p.Summary().Executed
 }
 
+// cacheStats GETs a cache server's /v1/stats.
+func cacheStats(t *testing.T, base string) CacheStats {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var cs CacheStats
+	if err := json.NewDecoder(resp.Body).Decode(&cs); err != nil {
+		t.Fatal(err)
+	}
+	return cs
+}
+
+// cacheStatsMatch checks every CacheStats count against the series it
+// reads: /v1/stats and /metrics are one set of instruments.
+func cacheStatsMatch(t *testing.T, cs CacheStats, reg *obs.Registry) {
+	t.Helper()
+	snap := reg.Snapshot()
+	for name, got := range map[string]uint64{
+		"mmt_cached_hits_total":     cs.Hits,
+		"mmt_cached_misses_total":   cs.Misses,
+		"mmt_cached_stores_total":   cs.Stores,
+		"mmt_cached_rejects_total":  cs.Rejects,
+		"mmt_cache_evictions_total": cs.Evictions,
+	} {
+		if snap[name] != got {
+			t.Errorf("/v1/stats reports %d, %s = %v", got, name, snap[name])
+		}
+	}
+	for name, got := range map[string]int64{
+		"mmt_cached_entries": int64(cs.Entries),
+		"mmt_cached_bytes":   cs.Bytes,
+	} {
+		if snap[name] != got {
+			t.Errorf("/v1/stats reports %d, %s = %v", got, name, snap[name])
+		}
+	}
+}
+
 // TestCacheServerRoundTrip checks the wire contract: a stored entry comes
 // back byte-identical, unknown keys 404, and invalid blobs are refused
 // with 400 so a bad client cannot poison the shared store.
 func TestCacheServerRoundTrip(t *testing.T) {
-	srv, hs := startCacheServer(t, CacheServerOptions{})
+	reg := obs.NewRegistry()
+	srv, hs := startCacheServer(t, CacheServerOptions{Metrics: reg})
 	cli := NewCacheClient(hs.URL, nil)
 	ctx := context.Background()
 
@@ -95,14 +140,55 @@ func TestCacheServerRoundTrip(t *testing.T) {
 	if err := cli.Store(ctx, "nothex", raw); err == nil {
 		t.Error("Store accepted a malformed key")
 	}
-	resp, err := http.Get(hs.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
+	cs := cacheStats(t, hs.URL)
+	if cs.Hits != 2 || cs.Stores != 1 || cs.Rejects == 0 {
+		t.Errorf("stats = %+v, want 2 hits, 1 store, some rejects", cs)
 	}
-	resp.Body.Close()
+	cacheStatsMatch(t, cs, reg)
 	if srv.Store().Len() != 1 {
 		t.Errorf("store holds %d entries, want 1", srv.Store().Len())
 	}
+}
+
+// TestCacheServerCountsOpenTrim: a server opened over a directory larger
+// than its byte budget trims it at once, and /v1/stats and
+// mmt_cache_evictions_total both count that trim.
+func TestCacheServerCountsOpenTrim(t *testing.T) {
+	dir := t.TempDir()
+	p, err := runner.New(context.Background(), runner.Options{Workers: 1, CacheDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 3; i++ {
+		task, err := cheapSpec(2000 + 16*i).Task()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Do(task); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.Close()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total int64
+	for _, e := range ents {
+		info, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += info.Size()
+	}
+
+	reg := obs.NewRegistry()
+	_, hs := startCacheServer(t, CacheServerOptions{Dir: dir, MaxBytes: total - 1, Metrics: reg})
+	cs := cacheStats(t, hs.URL)
+	if cs.Evictions == 0 {
+		t.Fatalf("opening %d bytes under a %d-byte budget evicted nothing", total, total-1)
+	}
+	cacheStatsMatch(t, cs, reg)
 }
 
 // TestColdRestartServedFromRemote is the acceptance scenario: node A

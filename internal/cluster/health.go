@@ -41,10 +41,12 @@ func (rt *Router) probeAll() {
 		}(b)
 	}
 	wg.Wait()
-	if rt.met == nil {
-		return
-	}
-	var healthy, draining, down int64
+	rt.countNodes()
+}
+
+// countNodes tallies the backends by probed state and refreshes the
+// node-state gauges with the tally, so /v1/healthz and /metrics agree.
+func (rt *Router) countNodes() (healthy, draining, down int) {
 	for _, b := range rt.backends {
 		switch st, _ := b.snapshotState(); st {
 		case stateHealthy:
@@ -55,9 +57,10 @@ func (rt *Router) probeAll() {
 			down++
 		}
 	}
-	rt.met.healthy.Set(healthy)
-	rt.met.draining.Set(draining)
-	rt.met.down.Set(down)
+	rt.met.healthy.Set(int64(healthy))
+	rt.met.draining.Set(int64(draining))
+	rt.met.down.Set(int64(down))
+	return healthy, draining, down
 }
 
 // probeOne classifies one backend — healthy, draining (the node answered
@@ -110,7 +113,7 @@ func (rt *Router) probeOne(b *backend) {
 		// instead of waiting out the placement TTL.
 		rt.unplaceBackend(b)
 	}
-	if state == stateDown && rt.met != nil {
+	if state == stateDown {
 		rt.met.probeFailures.Inc()
 	}
 }
@@ -183,9 +186,7 @@ func (rt *Router) unplaceBackend(b *backend) {
 			delete(rt.placements, key)
 		}
 	}
-	if rt.met != nil {
-		rt.met.placements.Set(int64(len(rt.placements)))
-	}
+	rt.met.placements.Set(int64(len(rt.placements)))
 	rt.mu.Unlock()
 }
 
@@ -198,8 +199,6 @@ func (rt *Router) sweepPlacements() {
 			delete(rt.placements, key)
 		}
 	}
-	if rt.met != nil {
-		rt.met.placements.Set(int64(len(rt.placements)))
-	}
+	rt.met.placements.Set(int64(len(rt.placements)))
 	rt.mu.Unlock()
 }

@@ -3,7 +3,8 @@ package cluster
 import "mmt/internal/obs"
 
 // routerMetrics are the router's instruments, registered under
-// mmt_cluster_* when the router is given a registry.
+// mmt_cluster_*. They are the router's only counts: /v1/cluster and
+// /v1/healthz read them.
 type routerMetrics struct {
 	routed        *obs.Counter
 	rerouted      *obs.Counter
@@ -19,7 +20,12 @@ type routerMetrics struct {
 	submitLatency *obs.Histogram
 }
 
+// newRouterMetrics registers the router's instruments in reg, or in a
+// private registry when reg is nil.
 func newRouterMetrics(reg *obs.Registry) *routerMetrics {
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
 	return &routerMetrics{
 		routed:        reg.Counter("mmt_cluster_routed_total", "Submissions forwarded to a backend."),
 		rerouted:      reg.Counter("mmt_cluster_rerouted_total", "Placements that skipped a draining or down ring owner."),

@@ -48,7 +48,9 @@ type RouterOptions struct {
 	// uses a client without a global timeout (per-request contexts bound
 	// probes; submits inherit the caller's context).
 	HTTPClient *http.Client
-	// Metrics, when non-nil, receives the mmt_cluster_* instruments.
+	// Metrics holds the mmt_cluster_* instruments and is served at GET
+	// /metrics. Nil means a private registry (and no /metrics route);
+	// /v1/cluster counts either way.
 	Metrics *obs.Registry
 	// Tracer, when non-nil, records the router's hop spans (submit,
 	// per-try route/forward, job proxying) and serves them at GET
@@ -147,24 +149,17 @@ type Router struct {
 	log   *slog.Logger
 	start time.Time
 
+	// mu guards the fields below and orders the routing counts in met, so
+	// a /v1/cluster snapshot is consistent.
 	mu         sync.Mutex
 	backends   []*backend
 	byName     map[string]*backend
 	jobs       map[string]jobRoute
 	placements map[string]placement
-	counts     routerCounts
 
 	stop      chan struct{}
 	probers   sync.WaitGroup
 	closeOnce sync.Once
-}
-
-// routerCounts are the router's own counters (guarded by Router.mu).
-type routerCounts struct {
-	routed   uint64 // submissions forwarded to a backend
-	rerouted uint64 // placements that skipped a draining/down ring owner
-	stolen   uint64 // submissions diverted off a hot owner to an idle node
-	errors   uint64 // forwarding failures (transport errors, proxy errors)
 }
 
 // NewRouter builds the router, probes every backend once so routing
@@ -196,6 +191,7 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		opts:       opts,
 		ring:       ring,
 		hc:         opts.HTTPClient,
+		met:        newRouterMetrics(opts.Metrics),
 		start:      time.Now(),
 		byName:     make(map[string]*backend),
 		jobs:       make(map[string]jobRoute),
@@ -208,9 +204,6 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 	}
 	if rt.hc == nil {
 		rt.hc = &http.Client{} // no global timeout: SSE proxying streams indefinitely
-	}
-	if opts.Metrics != nil {
-		rt.met = newRouterMetrics(opts.Metrics)
 	}
 	for _, n := range ring.Nodes() {
 		target, err := url.Parse(n.URL)
@@ -280,11 +273,8 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 func (rt *Router) countError() {
 	rt.mu.Lock()
-	rt.counts.errors++
+	rt.met.errors.Inc()
 	rt.mu.Unlock()
-	if rt.met != nil {
-		rt.met.errors.Inc()
-	}
 }
 
 // routeInfo describes how a placement was chosen.
@@ -342,9 +332,7 @@ func (rt *Router) place(key string) (*backend, routeInfo, error) {
 		}
 	}
 	rt.placements[key] = placement{b: chosen, at: now}
-	if rt.met != nil {
-		rt.met.placements.Set(int64(len(rt.placements)))
-	}
+	rt.met.placements.Set(int64(len(rt.placements)))
 	return chosen, info, nil
 }
 
@@ -425,9 +413,7 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			rt.recordSubmit(b, st.ID, st.TraceID, info)
 			sub.SetAttr("job", st.ID)
 			sub.SetAttr("node", b.node.Name)
-			if rt.met != nil {
-				rt.met.submitLatency.ObserveWithExemplar(time.Since(start), st.TraceID)
-			}
+			rt.met.submitLatency.ObserveWithExemplar(time.Since(start), st.TraceID)
 			rt.opts.Flight.Admit(st.ID, routeVerdict(b.node.Name, info), st.TraceID)
 			rt.log.Info("job routed", "job", st.ID, "node", b.node.Name,
 				"pinned", info.pinned, "rerouted", info.rerouted, "stolen", info.stolen,
@@ -480,12 +466,12 @@ func routeVerdict(node string, info routeInfo) string {
 func (rt *Router) recordSubmit(b *backend, jobID, trace string, info routeInfo) {
 	rt.mu.Lock()
 	rt.jobs[jobID] = jobRoute{b: b, trace: trace}
-	rt.counts.routed++
+	rt.met.routed.Inc()
 	if info.rerouted {
-		rt.counts.rerouted++
+		rt.met.rerouted.Inc()
 	}
 	if info.stolen {
-		rt.counts.stolen++
+		rt.met.stolen.Inc()
 	}
 	rt.mu.Unlock()
 	b.mu.Lock()
@@ -494,15 +480,6 @@ func (rt *Router) recordSubmit(b *backend, jobID, trace string, info routeInfo) 
 		b.stolen++
 	}
 	b.mu.Unlock()
-	if rt.met != nil {
-		rt.met.routed.Inc()
-		if info.rerouted {
-			rt.met.rerouted.Inc()
-		}
-		if info.stolen {
-			rt.met.stolen.Inc()
-		}
-	}
 }
 
 // dropPlacement removes key's placement if it still points at b.
@@ -511,6 +488,7 @@ func (rt *Router) dropPlacement(key string, b *backend) {
 	if pl, ok := rt.placements[key]; ok && pl.b == b {
 		delete(rt.placements, key)
 	}
+	rt.met.placements.Set(int64(len(rt.placements)))
 	rt.mu.Unlock()
 }
 
@@ -547,16 +525,7 @@ type RouterHealth struct {
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	h := RouterHealth{UptimeMS: time.Since(rt.start).Milliseconds()}
-	for _, b := range rt.backends {
-		switch st, _ := b.snapshotState(); st {
-		case stateHealthy:
-			h.Healthy++
-		case stateDraining:
-			h.Draining++
-		default:
-			h.Down++
-		}
-	}
+	h.Healthy, h.Draining, h.Down = rt.countNodes()
 	status := http.StatusOK
 	h.Status = "ok"
 	if h.Healthy == 0 {
@@ -660,10 +629,10 @@ func (rt *Router) handleCluster(w http.ResponseWriter, r *http.Request) {
 		Fleet:    fleet,
 	}
 	rt.mu.Lock()
-	cs.Routed = rt.counts.routed
-	cs.Rerouted = rt.counts.rerouted
-	cs.Stolen = rt.counts.stolen
-	cs.Errors = rt.counts.errors
+	cs.Routed = rt.met.routed.Value()
+	cs.Rerouted = rt.met.rerouted.Value()
+	cs.Stolen = rt.met.stolen.Value()
+	cs.Errors = rt.met.errors.Value()
 	cs.Placements = len(rt.placements)
 	rt.mu.Unlock()
 	for i, b := range rt.backends {

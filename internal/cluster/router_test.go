@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"mmt/internal/obs"
 	"mmt/internal/serve"
 	"mmt/internal/sim"
 )
@@ -122,6 +123,26 @@ func clusterSnapshot(t *testing.T, base string) ClusterStats {
 	return cs
 }
 
+// clusterMatches checks the router's own ClusterStats counts against the
+// mmt_cluster_* series they read.
+func clusterMatches(t *testing.T, cs ClusterStats, reg *obs.Registry) {
+	t.Helper()
+	snap := reg.Snapshot()
+	for name, got := range map[string]uint64{
+		"mmt_cluster_routed_total":   cs.Routed,
+		"mmt_cluster_rerouted_total": cs.Rerouted,
+		"mmt_cluster_stolen_total":   cs.Stolen,
+		"mmt_cluster_errors_total":   cs.Errors,
+	} {
+		if snap[name] != got {
+			t.Errorf("/v1/cluster reports %d, %s = %v", got, name, snap[name])
+		}
+	}
+	if snap["mmt_cluster_placements"] != int64(cs.Placements) {
+		t.Errorf("/v1/cluster reports %d placements, mmt_cluster_placements = %v", cs.Placements, snap["mmt_cluster_placements"])
+	}
+}
+
 // waitRouter polls the router until pred holds (probe loops need a beat
 // to observe backend state changes).
 func waitRouter(t *testing.T, pred func() bool, what string) {
@@ -168,9 +189,10 @@ func TestRouterRoutesByRingOwner(t *testing.T) {
 // fleet health view reports the drain.
 func TestRouterDrainReroute(t *testing.T) {
 	a, b := newFakeNode(t, "a"), newFakeNode(t, "b")
+	reg := obs.NewRegistry()
 	rt := newTestRouter(t, RouterOptions{Nodes: []Node{
 		{Name: "a", URL: a.srv.URL}, {Name: "b", URL: b.srv.URL},
-	}})
+	}, Metrics: reg})
 	front := httptest.NewServer(rt)
 	defer front.Close()
 
@@ -199,6 +221,7 @@ func TestRouterDrainReroute(t *testing.T) {
 	if after.Rerouted <= before.Rerouted {
 		t.Errorf("rerouted counter did not move (%d -> %d)", before.Rerouted, after.Rerouted)
 	}
+	clusterMatches(t, after, reg)
 
 	// Recovery: the drained node comes back and owns its keys again.
 	a.status.Store("ok")
@@ -265,9 +288,11 @@ func TestRouterWorkStealing(t *testing.T) {
 // the survivor.
 func TestRouterDownBackendFailsOver(t *testing.T) {
 	a, b := newFakeNode(t, "a"), newFakeNode(t, "b")
+	reg := obs.NewRegistry()
 	rt := newTestRouter(t, RouterOptions{
 		Nodes:      []Node{{Name: "a", URL: a.srv.URL}, {Name: "b", URL: b.srv.URL}},
 		ProbeEvery: time.Hour, // only the initial probe: the kill below stays unobserved
+		Metrics:    reg,
 	})
 	front := httptest.NewServer(rt)
 	defer front.Close()
@@ -278,4 +303,9 @@ func TestRouterDownBackendFailsOver(t *testing.T) {
 	if code != http.StatusAccepted || node != "b" {
 		t.Fatalf("dead owner: routed to %q (status %d), want failover to b", node, code)
 	}
+	cs := clusterSnapshot(t, front.URL)
+	if cs.Errors != 1 || cs.Routed != 1 || cs.Rerouted != 1 {
+		t.Errorf("cluster stats = errors %d routed %d rerouted %d, want 1/1/1", cs.Errors, cs.Routed, cs.Rerouted)
+	}
+	clusterMatches(t, cs, reg)
 }

@@ -38,7 +38,8 @@ type Options struct {
 	// Progress, when non-nil, receives one line per rung and per
 	// evaluated point (point stderr here; artifacts go to stdout).
 	Progress io.Writer
-	// Metrics, when non-nil, receives the mmt_dse_* counters/gauges.
+	// Metrics holds the mmt_dse_* counters/gauges. Nil means a private
+	// registry; the engine counts either way.
 	Metrics *obs.Registry
 	// Log, when non-nil, receives structured request-scoped lines: one per
 	// evaluation, stamped with the trace id the backend carried (nil
@@ -52,16 +53,17 @@ type Options struct {
 	CheckpointPath string
 }
 
-// metrics is the engine's instrumentation (all nil-safe no-ops when no
-// registry is given).
+// metrics is the engine's instrumentation.
 type metrics struct {
 	points, sims, rejects, insts *obs.Counter
 	frontier, rung               *obs.Gauge
 }
 
+// newMetrics registers the engine's instruments in r, or in a private
+// registry when r is nil.
 func newMetrics(r *obs.Registry) metrics {
 	if r == nil {
-		return metrics{}
+		r = obs.NewRegistry()
 	}
 	return metrics{
 		points:   r.Counter("mmt_dse_points_evaluated_total", "design points evaluated (point,rung pairs)"),
@@ -70,37 +72,6 @@ func newMetrics(r *obs.Registry) metrics {
 		insts:    r.Counter("mmt_dse_committed_insts_total", "committed instructions across all simulations"),
 		frontier: r.Gauge("mmt_dse_frontier_size", "current Pareto frontier size"),
 		rung:     r.Gauge("mmt_dse_rung", "successive-halving rung in progress"),
-	}
-}
-
-func (m metrics) addPoint() {
-	if m.points != nil {
-		m.points.Inc()
-	}
-}
-func (m metrics) addSims(n int) {
-	if m.sims != nil {
-		m.sims.Add(uint64(n))
-	}
-}
-func (m metrics) addReject() {
-	if m.rejects != nil {
-		m.rejects.Inc()
-	}
-}
-func (m metrics) addInsts(n uint64) {
-	if m.insts != nil {
-		m.insts.Add(n)
-	}
-}
-func (m metrics) setFrontier(n int) {
-	if m.frontier != nil {
-		m.frontier.Set(int64(n))
-	}
-}
-func (m metrics) setRung(r int) {
-	if m.rung != nil {
-		m.rung.Set(int64(r))
 	}
 }
 
@@ -176,7 +147,7 @@ func Search(ctx context.Context, opts Options) (*Study, error) {
 					ID: p.ID, Config: p.Override, Rejected: true, Reason: reason,
 				})
 				st.Budget.StaticRejects++
-				m.addReject()
+				m.rejects.Inc()
 				fmt.Fprintf(progress, "dse: reject %s: %s\n", p.ID, reason)
 				continue
 			}
@@ -211,7 +182,7 @@ func Search(ctx context.Context, opts Options) (*Study, error) {
 
 	rungs := spec.rungs()
 	for r := 0; r < len(rungs) && len(cohort) > 0; r++ {
-		m.setRung(r)
+		m.rung.Set(int64(r))
 		// Budget: how much of this cohort is affordable.
 		n := len(cohort)
 		if opts.Budget > 0 {
@@ -235,7 +206,7 @@ func Search(ctx context.Context, opts Options) (*Study, error) {
 				st.Budget.CommittedInsts += a.Insts
 			}
 		}
-		m.setFrontier(len(st.computeFrontier()))
+		m.frontier.Set(int64(len(st.computeFrontier())))
 		if opts.CheckpointPath != "" && r < len(rungs)-1 {
 			st.Partial = true
 			st.Frontier = st.computeFrontier()
@@ -265,7 +236,7 @@ func Search(ctx context.Context, opts Options) (*Study, error) {
 
 	st.Partial = false
 	st.Frontier = st.computeFrontier()
-	m.setFrontier(len(st.Frontier))
+	m.frontier.Set(int64(len(st.Frontier)))
 	if opts.CheckpointPath != "" {
 		if err := WriteStudy(opts.CheckpointPath, st); err != nil {
 			return nil, fmt.Errorf("dse: writing study: %w", err)
@@ -291,8 +262,8 @@ func evaluateCohort(ctx context.Context, be Backend, spec *Spec, apps []string,
 	for i := range cohort {
 		if prev, ok := reuse[fmt.Sprintf("%s@%d", cohort[i].ID, rung)]; ok && !prev.Rejected {
 			results[i] = *prev
-			m.addPoint()
-			m.addSims(len(prev.PerApp))
+			m.points.Inc()
+			m.sims.Add(uint64(len(prev.PerApp)))
 			fmt.Fprintf(progress, "dse: reuse %s@%d: IPC %.3f, %.1f pJ/job\n",
 				prev.ID, rung, prev.Objectives.IPC, prev.Objectives.EnergyPerJob)
 			continue
@@ -308,10 +279,10 @@ func evaluateCohort(ctx context.Context, be Backend, spec *Spec, apps []string,
 				return
 			}
 			results[i] = *pr
-			m.addPoint()
-			m.addSims(len(pr.PerApp))
+			m.points.Inc()
+			m.sims.Add(uint64(len(pr.PerApp)))
 			for _, a := range pr.PerApp {
-				m.addInsts(a.Insts)
+				m.insts.Add(a.Insts)
 			}
 			fmt.Fprintf(progress, "dse: eval %s@%d: IPC %.3f, %.1f pJ/job\n",
 				pr.ID, rung, pr.Objectives.IPC, pr.Objectives.EnergyPerJob)

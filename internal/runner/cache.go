@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 
+	"mmt/internal/obs"
 	"mmt/internal/sim"
 )
 
@@ -34,12 +35,12 @@ type Cache struct {
 	dir string
 	max int64 // byte budget; 0 = unlimited
 
-	mu        sync.Mutex
-	index     map[string]*list.Element // key -> lru element
-	lru       *list.List               // of *centry; front = most recently used
-	bytes     int64
-	evictions uint64
-	onEvict   func() // optional metric hook, called once per evicted entry
+	evictions *obs.Counter // one per entry the byte budget evicted
+
+	mu    sync.Mutex
+	index map[string]*list.Element // key -> lru element
+	lru   *list.List               // of *centry; front = most recently used
+	bytes int64
 }
 
 // centry is one tracked cache file.
@@ -62,16 +63,19 @@ type entry struct {
 
 // OpenCache opens (creating if needed) a cache directory with the given
 // byte budget (0 = unlimited). Existing entries are indexed oldest-first
-// by file modification time and trimmed to the budget immediately.
-func OpenCache(dir string, maxBytes int64) (*Cache, error) {
+// by file modification time and trimmed to the budget immediately. Every
+// eviction, the open-time trim included, is counted into evictions (see
+// EvictionCounter).
+func OpenCache(dir string, maxBytes int64, evictions *obs.Counter) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("runner: cache dir: %w", err)
 	}
 	c := &Cache{
-		dir:   dir,
-		max:   maxBytes,
-		index: make(map[string]*list.Element),
-		lru:   list.New(),
+		dir:       dir,
+		max:       maxBytes,
+		evictions: evictions,
+		index:     make(map[string]*list.Element),
+		lru:       list.New(),
 	}
 	if err := c.scan(); err != nil {
 		return nil, err
@@ -134,11 +138,6 @@ func validCacheKey(key string) bool {
 	return true
 }
 
-// SetEvictHook installs a callback invoked once per evicted entry (for
-// the pool's mmt_cache_evictions_total counter). Call before concurrent
-// use.
-func (c *Cache) SetEvictHook(fn func()) { c.onEvict = fn }
-
 // Len returns the number of indexed entries.
 func (c *Cache) Len() int {
 	c.mu.Lock()
@@ -153,12 +152,8 @@ func (c *Cache) Bytes() int64 {
 	return c.bytes
 }
 
-// Evictions returns how many entries the byte budget has evicted.
-func (c *Cache) Evictions() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.evictions
-}
+// Evictions returns the value of the counter OpenCache was given.
+func (c *Cache) Evictions() uint64 { return c.evictions.Value() }
 
 // path returns the entry file for a key. Keys are hex SHA-256, so they are
 // always safe file names.
@@ -255,10 +250,7 @@ func (c *Cache) evictLocked() {
 	for c.bytes > c.max && c.lru.Len() > 1 {
 		back := c.lru.Back()
 		c.removeLocked(back.Value.(*centry).key)
-		c.evictions++
-		if c.onEvict != nil {
-			c.onEvict()
-		}
+		c.evictions.Inc()
 	}
 }
 

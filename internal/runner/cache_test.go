@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"mmt/internal/core"
+	"mmt/internal/obs"
 	"mmt/internal/sim"
 )
 
@@ -36,12 +37,11 @@ func TestCacheLRUEviction(t *testing.T) {
 	dir := t.TempDir()
 	k0, r0 := testEntry(t, 0, 64)
 	budget := int64(3*len(r0) + len(r0)/2) // room for ~3 entries
-	c, err := OpenCache(dir, budget)
+	evicted := &obs.Counter{}
+	c, err := OpenCache(dir, budget, evicted)
 	if err != nil {
 		t.Fatal(err)
 	}
-	evicted := 0
-	c.SetEvictHook(func() { evicted++ })
 
 	keys := []string{k0}
 	if err := c.PutRaw(k0, r0); err != nil {
@@ -58,11 +58,11 @@ func TestCacheLRUEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if c.Evictions() == 0 || evicted == 0 {
+	if evicted.Value() == 0 {
 		t.Fatalf("no evictions under a %d-byte budget after 5 inserts (bytes=%d)", budget, c.Bytes())
 	}
-	if int(c.Evictions()) != evicted {
-		t.Errorf("evict hook fired %d times, counter says %d", evicted, c.Evictions())
+	if c.Evictions() != evicted.Value() {
+		t.Errorf("caller's counter reads %d evictions, cache reports %d", evicted.Value(), c.Evictions())
 	}
 	if c.Bytes() > budget {
 		t.Errorf("cache holds %d bytes, budget %d", c.Bytes(), budget)
@@ -78,7 +78,7 @@ func TestCacheLRUEviction(t *testing.T) {
 
 func TestCacheReopenRebuildsIndex(t *testing.T) {
 	dir := t.TempDir()
-	c, err := OpenCache(dir, 0)
+	c, err := OpenCache(dir, 0, &obs.Counter{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,25 +94,28 @@ func TestCacheReopenRebuildsIndex(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "notes.txt"), []byte("hi"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	re, err := OpenCache(dir, 0)
+	re, err := OpenCache(dir, 0, &obs.Counter{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if re.Len() != 3 || re.Bytes() != total {
 		t.Errorf("reopened cache indexed %d entries / %d bytes, want 3 / %d", re.Len(), re.Bytes(), total)
 	}
-	// Reopening under a tight budget trims immediately.
-	tight, err := OpenCache(dir, total-1)
+	// Reopening under a tight budget trims immediately, and the trim is
+	// counted into the caller's counter.
+	evicted := &obs.Counter{}
+	tight, err := OpenCache(dir, total-1, evicted)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tight.Evictions() == 0 || tight.Bytes() > total-1 {
-		t.Errorf("tight reopen: %d evictions, %d bytes (budget %d)", tight.Evictions(), tight.Bytes(), total-1)
+	if evicted.Value() == 0 || tight.Evictions() != evicted.Value() || tight.Bytes() > total-1 {
+		t.Errorf("tight reopen: counter %d, cache reports %d evictions, %d bytes (budget %d)",
+			evicted.Value(), tight.Evictions(), tight.Bytes(), total-1)
 	}
 }
 
 func TestCachePutRawRejectsBadEntries(t *testing.T) {
-	c, err := OpenCache(t.TempDir(), 0)
+	c, err := OpenCache(t.TempDir(), 0, &obs.Counter{})
 	if err != nil {
 		t.Fatal(err)
 	}

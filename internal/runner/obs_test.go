@@ -19,6 +19,27 @@ func spansNamed(tr *span.Tracer, name string) []span.Record {
 	return out
 }
 
+// summaryMatches checks every Summary count against the mmt_runner_*
+// series it reads: the report and /metrics are one set of instruments.
+func summaryMatches(t *testing.T, label string, s Summary, snap map[string]any) {
+	t.Helper()
+	for name, got := range map[string]int{
+		"mmt_runner_jobs_scheduled_total":    s.Jobs,
+		"mmt_runner_jobs_executed_total":     s.Executed,
+		"mmt_runner_cache_hits_total":        s.CacheHits,
+		"mmt_runner_jobs_failed_total":       s.Failed,
+		"mmt_runner_retries_total":           s.Retries,
+		"mmt_runner_cache_invalidated_total": s.Invalidated,
+	} {
+		if snap[name] != uint64(got) {
+			t.Errorf("%s: Summary reports %d, %s = %v", label, got, name, snap[name])
+		}
+	}
+	if sum := snap["mmt_runner_run_seconds_sum"]; sum != s.SimTime.Seconds() {
+		t.Errorf("%s: Summary.SimTime %v, mmt_runner_run_seconds_sum = %v", label, s.SimTime, sum)
+	}
+}
+
 // TestPoolMetricsAndTrace drives a cold run and a warm restart through an
 // instrumented pool and checks the metric counters and the recorded spans
 // against what actually happened.
@@ -37,6 +58,7 @@ func TestPoolMetricsAndTrace(t *testing.T) {
 	p.Close()
 
 	snap := reg.Snapshot()
+	summaryMatches(t, "cold", p.Summary(), snap)
 	for name, want := range map[string]uint64{
 		"mmt_runner_jobs_scheduled_total": 1,
 		"mmt_runner_jobs_executed_total":  1,
@@ -70,6 +92,7 @@ func TestPoolMetricsAndTrace(t *testing.T) {
 	p2.Close()
 
 	snap2 := reg2.Snapshot()
+	summaryMatches(t, "warm", p2.Summary(), snap2)
 	for name, want := range map[string]uint64{
 		"mmt_runner_cache_hits_total":    1,
 		"mmt_runner_jobs_executed_total": 0,
@@ -123,8 +146,9 @@ func TestUntracedJobsRootFreshTraces(t *testing.T) {
 	}
 }
 
-// TestPoolUninstrumented: a pool with no registry and no tracer must run
-// exactly as before — the instrumentation is nil-guarded throughout.
+// TestPoolUninstrumented: a pool with no registry and no tracer runs on
+// private instruments. (The Summary-count tests in runner_test.go run
+// registry-free pools too.)
 func TestPoolUninstrumented(t *testing.T) {
 	p := newPool(t, context.Background(), Options{Workers: 1})
 	if _, err := p.Do(cheapTask(t, "libsvm", 20000)); err != nil {

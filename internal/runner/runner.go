@@ -2,10 +2,11 @@
 // simulation tasks across a bounded worker pool with cancellation, per-job
 // timeouts, panic capture and bounded retry, layers a persistent on-disk
 // result cache over the in-memory memo, and reports live progress plus a
-// post-run summary. With Options.Metrics it feeds a live metrics registry
-// (cache hit/miss counters, worker utilization, queue/run timings) for the
-// -metrics-addr endpoint, and with Options.Tracer it records every job's
-// spans — the process's one wall-clock job timeline.
+// post-run summary. Its counts live in metrics instruments (cache hit/miss
+// counters, worker utilization, queue/run timings) that the summary reads
+// and Options.Metrics exports for the -metrics-addr endpoint; with
+// Options.Tracer it records every job's spans — the process's one
+// wall-clock job timeline.
 //
 // The Pool implements sim.Exec, so the experiment drivers in internal/sim
 // are oblivious to whether they run serially or across N workers: they
@@ -83,10 +84,11 @@ type Options struct {
 	Progress io.Writer
 	// ProgressEvery is the live-progress refresh period (default 2s).
 	ProgressEvery time.Duration
-	// Metrics, when non-nil, receives the pool's live counters and
-	// gauges — scheduled/executed jobs, cache hits and misses, failures,
-	// retries, busy workers, queue depth, and queue/run wall-clock
-	// timings — for the -metrics-addr /metrics endpoint.
+	// Metrics holds the pool's live counters and gauges — scheduled/
+	// executed jobs, cache hits and misses, failures, retries, busy
+	// workers, queue depth, and queue/run wall-clock timings — for the
+	// -metrics-addr /metrics endpoint. Nil means a private registry;
+	// Summary and the progress line count either way.
 	Metrics *obs.Registry
 	// Tracer, when non-nil, records every job's spans: pool queue wait,
 	// cache probes (local and remote tiers), the execution with its sim
@@ -130,15 +132,17 @@ type Pool struct {
 	ctx   context.Context
 	opts  Options
 	cache *Cache
-	met   *poolMetrics // nil when Options.Metrics is unset
+	met   *poolMetrics
 
+	// mu guards the fields below and orders the met counts, so a Summary
+	// snapshot is consistent.
 	mu       sync.Mutex
 	cond     *sync.Cond
 	queue    []*job
 	jobs     map[string]*job
 	closed   bool
 	canceled bool
-	stats    counters
+	timings  []JobTiming // executed jobs, for Summary.Slowest
 
 	start        time.Time
 	wall         time.Duration
@@ -146,17 +150,6 @@ type Pool struct {
 	stopWatch    chan struct{}
 	stopProgress chan struct{}
 	closeOnce    sync.Once
-}
-
-// counters aggregates the summary statistics (guarded by Pool.mu).
-type counters struct {
-	executed    int // simulations actually run to completion or failure
-	cacheHits   int // jobs served from the persistent cache
-	failed      int // jobs that finished with an error
-	retries     int // extra attempts consumed
-	invalidated int // corrupt/mismatched cache entries deleted
-	simTime     time.Duration
-	timings     []JobTiming
 }
 
 // compile-time check: the pool is a drop-in executor for the sim drivers.
@@ -178,18 +171,13 @@ func New(ctx context.Context, opts Options) (*Pool, error) {
 		start:        time.Now(),
 		stopWatch:    make(chan struct{}),
 		stopProgress: make(chan struct{}),
+		met:          newPoolMetrics(opts.Metrics),
 	}
 	p.cond = sync.NewCond(&p.mu)
-	if opts.Metrics != nil {
-		p.met = newPoolMetrics(opts.Metrics)
-	}
 	if opts.CacheDir != "" {
-		c, err := OpenCache(opts.CacheDir, opts.CacheMaxBytes)
+		c, err := OpenCache(opts.CacheDir, opts.CacheMaxBytes, p.met.evictions)
 		if err != nil {
 			return nil, err
-		}
-		if p.met != nil {
-			c.SetEvictHook(p.met.evictions.Inc)
 		}
 		p.cache = c
 	}
@@ -268,10 +256,8 @@ func (p *Pool) ensure(t sim.Task) (*job, error) {
 	j := &job{task: t, key: key, done: make(chan struct{}), enqueuedAt: time.Now()}
 	p.jobs[key] = j
 	p.queue = append(p.queue, j)
-	if p.met != nil {
-		p.met.scheduled.Inc()
-		p.met.queued.Add(1)
-	}
+	p.met.scheduled.Inc()
+	p.met.queued.Add(1)
 	p.cond.Signal()
 	return j, nil
 }
@@ -292,15 +278,11 @@ func (p *Pool) worker(id int) {
 		j := p.queue[0]
 		p.queue = p.queue[1:]
 		p.mu.Unlock()
-		if p.met != nil {
-			p.met.queued.Add(-1)
-			p.met.queueTime.Observe(time.Since(j.enqueuedAt))
-			p.met.busy.Add(1)
-		}
+		p.met.queued.Add(-1)
+		p.met.queueTime.Observe(time.Since(j.enqueuedAt))
+		p.met.busy.Add(1)
 		p.run(j, id)
-		if p.met != nil {
-			p.met.busy.Add(-1)
-		}
+		p.met.busy.Add(-1)
 	}
 }
 
@@ -316,11 +298,8 @@ func (p *Pool) watchCancel() {
 	p.canceled = true
 	failed := p.queue
 	p.queue = nil
-	p.stats.failed += len(failed)
-	if p.met != nil {
-		p.met.queued.Set(0)
-		p.met.failed.Add(uint64(len(failed)))
-	}
+	p.met.queued.Set(0)
+	p.met.failed.Add(uint64(len(failed)))
 	p.cond.Broadcast()
 	p.mu.Unlock()
 	// Resolve the failed jobs outside the lock: the completion hook runs
@@ -370,11 +349,8 @@ func (p *Pool) run(j *job, wid int) {
 		out, ok, invalidated := p.cache.load(j.key, j.task)
 		if invalidated {
 			p.mu.Lock()
-			p.stats.invalidated++
+			p.met.invalidated.Inc()
 			p.mu.Unlock()
-			if p.met != nil {
-				p.met.invalidated.Inc()
-			}
 		}
 		if ok {
 			csp.SetAttr("local", "hit")
@@ -383,9 +359,7 @@ func (p *Pool) run(j *job, wid int) {
 			return
 		}
 		csp.SetAttr("local", "miss")
-		if p.met != nil {
-			p.met.cacheMisses.Inc()
-		}
+		p.met.cacheMisses.Inc()
 	} else {
 		csp.SetAttr("local", "off")
 	}
@@ -423,11 +397,8 @@ func (p *Pool) run(j *job, wid int) {
 		}
 		retries++
 		p.mu.Lock()
-		p.stats.retries++
+		p.met.retries.Inc()
 		p.mu.Unlock()
-		if p.met != nil {
-			p.met.retries.Inc()
-		}
 	}
 	dur := time.Since(start)
 	if retries > 0 {
@@ -478,9 +449,7 @@ func (p *Pool) storeOutcome(j *job, out *sim.Outcome, sc span.SpanContext) {
 		}
 		return
 	}
-	if p.met != nil {
-		p.met.remoteStores.Inc()
-	}
+	p.met.remoteStores.Inc()
 }
 
 // remoteLoad consults the remote shared cache tier after a local miss.
@@ -495,24 +464,18 @@ func (p *Pool) remoteLoad(j *job, sc span.SpanContext) (*sim.Outcome, bool) {
 	defer cancel()
 	raw, ok, err := p.opts.RemoteCache.Load(ctx, j.key)
 	if err != nil || !ok {
-		if p.met != nil {
-			p.met.remoteMisses.Inc()
-		}
+		p.met.remoteMisses.Inc()
 		return nil, false
 	}
 	out, derr := decodeEntry(raw, j.key, j.task)
 	if derr != nil {
-		if p.met != nil {
-			p.met.remoteMisses.Inc()
-		}
+		p.met.remoteMisses.Inc()
 		return nil, false
 	}
 	if p.cache != nil {
 		p.cache.PutRaw(j.key, raw) //nolint:errcheck // warming the local tier is best-effort
 	}
-	if p.met != nil {
-		p.met.remoteHits.Inc()
-	}
+	p.met.remoteHits.Inc()
 	return out, true
 }
 
@@ -582,30 +545,17 @@ func (p *Pool) finish(j *job, out *sim.Outcome, fromCache bool, dur time.Duratio
 	p.mu.Lock()
 	switch {
 	case err != nil:
-		p.stats.failed++
+		p.met.failed.Inc()
 	case fromCache:
-		p.stats.cacheHits++
+		p.met.cacheHits.Inc()
 	default:
-		p.stats.executed++
+		p.met.executed.Inc()
 	}
 	if !fromCache && dur > 0 {
-		p.stats.simTime += dur
-		p.stats.timings = append(p.stats.timings, JobTiming{Name: j.task.Name(), Duration: dur})
+		p.met.runTime.Observe(dur)
+		p.timings = append(p.timings, JobTiming{Name: j.task.Name(), Duration: dur})
 	}
 	p.mu.Unlock()
-	if p.met != nil {
-		switch {
-		case err != nil:
-			p.met.failed.Inc()
-		case fromCache:
-			p.met.cacheHits.Inc()
-		default:
-			p.met.executed.Inc()
-		}
-		if !fromCache && dur > 0 {
-			p.met.runTime.Observe(dur)
-		}
-	}
 	j.out, j.err = out, err
 	if p.opts.OnComplete != nil {
 		p.opts.OnComplete(Completion{Key: j.key, Name: j.task.Name(),
@@ -656,7 +606,7 @@ func (p *Pool) progressLine() string {
 	if total == 0 {
 		return ""
 	}
-	done := p.stats.executed + p.stats.cacheHits + p.stats.failed
+	executed, cached, failed := p.met.executed.Value(), p.met.cacheHits.Value(), p.met.failed.Value()
 	return fmt.Sprintf("runner: %d/%d jobs done (%d simulated, %d cached, %d failed)",
-		done, total, p.stats.executed, p.stats.cacheHits, p.stats.failed)
+		executed+cached+failed, total, executed, cached, failed)
 }

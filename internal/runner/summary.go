@@ -30,26 +30,27 @@ type Summary struct {
 // maxSlowest bounds how many slow jobs the summary names.
 const maxSlowest = 5
 
-// Summary snapshots the pool's counters. Call it after Close for a final
-// wall-clock figure.
+// Summary snapshots the pool's metrics instruments. Call it after Close
+// for a final wall-clock figure.
 func (p *Pool) Summary() Summary {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	simTime, _ := p.met.runTime.Total()
 	s := Summary{
 		Jobs:        len(p.jobs),
-		Executed:    p.stats.executed,
-		CacheHits:   p.stats.cacheHits,
-		Failed:      p.stats.failed,
-		Retries:     p.stats.retries,
-		Invalidated: p.stats.invalidated,
+		Executed:    int(p.met.executed.Value()),
+		CacheHits:   int(p.met.cacheHits.Value()),
+		Failed:      int(p.met.failed.Value()),
+		Retries:     int(p.met.retries.Value()),
+		Invalidated: int(p.met.invalidated.Value()),
 		Workers:     p.opts.Workers,
 		Wall:        p.wall,
-		SimTime:     p.stats.simTime,
+		SimTime:     simTime,
 	}
 	if s.Wall == 0 {
 		s.Wall = time.Since(p.start)
 	}
-	timings := append([]JobTiming(nil), p.stats.timings...)
+	timings := append([]JobTiming(nil), p.timings...)
 	sort.Slice(timings, func(i, j int) bool { return timings[i].Duration > timings[j].Duration })
 	if len(timings) > maxSlowest {
 		timings = timings[:maxSlowest]

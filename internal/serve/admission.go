@@ -80,9 +80,7 @@ func (q *flightQueue) Pop() any {
 // popFlightLocked removes the next flight to dispatch (caller holds mu).
 func (s *Server) popFlightLocked() *flight {
 	f := heap.Pop(&s.queue).(*flight)
-	if s.met != nil {
-		s.met.queueDepth.Set(int64(len(s.queue)))
-	}
+	s.met.queueDepth.Set(int64(len(s.queue)))
 	return f
 }
 
@@ -136,10 +134,7 @@ func (s *Server) submit(req SubmitRequest, parent span.SpanContext) (JobStatus, 
 		return JobStatus{}, &httpError{status: http.StatusServiceUnavailable,
 			msg: "server is draining; not accepting new jobs"}
 	}
-	s.counts.submitted++
-	if s.met != nil {
-		s.met.submitted.Inc()
-	}
+	s.met.submitted.Inc()
 
 	// Single-flight dedup: identical work in flight absorbs the
 	// submission without consuming a queue slot.
@@ -165,19 +160,13 @@ func (s *Server) submit(req SubmitRequest, parent span.SpanContext) (JobStatus, 
 			j.state = StateRunning
 			j.started = now
 		}
-		s.counts.deduped++
-		if s.met != nil {
-			s.met.deduped.Inc()
-		}
+		s.met.deduped.Inc()
 		s.opts.Flight.Admit(j.id, "dedup", j.traceID)
 		return s.snapshotLocked(j, now), nil
 	}
 
 	if len(s.queue) >= s.opts.MaxQueue {
-		s.counts.rejected++
-		if s.met != nil {
-			s.met.rejected.Inc()
-		}
+		s.met.rejected.Inc()
 		s.opts.Flight.Admit("", "rejected", req.TraceID)
 		return JobStatus{}, &httpError{
 			status:     http.StatusTooManyRequests,
@@ -199,9 +188,7 @@ func (s *Server) submit(req SubmitRequest, parent span.SpanContext) (JobStatus, 
 	s.flights[key] = f
 	heap.Push(&s.queue, f)
 	s.admitted++
-	if s.met != nil {
-		s.met.queueDepth.Set(int64(len(s.queue)))
-	}
+	s.met.queueDepth.Set(int64(len(s.queue)))
 	s.opts.Flight.Admit(j.id, "queued", j.traceID)
 	s.cond.Signal()
 	return s.snapshotLocked(j, now), nil
@@ -265,9 +252,7 @@ func (s *Server) dispatch() {
 		}
 		s.mu.Unlock()
 
-		if s.met != nil {
-			s.met.running.Add(1)
-		}
+		s.met.running.Add(1)
 		// The execution span parents everything the runner and simulator
 		// record for this flight; its context rides the task over the
 		// pool boundary in serialized traceparent form.
@@ -276,9 +261,7 @@ func (s *Server) dispatch() {
 		started := time.Now()
 		out, err := s.pool.Do(f.task)
 		dur := time.Since(started)
-		if s.met != nil {
-			s.met.running.Add(-1)
-		}
+		s.met.running.Add(-1)
 
 		// The pool fires OnComplete before Do returns, so if this dispatch
 		// made the pool finalize the key, its completion is recorded. No
@@ -302,17 +285,11 @@ func (s *Server) dispatch() {
 		s.mu.Lock()
 		if err == nil {
 			if source == "cache" {
-				s.counts.fromCache++
-				if s.met != nil {
-					s.met.cacheServed.Inc()
-				}
+				s.met.cacheServed.Inc()
 			} else {
-				s.counts.simulated++
+				s.met.simulated.Inc()
 				s.runSum += dur
 				s.runN++
-				if s.met != nil {
-					s.met.simulated.Inc()
-				}
 			}
 		}
 		s.resolveFlightLocked(f, raw, err, source, time.Now())
@@ -341,20 +318,14 @@ func (s *Server) resolveFlightLocked(f *flight, raw []byte, err error, source st
 		if err != nil {
 			j.state = StateFailed
 			j.errMsg = err.Error()
-			s.counts.failed++
-			if s.met != nil {
-				s.met.failed.Inc()
-			}
+			s.met.failed.Inc()
 		} else {
 			j.state = StateDone
 			j.outcome = raw
 			j.source = source
-			s.counts.completed++
-			if s.met != nil {
-				s.met.completed.Inc()
-			}
+			s.met.completed.Inc()
 		}
-		s.jobLatency.ObserveWithExemplar(now.Sub(j.submitted), j.traceID)
+		s.met.jobLatency.ObserveWithExemplar(now.Sub(j.submitted), j.traceID)
 		s.opts.Flight.Complete(j.id, j.traceID, now.Sub(j.submitted), j.errMsg)
 		close(j.done)
 	}

@@ -171,26 +171,27 @@ type Stats struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	m := s.met
 	s.mu.Lock()
 	st := Stats{
 		UptimeMS:   time.Since(s.start).Milliseconds(),
 		QueueDepth: len(s.queue),
 		Admitted:   s.admitted,
-		Submitted:  s.counts.submitted,
-		Deduped:    s.counts.deduped,
-		Rejected:   s.counts.rejected,
-		Expired:    s.counts.expired,
-		Completed:  s.counts.completed,
-		Failed:     s.counts.failed,
-		Simulated:  s.counts.simulated,
-		FromCache:  s.counts.fromCache,
-		Streams:    s.counts.streams,
+		Submitted:  m.submitted.Value(),
+		Deduped:    m.deduped.Value(),
+		Rejected:   m.rejected.Value(),
+		Expired:    m.expired.Value(),
+		Completed:  m.completed.Value(),
+		Failed:     m.failed.Value(),
+		Simulated:  m.simulated.Value(),
+		FromCache:  m.cacheServed.Value(),
+		Streams:    int(m.streams.Value()),
 	}
 	s.mu.Unlock()
-	st.RequestP50MS = s.reqLatency.Quantile(0.5) * 1e3
-	st.RequestP99MS = s.reqLatency.Quantile(0.99) * 1e3
-	st.JobP50MS = s.jobLatency.Quantile(0.5) * 1e3
-	st.JobP99MS = s.jobLatency.Quantile(0.99) * 1e3
+	st.RequestP50MS = m.reqLatency.Quantile(0.5) * 1e3
+	st.RequestP99MS = m.reqLatency.Quantile(0.99) * 1e3
+	st.JobP50MS = m.jobLatency.Quantile(0.5) * 1e3
+	st.JobP99MS = m.jobLatency.Quantile(0.99) * 1e3
 	st.Pool = s.pool.Summary()
 	writeJSON(w, http.StatusOK, st)
 }

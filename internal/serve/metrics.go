@@ -2,8 +2,8 @@ package serve
 
 import "mmt/internal/obs"
 
-// metrics are the serving instruments, registered under mmt_serve_* when
-// the server is given a registry.
+// metrics are the serving instruments, registered under mmt_serve_*. They
+// are the server's only counts: /v1/stats reads them.
 type metrics struct {
 	submitted   *obs.Counter
 	deduped     *obs.Counter
@@ -22,7 +22,12 @@ type metrics struct {
 	jobLatency *obs.Histogram
 }
 
+// newMetrics registers the serving instruments in reg, or in a private
+// registry when reg is nil.
 func newMetrics(reg *obs.Registry) *metrics {
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
 	return &metrics{
 		submitted:   reg.Counter("mmt_serve_jobs_submitted_total", "Submissions accepted, including dedup joins."),
 		deduped:     reg.Counter("mmt_serve_jobs_deduped_total", "Submissions absorbed by an in-flight identical job."),

@@ -76,8 +76,9 @@ type Options struct {
 	// error-severity findings with 400 before they reach the queue.
 	// Analyses are memoized by source hash for the server's lifetime.
 	Precheck bool
-	// Metrics, when non-nil, receives the serving counters, queue depth
-	// gauge and latency histograms for the /metrics endpoint.
+	// Metrics holds the serving counters, queue depth gauge and latency
+	// histograms, and is served at GET /metrics. Nil means a private
+	// registry (and no /metrics route); /v1/stats counts either way.
 	Metrics *obs.Registry
 	// Tracer, when non-nil, records distributed spans for every hop of a
 	// job's life (admission, queueing, dedup joins, execution) and serves
@@ -111,11 +112,8 @@ type Server struct {
 	log   *slog.Logger
 	start time.Time
 
-	// reqLatency and jobLatency always exist (registered when a registry
-	// is configured), so /v1/stats can report quantiles either way.
-	reqLatency *obs.Histogram
-	jobLatency *obs.Histogram
-
+	// mu guards the fields below and orders the met counts, so a
+	// /v1/stats snapshot is consistent.
 	mu          sync.Mutex
 	cond        *sync.Cond // signals dispatchers when the queue grows or the server closes
 	jobs        map[string]*Job
@@ -126,24 +124,10 @@ type Server struct {
 	seq         uint64
 	draining    bool
 	closed      bool
-	counts      counts
 	runSum      time.Duration // executed-flight wall clock, for Retry-After estimation
 	runN        int
 
 	dispatchers sync.WaitGroup
-}
-
-// counts are the serving counters behind /v1/stats (guarded by Server.mu).
-type counts struct {
-	submitted uint64 // accepted submissions (including dedup joins)
-	deduped   uint64 // submissions that joined an existing flight
-	rejected  uint64 // submissions refused by admission control
-	expired   uint64 // jobs that missed their queued-deadline
-	completed uint64 // jobs finished successfully
-	failed    uint64 // jobs finished with an error
-	simulated uint64 // flights resolved by running the simulation
-	fromCache uint64 // flights resolved by the persistent result cache
-	streams   int    // live SSE streams
 }
 
 // New starts a server and its dispatcher goroutines. ctx is the pool's
@@ -179,6 +163,7 @@ func New(ctx context.Context, opts Options) (*Server, error) {
 		opts:        opts,
 		log:         opts.Log,
 		start:       time.Now(),
+		met:         newMetrics(opts.Metrics),
 		jobs:        make(map[string]*Job),
 		flights:     make(map[string]*flight),
 		completions: make(map[string]runner.Completion),
@@ -187,14 +172,6 @@ func New(ctx context.Context, opts Options) (*Server, error) {
 		s.pre = newPrechecker()
 	}
 	s.cond = sync.NewCond(&s.mu)
-	if opts.Metrics != nil {
-		s.met = newMetrics(opts.Metrics)
-		s.reqLatency = s.met.reqLatency
-		s.jobLatency = s.met.jobLatency
-	} else {
-		s.reqLatency = obs.NewHistogram(nil)
-		s.jobLatency = obs.NewHistogram(nil)
-	}
 
 	userHook := opts.Runner.OnComplete
 	opts.Runner.OnComplete = func(c runner.Completion) {
@@ -226,7 +203,7 @@ func New(ctx context.Context, opts Options) (*Server, error) {
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.mux.ServeHTTP(w, r)
-	s.reqLatency.ObserveWithExemplar(time.Since(start), span.Extract(r.Header).TraceID)
+	s.met.reqLatency.ObserveWithExemplar(time.Since(start), span.Extract(r.Header).TraceID)
 }
 
 // Pool exposes the underlying runner pool (its Summary feeds /v1/stats).

@@ -611,10 +611,18 @@ func TestBadSubmissions(t *testing.T) {
 }
 
 func TestServeMetricsExposition(t *testing.T) {
+	resolve, _, _, release := gatedResolve(t)
 	reg := obs.NewRegistry()
-	_, hs := startServer(t, Options{Runner: runner.Options{Workers: 1}, Metrics: reg})
+	_, hs := startServer(t, Options{Runner: runner.Options{Workers: 1}, Resolve: resolve, Metrics: reg})
 	st, _ := postJob(t, hs.URL, SubmitRequest{Task: cheapSpec(20000)})
+	// The gate holds the flight open, so an identical submission joins it.
+	join, _ := postJob(t, hs.URL, SubmitRequest{Task: cheapSpec(20000)})
+	if !join.Dedup {
+		t.Fatalf("second submission %s did not join the first", join.ID)
+	}
+	release()
 	waitDone(t, hs.URL, st.ID)
+	waitDone(t, hs.URL, join.ID)
 
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {
@@ -622,12 +630,13 @@ func TestServeMetricsExposition(t *testing.T) {
 	}
 	out := buf.String()
 	for _, want := range []string{
-		"mmt_serve_jobs_submitted_total 1",
-		"mmt_serve_jobs_completed_total 1",
+		"mmt_serve_jobs_submitted_total 2",
+		"mmt_serve_jobs_deduped_total 1",
+		"mmt_serve_jobs_completed_total 2",
 		"mmt_serve_queue_depth 0",
 		"# TYPE mmt_serve_request_latency_seconds histogram",
 		"# TYPE mmt_serve_job_latency_seconds histogram",
-		"mmt_serve_job_latency_seconds_count 1",
+		"mmt_serve_job_latency_seconds_count 2",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)
@@ -635,6 +644,32 @@ func TestServeMetricsExposition(t *testing.T) {
 	}
 	if !strings.Contains(out, "mmt_runner_") {
 		t.Error("pool metrics not shared into the serve registry")
+	}
+
+	// /v1/stats reads the very instruments /metrics exports.
+	stats := getStats(t, hs.URL)
+	snap := reg.Snapshot()
+	for name, got := range map[string]uint64{
+		"mmt_serve_jobs_submitted_total":    stats.Submitted,
+		"mmt_serve_jobs_deduped_total":      stats.Deduped,
+		"mmt_serve_jobs_rejected_total":     stats.Rejected,
+		"mmt_serve_jobs_expired_total":      stats.Expired,
+		"mmt_serve_jobs_completed_total":    stats.Completed,
+		"mmt_serve_jobs_failed_total":       stats.Failed,
+		"mmt_serve_flights_simulated_total": stats.Simulated,
+		"mmt_serve_flights_cache_total":     stats.FromCache,
+	} {
+		if snap[name] != got {
+			t.Errorf("/v1/stats reports %d, %s = %v", got, name, snap[name])
+		}
+	}
+	for name, got := range map[string]int{
+		"mmt_serve_queue_depth":    stats.QueueDepth,
+		"mmt_serve_streams_active": stats.Streams,
+	} {
+		if snap[name] != int64(got) {
+			t.Errorf("/v1/stats reports %d, %s = %v", got, name, snap[name])
+		}
 	}
 }
 

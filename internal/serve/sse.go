@@ -25,7 +25,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := s.snapshotLocked(j, time.Now())
-	s.counts.streams++
+	s.met.streams.Add(1)
 	s.mu.Unlock()
 
 	flusher, ok := w.(http.Flusher)
@@ -35,10 +35,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.streamClosed()
-	if s.met != nil {
-		s.met.streams.Add(1)
-		defer s.met.streams.Add(-1)
-	}
 
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
@@ -102,6 +98,6 @@ const (
 
 func (s *Server) streamClosed() {
 	s.mu.Lock()
-	s.counts.streams--
+	s.met.streams.Add(-1)
 	s.mu.Unlock()
 }
