@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 
 	"mmt/internal/asm"
 	"mmt/internal/prof"
@@ -145,33 +144,21 @@ func RunCheck(args []string, out io.Writer) error {
 	worst, any := static.SevInfo, false
 	corrFailure := ""
 	for _, t := range targets {
-		a := static.Analyze(t.prog)
-
-		// Abstract interpretation: lints join the structural findings; the
-		// cost model backs -estimate and the -against-profile correlation.
+		// One interpretation per program: its Findings join the
+		// structural and value lints, and its cost model backs -estimate
+		// and the -against-profile correlation.
 		opts := absint.Options{}
 		if t.app != nil {
 			opts = absint.OptionsForApp(t.prog, *t.app, 2)
 		}
-		ir := absint.Run(a, opts)
-		findings := append(append([]static.Finding(nil), a.Findings...), absint.Lint(ir)...)
-		sort.SliceStable(findings, func(i, j int) bool {
-			if findings[i].PC != findings[j].PC {
-				return findings[i].PC < findings[j].PC
-			}
-			return findings[i].Code < findings[j].Code
-		})
-
-		r := CheckResult{Program: t.name, Findings: findings, Report: a.BuildReport()}
-		if r.Findings == nil {
-			r.Findings = []static.Finding{}
-		}
+		ir := absint.Run(static.Analyze(t.prog), opts)
+		r := CheckResult{Program: t.name, Findings: ir.Findings(), Report: ir.A.BuildReport()}
 		est := absint.EstimateOf(ir)
 		if *estimate {
 			r.Estimate = est
 		}
 		if profile != nil {
-			r.CrossVal = a.CrossValidate(profile)
+			r.CrossVal = ir.A.CrossValidate(profile)
 			r.Correlation = absint.CrossValidate(est, profile)
 			if *minCorr > 0 && r.Correlation.Spearman < *minCorr {
 				corrFailure = fmt.Sprintf("%s: predicted-vs-observed spearman %.3f below -min-correlation %.3f",
@@ -240,14 +227,10 @@ func RunCheck(args []string, out io.Writer) error {
 	return nil
 }
 
-// Precheck statically analyzes app's program and fails on error-severity
-// findings; the admission gate behind mmtsim/mmtbench -precheck.
+// Precheck is the admission gate behind mmtsim/mmtbench -precheck: it
+// refuses app when mmtcheck -fail-on error would (see absint.CheckApp).
 func Precheck(app workloads.App) error {
-	p, err := asm.Assemble(app.Name, app.Source)
-	if err != nil {
-		return fmt.Errorf("precheck: assembling %s: %w", app.Name, err)
-	}
-	if err := static.Check(p); err != nil {
+	if err := absint.CheckApp(app); err != nil {
 		return fmt.Errorf("precheck: %w", err)
 	}
 	return nil

@@ -3,9 +3,13 @@ package cli
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"mmt/internal/workloads"
 )
 
 // TestRunCheckNegativeFixtures: each seeded-defect fixture must make
@@ -51,6 +55,36 @@ func TestRunCheckAbsintFixturesFailOnError(t *testing.T) {
 				t.Fatalf("seeded defect accepted at -fail-on error:\n%s", out.String())
 			}
 		})
+	}
+}
+
+// TestPrecheckRefusesWhatCheckRefuses: the -precheck admission gate
+// rejects exactly the fixtures mmtcheck -fail-on error rejects — the
+// value lints included, not only the structural ones.
+func TestPrecheckRefusesWhatCheckRefuses(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("testdata", "*.s"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rejected := 0
+	for _, file := range files {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(filepath.Base(file), func(t *testing.T) {
+			checkErr := RunCheck([]string{"-src", file, "-report=false", "-fail-on", "error"}, io.Discard)
+			gateErr := Precheck(workloads.App{Name: file, Source: string(src)})
+			if (checkErr != nil) != (gateErr != nil) {
+				t.Errorf("mmtcheck -fail-on error: %v; precheck: %v", checkErr, gateErr)
+			}
+			if gateErr != nil {
+				rejected++
+			}
+		})
+	}
+	if rejected == 0 || rejected == len(files) {
+		t.Errorf("precheck rejected %d of %d fixtures; the table needs both outcomes", rejected, len(files))
 	}
 }
 

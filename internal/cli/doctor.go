@@ -62,15 +62,9 @@ func runDoctor(args []string, stdout, progress io.Writer) error {
 		return nil
 	}
 
-	var extra []string
-	for _, s := range strings.Split(*sources, ",") {
-		if s = strings.TrimSpace(s); s != "" {
-			extra = append(extra, s)
-		}
-	}
 	opts := doctor.Options{
 		Server:      *server,
-		Sources:     extra,
+		Sources:     strings.Split(*sources, ","),
 		SlowTraces:  *slowest,
 		TopFrames:   *top,
 		ProfileLast: *last,

@@ -6,13 +6,12 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"sort"
 	"strings"
 	"time"
 
-	"mmt/internal/cluster"
+	"mmt/internal/doctor"
 	"mmt/internal/obs"
 	"mmt/internal/obs/span"
 )
@@ -51,7 +50,10 @@ func runTrace(args []string, stdout, progress io.Writer) error {
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
-	eps := discoverEndpoints(ctx, *server, *sources, progress)
+	eps, _, err := doctor.Discover(ctx, *server, strings.Split(*sources, ","))
+	if err != nil && progress != nil {
+		fmt.Fprintf(progress, "mmttrace: no cluster behind %s (%v); querying it alone\n", *server, err)
+	}
 
 	if *traceID == "" {
 		n := *limit
@@ -77,34 +79,6 @@ func runTrace(args []string, stdout, progress io.Writer) error {
 	return nil
 }
 
-// discoverEndpoints resolves the set of span rings to query: the -server
-// itself, every node its /v1/cluster reports (when it is a router), and
-// any extra -sources. Order is stable and duplicates collapse.
-func discoverEndpoints(ctx context.Context, server, extra string, progress io.Writer) []string {
-	seen := make(map[string]bool)
-	var eps []string
-	add := func(base string) {
-		base = strings.TrimRight(strings.TrimSpace(base), "/")
-		if base == "" || seen[base] {
-			return
-		}
-		seen[base] = true
-		eps = append(eps, base)
-	}
-	add(server)
-	if cs, err := cluster.FetchClusterStats(ctx, nil, server); err == nil {
-		for _, n := range cs.Nodes {
-			add(n.Node.URL)
-		}
-	} else if progress != nil {
-		fmt.Fprintf(progress, "mmttrace: no cluster behind %s (%v); querying it alone\n", server, err)
-	}
-	for _, s := range strings.Split(extra, ",") {
-		add(s)
-	}
-	return eps
-}
-
 // fetchStitched gathers one trace's spans from every endpoint and
 // stitches them. Dedup joiner spans link to the creator's trace; those
 // linked traces are fetched too (bounded depth), so a joined submission
@@ -112,7 +86,6 @@ func discoverEndpoints(ctx context.Context, server, extra string, progress io.Wr
 func fetchStitched(ctx context.Context, eps []string, traceID string, progress io.Writer) (*span.Tree, error) {
 	var (
 		records []span.Record
-		hc      = &http.Client{}
 		fetched = make(map[string]bool)
 		failed  = make(map[string]bool)
 		reached = 0
@@ -130,7 +103,7 @@ func fetchStitched(ctx context.Context, eps []string, traceID string, progress i
 				if failed[ep] {
 					continue
 				}
-				sr, err := span.FetchSpans(ctx, hc, ep, id)
+				sr, err := span.FetchSpans(ctx, nil, ep, id)
 				if err != nil {
 					failed[ep] = true
 					if progress != nil {
@@ -157,67 +130,19 @@ func fetchStitched(ctx context.Context, eps []string, traceID string, progress i
 	return span.Stitch(records), nil
 }
 
-// fleetTrace is one trace's summaries merged across processes.
-type fleetTrace struct {
-	id        string
-	root      string
-	rootStart int64
-	spans     int
-	procs     int
-	start     int64
-	end       int64
-}
-
 // listTraces merges every process's recent-trace summaries and prints
 // them: newest first, or the slowest (by fleet-wide wall-clock window)
 // when bySlowest is set.
 func listTraces(ctx context.Context, w io.Writer, eps []string, bySlowest bool, n int) error {
-	merged := make(map[string]*fleetTrace)
-	hc := &http.Client{}
-	reached := 0
-	for _, ep := range eps {
-		tr, err := span.FetchTraces(ctx, hc, ep, 100)
-		if err != nil {
-			continue
-		}
-		reached++
-		for _, s := range tr.Traces {
-			m := merged[s.TraceID]
-			if m == nil {
-				m = &fleetTrace{id: s.TraceID, start: s.StartUNS}
-				merged[s.TraceID] = m
-			}
-			m.spans += s.Spans
-			m.procs++
-			if s.StartUNS < m.start {
-				m.start = s.StartUNS
-			}
-			if end := s.StartUNS + int64(s.DurMS*1e6); end > m.end {
-				m.end = end
-			}
-			// The process that saw the trace first holds its true root
-			// (e.g. router.submit rather than a node's serve.submit).
-			if m.root == "" || s.StartUNS < m.rootStart {
-				m.root, m.rootStart = s.Root, s.StartUNS
-			}
-		}
-	}
+	list, reached := doctor.MergeTraces(ctx, eps)
 	if reached == 0 {
 		return errors.New("no span endpoint reachable (is the fleet running?)")
 	}
-	list := make([]*fleetTrace, 0, len(merged))
-	for _, m := range merged { // mmtvet:ok — sorted below
-		list = append(list, m)
-	}
-	sort.Slice(list, func(i, j int) bool {
+	sort.SliceStable(list, func(i, j int) bool {
 		if bySlowest {
-			if di, dj := list[i].end-list[i].start, list[j].end-list[j].start; di != dj {
-				return di > dj
-			}
-		} else if list[i].start != list[j].start {
-			return list[i].start > list[j].start
+			return list[i].DurNS() > list[j].DurNS()
 		}
-		return list[i].id < list[j].id
+		return list[i].Start > list[j].Start
 	})
 	if len(list) > n {
 		list = list[:n]
@@ -225,7 +150,7 @@ func listTraces(ctx context.Context, w io.Writer, eps []string, bySlowest bool, 
 	fmt.Fprintf(w, "%-36s %12s %6s %6s  %s\n", "trace", "duration", "spans", "procs", "root")
 	for _, m := range list {
 		fmt.Fprintf(w, "%-36s %12s %6d %6d  %s\n",
-			m.id, fmt.Sprintf("%.3fms", float64(m.end-m.start)/1e6), m.spans, m.procs, m.root)
+			m.ID, fmt.Sprintf("%.3fms", float64(m.DurNS())/1e6), m.Spans, m.Procs, m.Root)
 	}
 	return nil
 }

@@ -22,7 +22,7 @@ type CacheClient struct {
 
 // NewCacheClient points a client at an mmtcached base URL, e.g.
 // "http://127.0.0.1:8380". The client performs single attempts — the
-// runner already bounds each call with its RemoteTimeout, and a flaky
+// runner already bounds each call with a short timeout, and a flaky
 // cache tier must never slow the simulate path down.
 func NewCacheClient(baseURL string, hc *http.Client) *CacheClient {
 	if hc == nil {

@@ -44,10 +44,6 @@ type RouterOptions struct {
 	// Resolve maps a wire TaskSpec to an executable task for key
 	// computation (default sim.TaskSpec.Task). Tests interpose here.
 	Resolve func(sim.TaskSpec) (sim.Task, error)
-	// HTTPClient issues probes, stats fan-outs and submit forwards; nil
-	// uses a client without a global timeout (per-request contexts bound
-	// probes; submits inherit the caller's context).
-	HTTPClient *http.Client
 	// Metrics holds the mmt_cluster_* instruments and is served at GET
 	// /metrics. Nil means a private registry (and no /metrics route);
 	// /v1/cluster counts either way.
@@ -190,7 +186,7 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 	rt := &Router{
 		opts:       opts,
 		ring:       ring,
-		hc:         opts.HTTPClient,
+		hc:         &http.Client{}, // no global timeout: SSE proxying streams indefinitely
 		met:        newRouterMetrics(opts.Metrics),
 		start:      time.Now(),
 		byName:     make(map[string]*backend),
@@ -201,9 +197,6 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 	rt.log = opts.Log
 	if rt.log == nil {
 		rt.log = slog.New(slog.NewTextHandler(io.Discard, nil))
-	}
-	if rt.hc == nil {
-		rt.hc = &http.Client{} // no global timeout: SSE proxying streams indefinitely
 	}
 	for _, n := range ring.Nodes() {
 		target, err := url.Parse(n.URL)

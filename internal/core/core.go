@@ -178,12 +178,6 @@ func (c *Core) LVIPStats() *LVIP { return c.lvip }
 // thread t (for verification against a functional run).
 func (c *Core) CommittedReg(t int, r uint8) uint64 { return c.committedReg[t][r] }
 
-// RSTState exposes the register sharing table (tests/diagnostics).
-func (c *Core) RSTState() *RST { return c.rst }
-
-// FHBOf exposes thread t's fetch history buffer (tests/diagnostics).
-func (c *Core) FHBOf(t int) *FHB { return c.fhb[t] }
-
 // Cycle advances the machine by one clock: commit, complete, issue,
 // rename, fetch — in that order, so results complete before dependents
 // issue and freed resources are visible within the cycle.

@@ -34,11 +34,8 @@ type Options struct {
 	// whole fleet) or a single mmtserved.
 	Server string
 	// Sources are extra base URLs to collect from (e.g. an mmtcached,
-	// which no /v1/cluster reports).
+	// which no /v1/cluster reports); blank entries are skipped.
 	Sources []string
-	// Client is the HTTP client (nil = a default client; the caller's
-	// context bounds the sweep).
-	Client *http.Client
 	// SlowTraces is how many of the slowest recent traces to stitch into
 	// the bundle (<= 0 means 3).
 	SlowTraces int
@@ -61,9 +58,6 @@ func (o *Options) defaults() {
 	}
 	if o.ProfileLast <= 0 {
 		o.ProfileLast = 4
-	}
-	if o.Client == nil {
-		o.Client = http.DefaultClient
 	}
 	if o.Progress == nil {
 		o.Progress = io.Discard
@@ -121,7 +115,12 @@ func Collect(ctx context.Context, opts Options) (*Bundle, error) {
 	b := &Bundle{Schema: BundleSchema, Version: opts.Version, Server: opts.Server,
 		TakenUNS: time.Now().UnixNano()}
 
-	eps := discover(ctx, &opts, b)
+	eps, cs, err := Discover(ctx, opts.Server, opts.Sources)
+	if err != nil {
+		fmt.Fprintf(opts.Progress, "doctor: no cluster behind %s (%v); treating it as a single node\n",
+			opts.Server, err)
+	}
+	b.Cluster = cs
 	for _, ep := range eps {
 		n := collectNode(ctx, &opts, ep)
 		if n == nil {
@@ -141,12 +140,14 @@ func Collect(ctx context.Context, opts Options) (*Bundle, error) {
 	return b, nil
 }
 
-// discover expands -server via its /v1/cluster (when it is a router) and
-// appends the extra sources; order is stable and duplicates collapse. A
-// successful cluster fetch also lands in the bundle.
-func discover(ctx context.Context, opts *Options, b *Bundle) []string {
+// Discover resolves the fleet behind server: the server itself, every
+// node its /v1/cluster reports when it is a router, then the extra
+// sources (blank entries are skipped). Order is stable and duplicates
+// collapse. cs is the router's cluster snapshot; when server is not a
+// router it is nil and err says why, and the server counts as a single
+// node.
+func Discover(ctx context.Context, server string, sources []string) (eps []string, cs *cluster.ClusterStats, err error) {
 	seen := make(map[string]bool)
-	var eps []string
 	add := func(base string) {
 		base = strings.TrimRight(strings.TrimSpace(base), "/")
 		if base == "" || seen[base] {
@@ -155,26 +156,24 @@ func discover(ctx context.Context, opts *Options, b *Bundle) []string {
 		seen[base] = true
 		eps = append(eps, base)
 	}
-	add(opts.Server)
-	if cs, err := cluster.FetchClusterStats(ctx, opts.Client, opts.Server); err == nil {
-		b.Cluster = &cs
-		for _, n := range cs.Nodes {
+	add(server)
+	stats, err := cluster.FetchClusterStats(ctx, nil, server)
+	if err == nil {
+		cs = &stats
+		for _, n := range stats.Nodes {
 			add(n.Node.URL)
 		}
-	} else {
-		fmt.Fprintf(opts.Progress, "doctor: no cluster behind %s (%v); treating it as a single node\n",
-			opts.Server, err)
 	}
-	for _, s := range opts.Sources {
+	for _, s := range sources {
 		add(s)
 	}
-	return eps
+	return eps, cs, err
 }
 
 // collectNode pulls one process's whole debug surface. The flight ring is
 // the liveness probe: without it the node is reported unreachable.
 func collectNode(ctx context.Context, opts *Options, base string) *NodeDiag {
-	d, err := flight.FetchDump(ctx, opts.Client, base)
+	d, err := flight.FetchDump(ctx, nil, base)
 	if err != nil {
 		return nil
 	}
@@ -185,14 +184,14 @@ func collectNode(ctx context.Context, opts *Options, base string) *NodeDiag {
 	}
 
 	var hist history.Response
-	if err := fetchJSON(ctx, opts.Client, base+"/v1/debug/metrics", &hist); err != nil {
+	if err := fetchJSON(ctx, base+"/v1/debug/metrics", &hist); err != nil {
 		record("metrics history", err)
 	} else {
 		n.Metrics = &hist
 	}
 
 	var idx profiled.IndexResponse
-	if err := fetchJSON(ctx, opts.Client, base+"/v1/debug/profiles", &idx); err != nil {
+	if err := fetchJSON(ctx, base+"/v1/debug/profiles", &idx); err != nil {
 		record("profile index", err)
 	} else {
 		n.Profiles = &idx
@@ -208,12 +207,12 @@ func collectNode(ctx context.Context, opts *Options, base string) *NodeDiag {
 			var rep profiled.TopReport
 			url := fmt.Sprintf("%s/v1/debug/profiles?merge=cpu&last=%d&top=%d",
 				base, opts.ProfileLast, opts.TopFrames)
-			if err := fetchJSON(ctx, opts.Client, url, &rep); err != nil {
+			if err := fetchJSON(ctx, url, &rep); err != nil {
 				record("cpu merge", err)
 			} else {
 				n.CPUMerged = &rep
 			}
-			raw, err := fetchBytes(ctx, opts.Client, fmt.Sprintf("%s/v1/debug/profiles?id=%d", base, newest))
+			raw, err := fetchBytes(ctx, fmt.Sprintf("%s/v1/debug/profiles?id=%d", base, newest))
 			if err != nil {
 				record("cpu capture", err)
 			} else {
@@ -223,7 +222,7 @@ func collectNode(ctx context.Context, opts *Options, base string) *NodeDiag {
 	}
 
 	var cfg json.RawMessage
-	if err := fetchJSON(ctx, opts.Client, base+"/v1/debug/config", &cfg); err != nil {
+	if err := fetchJSON(ctx, base+"/v1/debug/config", &cfg); err != nil {
 		record("config", err)
 	} else {
 		n.Config = cfg
@@ -231,62 +230,73 @@ func collectNode(ctx context.Context, opts *Options, base string) *NodeDiag {
 	return n
 }
 
-// fleetTrace is one trace's summaries merged across processes.
-type fleetTrace struct {
-	id        string
-	root      string
+// FleetTrace is one trace's recent-trace summaries merged across the
+// processes that recorded part of it.
+type FleetTrace struct {
+	ID string
+	// Root is the root span of the process that saw the trace first
+	// (e.g. router.submit rather than a node's serve.submit).
+	Root         string
+	Spans, Procs int
+	// Start and End bound the fleet-wide wall-clock window (unix ns).
+	Start, End int64
+
 	rootStart int64
-	spans     int
-	procs     int
-	start     int64
-	end       int64
 }
 
-// collectTraces merges every process's recent-trace summaries, ranks them
-// by fleet-wide duration, and stitches the slowest into the bundle.
-func collectTraces(ctx context.Context, opts *Options, b *Bundle, eps []string) {
-	merged := make(map[string]*fleetTrace)
+// DurNS is the trace's fleet-wide wall-clock duration.
+func (t *FleetTrace) DurNS() int64 { return t.End - t.Start }
+
+// MergeTraces fetches every endpoint's recent-trace summaries and merges
+// them by trace id, in id order; reached counts the endpoints that
+// answered.
+func MergeTraces(ctx context.Context, eps []string) (traces []*FleetTrace, reached int) {
+	merged := make(map[string]*FleetTrace)
 	for _, ep := range eps {
-		tr, err := span.FetchTraces(ctx, opts.Client, ep, 100)
+		tr, err := span.FetchTraces(ctx, nil, ep, 100)
 		if err != nil {
 			continue
 		}
+		reached++
 		for _, s := range tr.Traces {
 			m := merged[s.TraceID]
 			if m == nil {
-				m = &fleetTrace{id: s.TraceID, start: s.StartUNS}
+				m = &FleetTrace{ID: s.TraceID, Start: s.StartUNS}
 				merged[s.TraceID] = m
 			}
-			m.spans += s.Spans
-			m.procs++
-			if s.StartUNS < m.start {
-				m.start = s.StartUNS
+			m.Spans += s.Spans
+			m.Procs++
+			if s.StartUNS < m.Start {
+				m.Start = s.StartUNS
 			}
-			if end := s.StartUNS + int64(s.DurMS*1e6); end > m.end {
-				m.end = end
+			if end := s.StartUNS + int64(s.DurMS*1e6); end > m.End {
+				m.End = end
 			}
-			if m.root == "" || s.StartUNS < m.rootStart {
-				m.root, m.rootStart = s.Root, s.StartUNS
+			if m.Root == "" || s.StartUNS < m.rootStart {
+				m.Root, m.rootStart = s.Root, s.StartUNS
 			}
 		}
 	}
-	list := make([]*fleetTrace, 0, len(merged))
+	traces = make([]*FleetTrace, 0, len(merged))
 	for _, m := range merged { // mmtvet:ok — sorted below
-		list = append(list, m)
+		traces = append(traces, m)
 	}
-	sort.Slice(list, func(i, j int) bool {
-		if di, dj := list[i].end-list[i].start, list[j].end-list[j].start; di != dj {
-			return di > dj
-		}
-		return list[i].id < list[j].id
-	})
+	sort.Slice(traces, func(i, j int) bool { return traces[i].ID < traces[j].ID })
+	return traces, reached
+}
+
+// collectTraces ranks the fleet's recent traces by duration and stitches
+// the slowest into the bundle.
+func collectTraces(ctx context.Context, opts *Options, b *Bundle, eps []string) {
+	list, _ := MergeTraces(ctx, eps)
+	sort.SliceStable(list, func(i, j int) bool { return list[i].DurNS() > list[j].DurNS() })
 	if len(list) > opts.SlowTraces {
 		list = list[:opts.SlowTraces]
 	}
 	for _, m := range list {
 		var records []span.Record
 		for _, ep := range eps {
-			sr, err := span.FetchSpans(ctx, opts.Client, ep, m.id)
+			sr, err := span.FetchSpans(ctx, nil, ep, m.ID)
 			if err != nil {
 				continue
 			}
@@ -298,8 +308,8 @@ func collectTraces(ctx context.Context, opts *Options, b *Bundle, eps []string) 
 		}
 		start, end := tree.Window()
 		b.Traces = append(b.Traces, TraceDiag{
-			ID:      m.id,
-			Root:    m.root,
+			ID:      m.ID,
+			Root:    m.Root,
 			DurMS:   float64(end-start) / 1e6,
 			Spans:   tree.Count,
 			Procs:   len(tree.Services),
@@ -308,20 +318,20 @@ func collectTraces(ctx context.Context, opts *Options, b *Bundle, eps []string) 
 	}
 }
 
-func fetchJSON(ctx context.Context, hc *http.Client, url string, out any) error {
-	raw, err := fetchBytes(ctx, hc, url)
+func fetchJSON(ctx context.Context, url string, out any) error {
+	raw, err := fetchBytes(ctx, url)
 	if err != nil {
 		return err
 	}
 	return json.Unmarshal(raw, out)
 }
 
-func fetchBytes(ctx context.Context, hc *http.Client, url string) ([]byte, error) {
+func fetchBytes(ctx context.Context, url string) ([]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := hc.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, err
 	}

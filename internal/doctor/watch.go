@@ -67,7 +67,7 @@ func CheckStats(node string, st serve.Stats, th Thresholds) []Violation {
 // node's own stats.
 func Probe(ctx context.Context, opts Options, th Thresholds) ([]Violation, error) {
 	opts.defaults()
-	if cs, err := cluster.FetchClusterStats(ctx, opts.Client, opts.Server); err == nil {
+	if cs, err := cluster.FetchClusterStats(ctx, nil, opts.Server); err == nil {
 		var out []Violation
 		out = append(out, CheckStats("", cs.Fleet, th)...)
 		for _, n := range cs.Nodes {
@@ -79,7 +79,7 @@ func Probe(ctx context.Context, opts Options, th Thresholds) ([]Violation, error
 		return out, nil
 	}
 	var st serve.Stats
-	if err := fetchJSON(ctx, opts.Client, opts.Server+"/v1/stats", &st); err != nil {
+	if err := fetchJSON(ctx, opts.Server+"/v1/stats", &st); err != nil {
 		return nil, fmt.Errorf("doctor: %s serves neither /v1/cluster nor /v1/stats: %w", opts.Server, err)
 	}
 	return CheckStats(opts.Server, st, th), nil

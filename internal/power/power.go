@@ -7,8 +7,6 @@
 package power
 
 import (
-	"fmt"
-	"io"
 	"sort"
 
 	"mmt/internal/cache"
@@ -207,28 +205,5 @@ func (m *Model) DetailedComponents(st *core.Stats, ev cache.Events) []Component 
 func AddComponents(total map[string]float64, cs []Component) {
 	for _, c := range cs {
 		total[c.Name] += c.PJ
-	}
-}
-
-// WriteComponents renders a breakdown for terminals, largest first with a
-// deterministic name tie-break.
-func WriteComponents(w io.Writer, cs []Component) {
-	sorted := append([]Component(nil), cs...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].PJ != sorted[j].PJ {
-			return sorted[i].PJ > sorted[j].PJ
-		}
-		return sorted[i].Name < sorted[j].Name
-	})
-	var total float64
-	for _, c := range sorted {
-		total += c.PJ
-	}
-	for _, c := range sorted {
-		pct := 0.0
-		if total > 0 {
-			pct = 100 * c.PJ / total
-		}
-		fmt.Fprintf(w, "  %-10s %14.1f pJ  %5.1f%%\n", c.Name, c.PJ, pct)
 	}
 }

@@ -56,6 +56,13 @@ type Completion struct {
 	Err error
 }
 
+const (
+	// remoteTimeout bounds one remote cache load or store.
+	remoteTimeout = 2 * time.Second
+	// progressEvery is the live-progress refresh period.
+	progressEvery = 2 * time.Second
+)
+
 // Options configures a Pool.
 type Options struct {
 	// Workers bounds concurrent simulations; <= 0 means runtime.NumCPU().
@@ -69,8 +76,6 @@ type Options struct {
 	// on a local cache miss and written through on store (see RemoteCache;
 	// internal/cluster provides the HTTP client for cmd/mmtcached).
 	RemoteCache RemoteCache
-	// RemoteTimeout bounds one remote cache load or store (default 2s).
-	RemoteTimeout time.Duration
 	// Timeout bounds one attempt's wall clock (0 = none). The simulator
 	// is not interruptible, so a timed-out attempt's goroutine is
 	// abandoned and the attempt reported failed.
@@ -82,8 +87,6 @@ type Options struct {
 	// refresh with changed counts) — point it at stderr so artifact
 	// output on stdout stays byte-identical across worker counts.
 	Progress io.Writer
-	// ProgressEvery is the live-progress refresh period (default 2s).
-	ProgressEvery time.Duration
 	// Metrics holds the pool's live counters and gauges — scheduled/
 	// executed jobs, cache hits and misses, failures, retries, busy
 	// workers, queue depth, and queue/run wall-clock timings — for the
@@ -149,6 +152,7 @@ type Pool struct {
 	workers      sync.WaitGroup
 	stopWatch    chan struct{}
 	stopProgress chan struct{}
+	progress     sync.WaitGroup // the progressLoop, joined by Close
 	closeOnce    sync.Once
 }
 
@@ -160,9 +164,6 @@ var _ sim.Exec = (*Pool)(nil)
 func New(ctx context.Context, opts Options) (*Pool, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.NumCPU()
-	}
-	if opts.ProgressEvery <= 0 {
-		opts.ProgressEvery = 2 * time.Second
 	}
 	p := &Pool{
 		ctx:          ctx,
@@ -181,15 +182,13 @@ func New(ctx context.Context, opts Options) (*Pool, error) {
 		}
 		p.cache = c
 	}
-	if opts.RemoteTimeout <= 0 {
-		p.opts.RemoteTimeout = 2 * time.Second
-	}
 	for i := 0; i < opts.Workers; i++ {
 		p.workers.Add(1)
 		go p.worker(i)
 	}
 	go p.watchCancel()
 	if opts.Progress != nil {
+		p.progress.Add(1)
 		go p.progressLoop()
 	}
 	return p, nil
@@ -441,7 +440,7 @@ func (p *Pool) storeOutcome(j *job, out *sim.Outcome, sc span.SpanContext) {
 			return
 		}
 	}
-	ctx, cancel := context.WithTimeout(span.ContextWith(context.Background(), sc), p.opts.RemoteTimeout)
+	ctx, cancel := context.WithTimeout(span.ContextWith(context.Background(), sc), remoteTimeout)
 	defer cancel()
 	if err := p.opts.RemoteCache.Store(ctx, j.key, raw); err != nil {
 		if p.opts.Progress != nil {
@@ -460,7 +459,7 @@ func (p *Pool) remoteLoad(j *job, sc span.SpanContext) (*sim.Outcome, bool) {
 	if p.opts.RemoteCache == nil {
 		return nil, false
 	}
-	ctx, cancel := context.WithTimeout(span.ContextWith(p.ctx, sc), p.opts.RemoteTimeout)
+	ctx, cancel := context.WithTimeout(span.ContextWith(p.ctx, sc), remoteTimeout)
 	defer cancel()
 	raw, ok, err := p.opts.RemoteCache.Load(ctx, j.key)
 	if err != nil || !ok {
@@ -565,7 +564,9 @@ func (p *Pool) finish(j *job, out *sim.Outcome, fromCache bool, dur time.Duratio
 }
 
 // Close stops accepting work, waits for in-flight jobs, and stops the
-// progress and cancellation watchers. It is idempotent.
+// progress and cancellation watchers. It returns only after the progress
+// loop has exited, so the caller may write to the progress stream
+// afterwards. It is idempotent.
 func (p *Pool) Close() {
 	p.closeOnce.Do(func() {
 		p.mu.Lock()
@@ -575,13 +576,15 @@ func (p *Pool) Close() {
 		p.workers.Wait()
 		close(p.stopWatch)
 		close(p.stopProgress)
+		p.progress.Wait()
 		p.wall = time.Since(p.start)
 	})
 }
 
 // progressLoop periodically emits a one-line status while jobs are moving.
 func (p *Pool) progressLoop() {
-	ticker := time.NewTicker(p.opts.ProgressEvery)
+	defer p.progress.Done()
+	ticker := time.NewTicker(progressEvery)
 	defer ticker.Stop()
 	var last string
 	for {

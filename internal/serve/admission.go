@@ -9,6 +9,7 @@ import (
 
 	"mmt/internal/obs/span"
 	"mmt/internal/sim"
+	"mmt/internal/static/absint"
 )
 
 // maxTraceIDLen bounds client-chosen correlation ids.
@@ -110,8 +111,10 @@ func (s *Server) submit(req SubmitRequest, parent span.SpanContext) (JobStatus, 
 	if err != nil {
 		return JobStatus{}, badRequest("resolving task: %v", err)
 	}
-	if s.pre != nil {
-		if err := s.pre.check(task); err != nil {
+	// Tasks built without a workload source (custom Build hooks from an
+	// embedder's Resolve) are not checkable and pass.
+	if s.opts.Precheck && task.App.Source != "" {
+		if err := absint.CheckApp(task.App); err != nil {
 			return JobStatus{}, badRequest("precheck: %v", err)
 		}
 	}
@@ -196,9 +199,9 @@ func (s *Server) submit(req SubmitRequest, parent span.SpanContext) (JobStatus, 
 
 // retryAfterLocked estimates when a queue slot will free: queue length
 // over dispatch parallelism times the average executed-flight duration,
-// floored at RetryAfterMin and capped at a minute (caller holds mu).
+// floored at a second and capped at a minute (caller holds mu).
 func (s *Server) retryAfterLocked() time.Duration {
-	est := s.opts.RetryAfterMin
+	est := time.Second
 	if s.runN > 0 {
 		avg := s.runSum / time.Duration(s.runN)
 		waves := math.Ceil(float64(len(s.queue)) / float64(s.opts.Dispatchers))

@@ -65,16 +65,14 @@ type Options struct {
 	DefaultDeadline time.Duration
 	// HeartbeatEvery is the SSE progress cadence (default 1s).
 	HeartbeatEvery time.Duration
-	// RetryAfterMin floors the 429 Retry-After hint (default 1s).
-	RetryAfterMin time.Duration
 	// Resolve maps a wire TaskSpec to an executable task (default
 	// sim.TaskSpec.Task). Tests and embedders can interpose validation or
 	// synthetic tasks here.
 	Resolve func(sim.TaskSpec) (sim.Task, error)
 	// Precheck statically analyzes each submitted task's program
-	// (internal/static) and rejects jobs whose programs carry
-	// error-severity findings with 400 before they reach the queue.
-	// Analyses are memoized by source hash for the server's lifetime.
+	// (absint.CheckApp, the gate behind mmtsim -precheck) and rejects
+	// jobs whose programs carry error-severity findings with 400 before
+	// they reach the queue.
 	Precheck bool
 	// Metrics holds the serving counters, queue depth gauge and latency
 	// histograms, and is served at GET /metrics. Nil means a private
@@ -108,7 +106,6 @@ type Server struct {
 	pool  *runner.Pool
 	mux   *http.ServeMux
 	met   *metrics
-	pre   *prechecker // non-nil when Options.Precheck is set
 	log   *slog.Logger
 	start time.Time
 
@@ -140,9 +137,6 @@ func New(ctx context.Context, opts Options) (*Server, error) {
 	if opts.HeartbeatEvery <= 0 {
 		opts.HeartbeatEvery = time.Second
 	}
-	if opts.RetryAfterMin <= 0 {
-		opts.RetryAfterMin = time.Second
-	}
 	if opts.Resolve == nil {
 		opts.Resolve = func(s sim.TaskSpec) (sim.Task, error) { return s.Task() }
 	}
@@ -167,9 +161,6 @@ func New(ctx context.Context, opts Options) (*Server, error) {
 		jobs:        make(map[string]*Job),
 		flights:     make(map[string]*flight),
 		completions: make(map[string]runner.Completion),
-	}
-	if opts.Precheck {
-		s.pre = newPrechecker()
 	}
 	s.cond = sync.NewCond(&s.mu)
 

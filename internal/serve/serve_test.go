@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -675,24 +676,24 @@ func TestServeMetricsExposition(t *testing.T) {
 
 // TestPrecheckAdmissionGate proves the static admission gate: a
 // submission whose resolved program carries error-severity findings is
-// rejected with 400 before it consumes a queue slot (and the memoized
-// verdict answers resubmissions), while a sound program is admitted and
-// runs to completion on the same server.
+// rejected with 400 before it consumes a queue slot, while a sound
+// program is admitted and runs to completion on the same server.
 func TestPrecheckAdmissionGate(t *testing.T) {
 	// No halt and no branch: execution falls off the end of the text
-	// segment, an error-severity static finding.
+	// segment, an error-severity structural finding.
 	const badSrc = `
         tid  r4
         addi r5, r4, 1
 `
 	resolve := func(spec sim.TaskSpec) (sim.Task, error) {
+		if spec.App != "broken" {
+			return spec.Task()
+		}
 		task, err := cheapSpec(20000).Task()
 		if err != nil {
 			return sim.Task{}, err
 		}
-		if spec.App == "broken" {
-			task.App = workloads.App{Name: "broken", Source: badSrc}
-		}
+		task.App = workloads.App{Name: "broken", Source: badSrc}
 		return task, nil
 	}
 	_, hs := startServer(t, Options{
@@ -702,11 +703,23 @@ func TestPrecheckAdmissionGate(t *testing.T) {
 		Resolve:  resolve,
 	})
 
-	for i := 0; i < 2; i++ { // the second round answers from the memo
-		_, resp := postJob(t, hs.URL, SubmitRequest{Task: sim.TaskSpec{App: "broken"}})
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("bad program round %d: %s, want 400", i, resp.Status)
-		}
+	_, resp := postJob(t, hs.URL, SubmitRequest{Task: sim.TaskSpec{App: "broken"}})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("bad program: %s, want 400", resp.Status)
+	}
+
+	// A registered workload rebound over the wire: with its mailbox at
+	// address 0 every exchange misses the data space (value-lint
+	// oob-access errors), and the program would spin forever if run.
+	resp, err := http.Post(hs.URL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"task":{"app":"pingpong-mp","equ":{"MBOX":0}}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "oob-access") {
+		t.Fatalf("pingpong-mp with MBOX=0: %s %s, want 400 naming oob-access", resp.Status, body)
 	}
 
 	st, resp := postJob(t, hs.URL, SubmitRequest{Task: cheapSpec(20000)})

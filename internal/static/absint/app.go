@@ -1,7 +1,9 @@
 package absint
 
 import (
+	"fmt"
 	"sort"
+	"strings"
 
 	"mmt/internal/asm"
 	"mmt/internal/prog"
@@ -95,4 +97,26 @@ func EstimateApp(a workloads.App, threads int) (*Estimate, error) {
 		return nil, err
 	}
 	return EstimateOf(r), nil
+}
+
+// CheckApp is the static admission gate behind mmtsim/mmtbench -precheck
+// and mmtserved -precheck. It analyzes the workload as mmtcheck -app
+// does (mode-aware options, two contexts) and returns an error listing
+// the error-severity findings, so it refuses exactly what mmtcheck
+// -fail-on error refuses. Warnings and infos never block execution.
+func CheckApp(a workloads.App) error {
+	r, err := AnalyzeApp(a, 2)
+	if err != nil {
+		return fmt.Errorf("assembling %s: %w", a.Name, err)
+	}
+	var errs []string
+	for _, f := range r.Findings() {
+		if f.Sev == static.SevError {
+			errs = append(errs, f.String())
+		}
+	}
+	if len(errs) == 0 {
+		return nil
+	}
+	return fmt.Errorf("program %s has %d error findings: %s", a.Name, len(errs), strings.Join(errs, "; "))
 }

@@ -158,7 +158,6 @@ type Result struct {
 	Loops []LoopBound
 
 	in         []state
-	loopBodies []map[int]bool
 	anyVarying bool
 }
 

@@ -334,7 +334,7 @@ func blockFreqs(r *Result) []float64 {
 		if trip > maxTrip {
 			trip = maxTrip
 		}
-		for b := range r.loopBodies[i] {
+		for b := range r.A.Loops[i].Body {
 			freq[b] *= float64(trip)
 		}
 	}

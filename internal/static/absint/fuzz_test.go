@@ -150,7 +150,7 @@ func FuzzRunSound(f *testing.F) {
 		if e.Redundancy < 0 || e.Redundancy > 1 || e.LVIPPotential < 0 || e.LVIPPotential > 1 {
 			t.Fatalf("estimate out of range: %+v", e)
 		}
-		Lint(r)
+		r.Findings()
 
 		// Soundness against the functional oracle, one run per context.
 		for ctx := uint8(0); ctx < 2; ctx++ {

@@ -16,6 +16,9 @@ const (
 	// CodeOOBAccess: a load/store whose abstract address set lies entirely
 	// outside the mapped data space [DataBase, StackTop).
 	CodeOOBAccess = "oob-access"
+	// CodeStoreToText: a store whose abstract address set lies entirely
+	// inside the program text.
+	CodeStoreToText = "store-to-text"
 	// CodeDeadStore: a store definitely overwritten by a later store to
 	// the same address with no possible intervening read.
 	CodeDeadStore = "dead-store"
@@ -27,18 +30,19 @@ const (
 	CodeDivByZero = "div-by-zero"
 )
 
-// Lint derives findings from a finished interpretation: value-set
-// out-of-bounds accesses, statically-dead stores, loops that cannot
-// terminate or cannot be bounded, and divisions by (possibly) zero.
-// Findings come back sorted by PC then code, matching the static
-// package's convention.
-func Lint(r *Result) []static.Finding {
-	var out []static.Finding
-	out = append(out, lintOOB(r)...)
+// Findings is the one findings list of a program: the CFG analysis's
+// structural findings plus the value lints derived from this
+// interpretation (out-of-bounds and text-segment accesses,
+// statically-dead stores, loops that cannot terminate or cannot be
+// bounded, divisions by (possibly) zero), sorted by PC then code.
+// mmtcheck reports it and CheckApp gates on it.
+func (r *Result) Findings() []static.Finding {
+	out := append([]static.Finding{}, r.A.Findings...)
+	out = append(out, lintAddresses(r)...)
 	out = append(out, lintDeadStores(r)...)
 	out = append(out, lintLoops(r)...)
 	out = append(out, lintDivZero(r)...)
-	sort.Slice(out, func(i, j int) bool {
+	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].PC != out[j].PC {
 			return out[i].PC < out[j].PC
 		}
@@ -47,22 +51,27 @@ func Lint(r *Result) []static.Finding {
 	return out
 }
 
-// LintProgram is the convenience entry: analyze, interpret with default
-// options, lint.
-func LintProgram(p *prog.Program) []static.Finding {
-	return Lint(Run(static.Analyze(p), Options{}))
-}
-
-// lintOOB flags accesses whose entire address interval misses the mapped
-// data space. Intervals touching the space (or too wide to bound) pass:
-// value-set analysis over-approximates, so only a certain miss is a
-// finding.
-func lintOOB(r *Result) []static.Finding {
+// lintAddresses flags accesses whose entire address interval misses the
+// mapped data space: a store that lands wholly inside the program text
+// is store-to-text (self-modifying code the simulator's fetch path would
+// never observe), any other certain miss is oob-access. Intervals
+// touching the space (or too wide to bound) pass: value-set analysis
+// over-approximates, so only a certain miss is a finding.
+func lintAddresses(r *Result) []static.Finding {
+	p := r.A.Prog
+	textLo, textHi := p.Base, p.Base+uint64(len(p.Insts))*isa.InstBytes
 	var out []static.Finding
 	for _, acc := range r.Accesses {
 		a := acc.Addr
 		if a.Lo == math.MinInt64 || a.Hi == math.MaxInt64 {
 			continue // unbounded: not a provable miss
+		}
+		if acc.Store && a.Lo >= 0 && uint64(a.Lo) >= textLo && uint64(a.Hi) < textHi {
+			out = append(out, static.Finding{
+				Sev: static.SevError, Code: CodeStoreToText, PC: acc.PC,
+				Msg: fmt.Sprintf("store address %s overwrites program text [%#x, %#x)", a, textLo, textHi),
+			})
+			continue
 		}
 		oob := false
 		switch {

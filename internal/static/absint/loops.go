@@ -14,47 +14,15 @@ import (
 func (r *Result) inferLoopBounds() {
 	a := r.A
 	r.Loops = make([]LoopBound, len(a.Loops))
-	r.loopBodies = make([]map[int]bool, len(a.Loops))
 	for i, l := range a.Loops {
 		lb := LoopBound{HeadPC: l.HeadPC, BackPC: l.BackPC}
-		head := a.BlockAt(l.HeadPC)
-		back := a.BlockAt(l.BackPC)
-		body := loopBody(a, head, back)
-		r.loopBodies[i] = body
-		if body != nil {
-			if !hasExit(a, body) {
-				lb.Infinite = true
-			} else {
-				lb.Trip, lb.ExitPC = r.inferTrip(head, back, body)
-			}
+		if !hasExit(a, l.Body) {
+			lb.Infinite = true
+		} else {
+			lb.Trip, lb.ExitPC = r.inferTrip(a.BlockAt(l.HeadPC), a.BlockAt(l.BackPC), l.Body)
 		}
 		r.Loops[i] = lb
 	}
-}
-
-// loopBody recomputes the natural-loop body of the back edge back->head
-// (the header plus every block reaching the back block without passing
-// through the header).
-func loopBody(a *static.Analysis, head, back int) map[int]bool {
-	if head < 0 || back < 0 {
-		return nil
-	}
-	body := map[int]bool{head: true, back: true}
-	var stack []int
-	if back != head {
-		stack = append(stack, back)
-	}
-	for len(stack) > 0 {
-		x := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, p := range a.Blocks[x].Preds {
-			if !body[p] {
-				body[p] = true
-				stack = append(stack, p)
-			}
-		}
-	}
-	return body
 }
 
 // hasExit reports whether any body block can leave the loop: an edge to

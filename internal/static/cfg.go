@@ -376,6 +376,7 @@ func (a *Analysis) findLoops() {
 			Blocks: len(l.body),
 			Insts:  insts,
 			Depth:  depth,
+			Body:   l.body,
 		})
 	}
 	sort.Slice(a.Loops, func(i, j int) bool {

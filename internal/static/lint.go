@@ -133,67 +133,3 @@ func (a *Analysis) checkDataflow() {
 		}
 	}
 }
-
-// checkStores runs a per-block constant propagation (r0 plus values
-// built from lui/li/addi chains) and flags stores whose statically known
-// address lands inside the text segment — self-modifying code the
-// simulator's fetch path would never observe.
-func (a *Analysis) checkStores() {
-	p := a.Prog
-	textLo := p.Base
-	textHi := p.Base + uint64(len(p.Insts))*isa.InstBytes
-	for bi := range a.Blocks {
-		if !a.Reachable[bi] {
-			continue
-		}
-		b := &a.Blocks[bi]
-		var known regMask = 1 << isa.RegZero
-		var vals [isa.NumRegs]uint64
-		get := func(r uint8) (uint64, bool) { return vals[r], known&(1<<r) != 0 }
-		set := func(r uint8, v uint64, ok bool) {
-			if r == isa.RegZero {
-				return
-			}
-			if ok {
-				known |= 1 << r
-				vals[r] = v
-			} else {
-				known &^= 1 << r
-			}
-		}
-		for k := 0; k < b.N; k++ {
-			in := p.Insts[b.First+k]
-			if !in.Op.Valid() {
-				break
-			}
-			switch in.Op {
-			case isa.OpSt:
-				if base, ok := get(in.Rs1); ok {
-					if addr := base + uint64(in.Imm); addr >= textLo && addr < textHi {
-						a.addFinding(SevError, CodeStoreToText, a.pcOf(b.First+k),
-							"store to %#x overwrites program text [%#x,%#x)", addr, textLo, textHi)
-					}
-				}
-			case isa.OpAddi:
-				v, ok := get(in.Rs1)
-				set(in.Rd, v+uint64(in.Imm), ok)
-			case isa.OpOri:
-				v, ok := get(in.Rs1)
-				set(in.Rd, v|uint64(in.Imm), ok)
-			case isa.OpLui:
-				set(in.Rd, uint64(in.Imm)<<32, true)
-			case isa.OpAdd:
-				v1, ok1 := get(in.Rs1)
-				v2, ok2 := get(in.Rs2)
-				set(in.Rd, v1+v2, ok1 && ok2)
-			case isa.OpSlli:
-				v, ok := get(in.Rs1)
-				set(in.Rd, v<<(uint64(in.Imm)&63), ok)
-			default:
-				if d, ok := in.Dest(); ok {
-					set(d, 0, false)
-				}
-			}
-		}
-	}
-}

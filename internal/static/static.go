@@ -7,15 +7,17 @@
 // conditional branch, which is the structural reconvergence point SPMD
 // threads re-join at.
 //
-// On top of the CFG the analyzer derives correctness findings (invalid
+// On top of the CFG the analyzer derives structural findings (invalid
 // branch targets, unreachable code, paths that fall off the end of the
-// text segment, registers read before any write reaches them, stores that
-// overwrite program text, indirect-branch escape sites) and a static
-// redundancy report (straight-line shareable regions, loop structure,
-// per-branch reconvergence distances). cmd/mmtcheck is the pre-flight
-// linter over these findings; CrossValidate joins the static predictions
-// against a dynamic attribution profile (internal/prof) as an invariant
-// check on the FHB/CATCHUP machinery itself.
+// text segment, registers read before any write reaches them,
+// indirect-branch escape sites) and a static redundancy report
+// (straight-line shareable regions, loop structure, per-branch
+// reconvergence distances). Every lint that needs register values lives
+// in the abstract interpreter (internal/static/absint), whose
+// Result.Findings joins both halves for cmd/mmtcheck and the -precheck
+// admission gates; CrossValidate joins the static predictions against a
+// dynamic attribution profile (internal/prof) as an invariant check on
+// the FHB/CATCHUP machinery itself.
 package static
 
 import (
@@ -86,7 +88,6 @@ const (
 	CodeFallsOffEnd   = "falls-off-end"     // an executable path runs past the end of the text segment
 	CodeUnreachable   = "unreachable"       // block no execution path reaches
 	CodeReadBeforeWr  = "read-before-write" // register read before any write reaches it on some path
-	CodeStoreToText   = "store-to-text"     // store whose statically known address hits the text segment
 	CodeIndirect      = "indirect-branch"   // jalr escape site: targets unknown to the analyzer
 	CodeRemergeNonPD  = "remerge-non-postdom"
 	CodeRemergeLoop   = "remerge-loop-carried"
@@ -144,6 +145,9 @@ type Loop struct {
 	Insts  int `json:"insts"`
 	// Depth is the nesting depth (1 = outermost).
 	Depth int `json:"depth"`
+	// Body is the set of block indices in the loop (header included),
+	// for the abstract interpreter's trip inference and cost model.
+	Body map[int]bool `json:"-"`
 }
 
 // Analyze builds the full static view of p. It never fails: structural
@@ -158,7 +162,6 @@ func Analyze(p *prog.Program) *Analysis {
 	a.computeReconvergence()
 	a.findLoops()
 	a.checkDataflow()
-	a.checkStores()
 	sort.SliceStable(a.Findings, func(i, j int) bool {
 		if a.Findings[i].PC != a.Findings[j].PC {
 			return a.Findings[i].PC < a.Findings[j].PC
@@ -166,26 +169,6 @@ func Analyze(p *prog.Program) *Analysis {
 		return a.Findings[i].Code < a.Findings[j].Code
 	})
 	return a
-}
-
-// Check analyzes p and returns an error listing the error-severity
-// findings, or nil when the program is structurally sound. It is the
-// shared admission gate behind mmtsim/mmtbench -precheck and the job
-// server's Precheck option; warnings and infos never block execution
-// here (run mmtcheck for the full report).
-func Check(p *prog.Program) error {
-	a := Analyze(p)
-	errs, _, _ := CountBySeverity(a.Findings)
-	if errs == 0 {
-		return nil
-	}
-	msg := fmt.Sprintf("program %s has %d error findings:", p.Name, errs)
-	for _, f := range a.Findings {
-		if f.Sev == SevError {
-			msg += "\n  " + f.String()
-		}
-	}
-	return fmt.Errorf("%s", msg)
 }
 
 // addFinding appends a diagnostic.

@@ -297,28 +297,6 @@ skip:   addi r5, r9, 1     ; read of maybe-uninitialized r9
 	}
 }
 
-// TestStoreToText: a store whose constant-propagated address lands in the
-// text segment errors; a store to the data segment does not.
-func TestStoreToText(t *testing.T) {
-	a := Analyze(progOf(
-		isa.Inst{Op: isa.OpAddi, Rd: 4, Rs1: 0, Imm: int64(prog.CodeBase)},
-		isa.Inst{Op: isa.OpSt, Rs1: 4, Rs2: 5, Imm: 4},
-		isa.Inst{Op: isa.OpHalt},
-	))
-	if !hasCode(a.Findings, CodeStoreToText) {
-		t.Fatalf("missing %s: %v", CodeStoreToText, a.Findings)
-	}
-
-	clean := Analyze(progOf(
-		isa.Inst{Op: isa.OpAddi, Rd: 4, Rs1: 0, Imm: int64(prog.DataBase)},
-		isa.Inst{Op: isa.OpSt, Rs1: 4, Rs2: 5, Imm: 0},
-		isa.Inst{Op: isa.OpHalt},
-	))
-	if hasCode(clean.Findings, CodeStoreToText) {
-		t.Errorf("false positive on data store: %v", clean.Findings)
-	}
-}
-
 // TestInvalidOpcode: an undecodable instruction on an executable path
 // errors.
 func TestInvalidOpcode(t *testing.T) {
