@@ -212,6 +212,7 @@ func BenchmarkCoreThroughput(b *testing.B) {
 		b.Fatal("missing app")
 	}
 	var insts uint64
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r, err := sim.Run(app, sim.PresetMMTFXR, 4, nil)

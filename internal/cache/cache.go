@@ -57,8 +57,11 @@ type line struct {
 // Cache is one set-associative, write-back, write-allocate cache with LRU
 // replacement. It is a tag store only.
 type Cache struct {
-	cfg      Config
-	sets     [][]line
+	cfg Config
+	// lines holds every set's ways in one array: set i is
+	// lines[i*ways : (i+1)*ways].
+	lines    []line
+	nsets    int
 	lruClock uint64
 	Stats    Stats
 }
@@ -69,11 +72,13 @@ func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	c := &Cache{cfg: cfg, sets: make([][]line, cfg.sets())}
-	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Ways)
-	}
-	return c
+	return &Cache{cfg: cfg, lines: make([]line, cfg.sets()*cfg.Ways), nsets: cfg.sets()}
+}
+
+// set returns the ways of set i.
+func (c *Cache) set(i int) []line {
+	w := c.cfg.Ways
+	return c.lines[i*w : (i+1)*w]
 }
 
 // LineBytes returns the block size.
@@ -86,8 +91,8 @@ func (c *Cache) lineAddr(addr uint64) uint64 {
 
 func (c *Cache) locate(addr uint64) (setIdx int, tag uint64) {
 	la := addr / uint64(c.cfg.LineBytes)
-	setIdx = int(la & uint64(len(c.sets)-1))
-	tag = la / uint64(len(c.sets))
+	setIdx = int(la & uint64(c.nsets-1))
+	tag = la / uint64(c.nsets)
 	return
 }
 
@@ -104,7 +109,7 @@ type Result struct {
 func (c *Cache) Access(addr uint64, write bool) Result {
 	set, tag := c.locate(addr)
 	c.lruClock++
-	lines := c.sets[set]
+	lines := c.set(set)
 	for i := range lines {
 		if lines[i].valid && lines[i].tag == tag {
 			lines[i].lru = c.lruClock
@@ -142,7 +147,7 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 // Probe reports whether addr is resident without touching LRU or stats.
 func (c *Cache) Probe(addr uint64) bool {
 	set, tag := c.locate(addr)
-	for _, l := range c.sets[set] {
+	for _, l := range c.set(set) {
 		if l.valid && l.tag == tag {
 			return true
 		}

@@ -25,6 +25,16 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestNewAllocatesOneLineArray: every set's ways live in one array, so
+// building a level costs the same few allocations however many sets it
+// has (the default L2 has 8192).
+func TestNewAllocatesOneLineArray(t *testing.T) {
+	l2 := Config{SizeBytes: 4 << 20, Ways: 8, LineBytes: 64}
+	if allocs := testing.AllocsPerRun(10, func() { New(l2) }); allocs > 2 {
+		t.Errorf("New allocates %v times for %d sets", allocs, l2.sets())
+	}
+}
+
 func TestCacheHitAfterMiss(t *testing.T) {
 	c := New(small())
 	if c.Access(0x1000, false).Hit {

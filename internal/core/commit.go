@@ -10,13 +10,13 @@ func (c *Core) commitStage(now uint64) {
 	for progress := true; progress && slots > 0; {
 		progress = false
 		for t := 0; t < c.cfg.Threads && slots > 0; t++ {
-			q := c.robQ[t]
+			q := c.robQ[t].uops
 			if len(q) == 0 {
 				continue
 			}
 			u := q[0]
 			if u.state == uopSquashed {
-				c.robQ[t] = q[1:]
+				c.robQ[t].drop(1)
 				progress = true
 				continue
 			}
@@ -32,8 +32,9 @@ func (c *Core) commitStage(now uint64) {
 }
 
 func (c *Core) atAllHeads(u *uop) bool {
-	for _, t := range u.itid.Threads() {
-		if len(c.robQ[t]) == 0 || c.robQ[t][0] != u {
+	for m := u.itid; m != 0; m &= m - 1 {
+		q := c.robQ[m.First()].uops
+		if len(q) == 0 || q[0] != u {
 			return false
 		}
 	}
@@ -42,8 +43,8 @@ func (c *Core) atAllHeads(u *uop) bool {
 
 // commit retires one uop for all its threads.
 func (c *Core) commit(u *uop, now uint64) {
-	for _, t := range u.itid.Threads() {
-		c.robQ[t] = c.robQ[t][1:]
+	for m := u.itid; m != 0; m &= m - 1 {
+		c.robQ[m.First()].drop(1)
 	}
 	u.state = uopCommitted
 	c.robOcc--
@@ -58,13 +59,14 @@ func (c *Core) commit(u *uop, now uint64) {
 	// it; a violation is a model bug, not a workload property.
 	if hasDest && u.execIdentical() {
 		lead := u.effs[u.leader()].DestVal
-		for _, t := range u.itid.Threads() {
-			if u.effs[t].DestVal != lead {
+		for m := u.itid; m != 0; m &= m - 1 {
+			if u.effs[m.First()].DestVal != lead {
 				panic("core: execute-identical uop committed divergent values")
 			}
 		}
 	}
-	for _, t := range u.itid.Threads() {
+	for m := u.itid; m != 0; m &= m - 1 {
+		t := m.First()
 		c.stats.Committed[t]++
 		if hasDest {
 			c.committedReg[t][dest] = u.effs[t].DestVal
@@ -81,7 +83,8 @@ func (c *Core) commit(u *uop, now uint64) {
 	// performed once per process).
 	if u.isStore {
 		if u.memPerThread {
-			for _, t := range u.itid.Threads() {
+			for m := u.itid; m != 0; m &= m - 1 {
+				t := m.First()
 				c.mem.AccessData(c.dataSpace(t, u.effs[t].Addr), u.effs[t].Addr, true, now)
 				c.stats.LSQAccesses++
 			}
@@ -118,7 +121,8 @@ func (c *Core) commit(u *uop, now uint64) {
 // threads (those with no in-flight writer) and, on a match, set the RST
 // bits back to shared.
 func (c *Core) tryRegisterMerge(u *uop, dest uint8) {
-	for _, t := range u.itid.Threads() {
+	for m := u.itid; m != 0; m &= m - 1 {
+		t := m.First()
 		// Mapping still valid: no younger in-flight instruction has
 		// renamed the register in this thread.
 		if c.rst.version[t][dest] != u.destVer[t] || c.activeWriters[t][dest] != 0 {
@@ -144,20 +148,9 @@ func (c *Core) tryRegisterMerge(u *uop, dest uint8) {
 	}
 }
 
-// compactWindow drops committed and squashed uops from the head of the
-// window and filters the memory queue.
+// compactWindow filters the memory queue and drops committed and squashed
+// uops from the head of the window, recycling them (see uop.go).
 func (c *Core) compactWindow() {
-	i := 0
-	for i < len(c.window) {
-		st := c.window[i].state
-		if st != uopCommitted && st != uopSquashed {
-			break
-		}
-		i++
-	}
-	if i > 0 {
-		c.window = c.window[i:]
-	}
 	if len(c.memQ) > 0 {
 		keep := c.memQ[:0]
 		for _, m := range c.memQ {
@@ -167,6 +160,15 @@ func (c *Core) compactWindow() {
 		}
 		c.memQ = keep
 	}
+	i := 0
+	for _, u := range c.window.uops {
+		if u.state != uopCommitted && u.state != uopSquashed {
+			break
+		}
+		c.freeUop(u)
+		i++
+	}
+	c.window.drop(i)
 }
 
 // threadDone reports whether thread t has drained: its stream is exhausted
@@ -175,10 +177,10 @@ func (c *Core) threadDone(t int) bool {
 	if _, ok := c.streams[t].nextPC(); ok {
 		return false
 	}
-	if len(c.robQ[t]) > 0 {
+	if len(c.robQ[t].uops) > 0 {
 		return false
 	}
-	for _, u := range c.fetchQ {
+	for _, u := range c.fetchQ.uops {
 		if u.state != uopSquashed && u.itid.Has(t) {
 			return false
 		}

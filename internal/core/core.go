@@ -32,10 +32,26 @@ type Core struct {
 	// rotate drives round-robin fetch priority among equal groups.
 	rotate uint64
 
-	fetchQ []*uop
-	window []*uop // renamed, in seq order (the ROB contents)
-	memQ   []*uop // in-flight memory uops, seq order
-	robQ   [MaxThreads][]*uop
+	fetchQ uopQueue
+	window uopQueue // renamed, in seq order (the ROB contents)
+	memQ   []*uop   // in-flight memory uops, seq order
+	robQ   [MaxThreads]uopQueue
+
+	// freeUops and freeGroups hold retired uops and fetch groups for
+	// reuse (see uop.go and newGroup). deadGroups collects the groups
+	// liveGroups drops during a fetch stage; they join freeGroups at its
+	// end, once fetch no longer walks them.
+	freeUops   []*uop
+	freeGroups []*group
+	deadGroups []*group
+
+	// scratch is working storage the stages reuse every cycle, so the
+	// cycle loop does not allocate.
+	scratch struct {
+		order, normal, engaged []*group // fetchOrder
+		classes                [MaxThreads]ITID
+		regMerge               [MaxThreads]bool // splitUop's LVIP expansion
+	}
 
 	// hintPCs are the software remerge points used by the SyncHints
 	// baseline: join targets of forward branches and loop-exit
@@ -132,11 +148,11 @@ func New(cfg Config, sys *prog.System) (*Core, error) {
 			byPC[pc] |= ITIDOf(t)
 		}
 		for _, pc := range order {
-			c.groups = append(c.groups, &group{members: byPC[pc]})
+			c.newGroup(byPC[pc], 0, 0)
 		}
 	} else {
 		for t := 0; t < cfg.Threads; t++ {
-			c.groups = append(c.groups, &group{members: ITIDOf(t)})
+			c.newGroup(ITIDOf(t), 0, 0)
 		}
 	}
 	return c, nil
@@ -202,15 +218,24 @@ func (c *Core) Cycle() {
 // pipeline) or a bound is hit. It returns the final statistics.
 func (c *Core) Run() (*Stats, error) {
 	for !c.allDone() {
-		if c.cfg.MaxCycles > 0 && c.now >= c.cfg.MaxCycles {
-			return &c.stats, fmt.Errorf("core: exceeded %d cycles (livelock or undersized MaxCycles)", c.cfg.MaxCycles)
-		}
-		c.Cycle()
-		for _, s := range c.streams {
-			if s.err != nil {
-				return &c.stats, s.err
-			}
+		if err := c.step(); err != nil {
+			return &c.stats, err
 		}
 	}
 	return &c.stats, nil
+}
+
+// step runs one cycle of Run: it fails instead when the cycle bound is
+// reached, and after the cycle if a thread's oracle failed.
+func (c *Core) step() error {
+	if c.cfg.MaxCycles > 0 && c.now >= c.cfg.MaxCycles {
+		return fmt.Errorf("core: exceeded %d cycles (livelock or undersized MaxCycles)", c.cfg.MaxCycles)
+	}
+	c.Cycle()
+	for _, s := range c.streams {
+		if s.err != nil {
+			return s.err
+		}
+	}
+	return nil
 }

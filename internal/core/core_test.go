@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"mmt/internal/asm"
@@ -392,5 +393,84 @@ func TestStatsHelpers(t *testing.T) {
 	}
 	if w := st.RemergeWithin(16); w < 0.33 || w > 0.34 {
 		t.Errorf("within 16 = %f", w)
+	}
+}
+
+// rollbackStormSrc keeps four ME instances diverging, remerging and
+// rolling back for as long as a test runs: both loads return different
+// values per instance, and with a one-entry LVIP each evicts the other's
+// mispredict record, so every merged execution of either load rolls back.
+// Only instance 2 takes the branch, which splits any group holding it.
+const rollbackStormSrc = `
+        li    r4, input
+        li    r7, 100000000
+loop:   ld    r5, 0(r4)
+        ld    r6, 8(r4)
+        add   r9, r5, r6
+        andi  r8, r9, 3
+        beqz  r8, even
+        addi  r10, r10, 1
+        j     join
+even:   addi  r11, r11, 1
+        addi  r11, r11, 2
+join:   addi  r7, r7, -1
+        bnez  r7, loop
+        halt
+        .data
+input:  .word 0, 0
+`
+
+// TestCycleSteadyStateZeroAllocs pins the cycle loop's allocation story:
+// once the uop and group free lists, the queues and the record rings have
+// grown to their working size, a cycle allocates nothing, including
+// cycles that diverge, remerge and roll back.
+func TestCycleSteadyStateZeroAllocs(t *testing.T) {
+	wideForever := strings.Replace(wideLoopSrc, "li    r6, 600", "li    r6, 100000000", 1)
+	if wideForever == wideLoopSrc {
+		t.Fatal("wideLoopSrc no longer sets its trip count with li r6, 600")
+	}
+	stormCfg := DefaultConfig(4)
+	stormCfg.LVIPSize = 1
+	for _, tc := range []struct {
+		name  string
+		src   string
+		cfg   Config
+		init  prog.InitFunc
+		churn bool // the measured cycles must diverge, remerge and roll back
+	}{
+		{"wide-loop-2T", wideForever, DefaultConfig(2), nil, false},
+		{"rollback-storm-4T", rollbackStormSrc, stormCfg, func(ctx int, mem *prog.Memory) {
+			mem.Write64(prog.DataBase, uint64(1000+ctx*111))
+			mem.Write64(prog.DataBase+8, uint64(2+ctx*2))
+		}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := New(tc.cfg, buildSys(t, tc.src, prog.ModeME, tc.cfg.Threads, tc.init))
+			if err != nil {
+				t.Fatal(err)
+			}
+			burst := func() {
+				for i := 0; i < 1000; i++ {
+					c.Cycle()
+				}
+			}
+			for i := 0; i < 20; i++ { // warm-up
+				burst()
+			}
+			before := *c.Stats()
+			if allocs := testing.AllocsPerRun(5, burst); allocs != 0 {
+				t.Errorf("a 1000-cycle burst allocates %v times", allocs)
+			}
+			after := c.Stats()
+			if c.allDone() {
+				t.Fatal("the program finished before the measured cycles ended")
+			}
+			if tc.churn && (after.Divergences == before.Divergences ||
+				after.Remerges == before.Remerges || after.LVIPRollbacks == before.LVIPRollbacks) {
+				t.Errorf("measured cycles did not churn: divergences %d->%d, remerges %d->%d, rollbacks %d->%d",
+					before.Divergences, after.Divergences, before.Remerges, after.Remerges,
+					before.LVIPRollbacks, after.LVIPRollbacks)
+			}
+		})
 	}
 }

@@ -10,7 +10,7 @@ import (
 func (c *Core) DumpState() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "cycle %d seq %d | fetchQ %d window %d robOcc %d iqOcc %d lsqOcc %d\n",
-		c.now, c.seq, len(c.fetchQ), len(c.window), c.robOcc, c.iqOcc, c.lsqOcc)
+		c.now, c.seq, len(c.fetchQ.uops), len(c.window.uops), c.robOcc, c.iqOcc, c.lsqOcc)
 	for i, g := range c.groups {
 		if g.dead {
 			continue
@@ -35,15 +35,15 @@ func (c *Core) DumpState() string {
 	}
 	for t := 0; t < c.cfg.Threads; t++ {
 		head := "-"
-		if len(c.robQ[t]) > 0 {
-			u := c.robQ[t][0]
+		if len(c.robQ[t].uops) > 0 {
+			u := c.robQ[t].uops[0]
 			head = fmt.Sprintf("seq%d@%#x %s itid=%s state=%d ndeps=%d doneAt=%d",
 				u.seq, u.pc, u.inst, u.itid, u.state, u.ndeps, u.doneAt)
 		}
-		fmt.Fprintf(&b, "thread %d robQ=%d head: %s\n", t, len(c.robQ[t]), head)
+		fmt.Fprintf(&b, "thread %d robQ=%d head: %s\n", t, len(c.robQ[t].uops), head)
 	}
 	n := 0
-	for _, u := range c.window {
+	for _, u := range c.window.uops {
 		if u.state == uopWaiting && n < 8 {
 			fmt.Fprintf(&b, "waiting: seq%d@%#x %s itid=%s ndeps=%d\n", u.seq, u.pc, u.inst, u.itid, u.ndeps)
 			n++

@@ -93,7 +93,8 @@ func (c *Core) pruneExhausted(g *group) bool {
 		return false
 	}
 	var live, done ITID
-	for _, t := range g.members.Threads() {
+	for m := g.members; m != 0; m &= m - 1 {
+		t := m.First()
 		if c.streams[t].exhausted() {
 			done = done.With(t)
 		} else {
@@ -130,16 +131,35 @@ func (c *Core) dissolveLinks(g *group) {
 	}
 }
 
-// liveGroups compacts the group list, dropping dead groups.
+// liveGroups compacts the group list, moving dead groups to deadGroups.
 func (c *Core) liveGroups() []*group {
 	out := c.groups[:0]
 	for _, g := range c.groups {
-		if !g.dead {
+		if g.dead {
+			c.deadGroups = append(c.deadGroups, g)
+		} else {
 			out = append(out, g)
 		}
 	}
 	c.groups = out
 	return out
+}
+
+// newGroup adds a fetch group for members, reusing a recycled group when
+// there is one. A recycled group died at least one fetch stage ago: its
+// catchup links were dissolved when it died, and a uop that still lists
+// it as stalled only acts on groups whose waitBranch is that uop.
+func (c *Core) newGroup(members ITID, stallUntil, divergePC uint64) *group {
+	var g *group
+	if n := len(c.freeGroups); n > 0 {
+		g = c.freeGroups[n-1]
+		c.freeGroups = c.freeGroups[:n-1]
+	} else {
+		g = new(group)
+	}
+	*g = group{members: members, stallUntil: stallUntil, divergePC: divergePC}
+	c.groups = append(c.groups, g)
+	return g
 }
 
 // attemptMerges unifies groups whose fetch PCs coincide. This covers both
@@ -215,19 +235,17 @@ func (c *Core) mergeGroups(a, b *group) {
 }
 
 // splitGroup replaces g with one subgroup per distinct next PC after a
-// divergent control instruction at pc (the attributed divergence site).
-func (c *Core) splitGroup(g *group, parts []ITID, pc uint64) []*group {
+// divergent control instruction at pc (the attributed divergence site);
+// subs[i] is the subgroup for parts[i].
+func (c *Core) splitGroup(g *group, parts []ITID, pc uint64) (subs [MaxThreads]*group) {
 	c.stats.Divergences++
 	c.dissolveLinks(g)
 	g.dead = true
 	g.members = 0
-	var out []*group
-	for _, p := range parts {
-		ng := &group{members: p, stallUntil: g.stallUntil, divergePC: pc}
-		c.groups = append(c.groups, ng)
-		out = append(out, ng)
+	for i, p := range parts {
+		subs[i] = c.newGroup(p, g.stallUntil, pc)
 	}
-	return out
+	return subs
 }
 
 // fetchOrder returns groups in fetch priority order: behind (CATCHUP)
@@ -237,23 +255,25 @@ func (c *Core) splitGroup(g *group, parts []ITID, pc uint64) []*group {
 // thread can close the gap).
 func (c *Core) fetchOrder(now uint64) []*group {
 	gs := c.liveGroups()
-	var behind, normal, engaged []*group
+	// The behind groups start the order.
+	order, normal, engaged := c.scratch.order[:0], c.scratch.normal[:0], c.scratch.engaged[:0]
 	for _, g := range gs {
 		switch {
 		case g.ahead != nil:
-			behind = append(behind, g)
+			order = append(order, g)
 		case g.behindCnt > 0:
 			engaged = append(engaged, g)
 		default:
 			normal = append(normal, g)
 		}
 	}
+	r := 0
 	if len(normal) > 1 {
-		r := int(c.rotate) % len(normal)
-		normal = append(normal[r:], normal[:r]...)
+		r = int(c.rotate) % len(normal)
 	}
 	c.rotate++
-	order := append(behind, normal...)
+	order = append(order, normal[r:]...)
+	order = append(order, normal[:r]...)
 	for _, g := range engaged {
 		// The ahead thread keeps a reduced duty cycle (the paper lowers
 		// its priority rather than freezing it) and always fetches when
@@ -269,6 +289,7 @@ func (c *Core) fetchOrder(now uint64) []*group {
 			order = append(order, g)
 		}
 	}
+	c.scratch.order, c.scratch.normal, c.scratch.engaged = order, normal, engaged
 	return order
 }
 
@@ -296,6 +317,9 @@ func (c *Core) fetchStage(now uint64) {
 			}
 		}
 	}
+	// Nothing walks the groups that died this stage any more.
+	c.freeGroups = append(c.freeGroups, c.deadGroups...)
+	c.deadGroups = c.deadGroups[:0]
 }
 
 // fetchGroup fetches a run of instructions for one group; returns the
@@ -343,7 +367,7 @@ func (c *Core) fetchGroup(g *group, width int, now uint64) int {
 	var curLine uint64
 	lineValid := false
 	for fetched < width {
-		if len(c.fetchQ) >= c.cfg.FetchQueue {
+		if len(c.fetchQ.uops) >= c.cfg.FetchQueue {
 			c.stats.FetchQFullStop++
 			c.noteStall(obs.StallFetchQ)
 			break
@@ -418,18 +442,18 @@ func (c *Core) fetchGroup(g *group, width int, now uint64) int {
 // (prediction, divergence, FHB bookkeeping). Returns nil when the group
 // diverged (the uop itself is still enqueued).
 func (c *Core) buildUop(g *group, leadRec *dynRec, now uint64, traceHit bool) *uop {
-	u := &uop{
-		pc:        leadRec.pc,
-		inst:      leadRec.inst,
-		class:     leadRec.inst.Op.Class(),
-		itid:      g.members,
-		fetchITID: g.members,
-		mode:      g.fetchMode(),
-		halt:      leadRec.inst.Op == isa.OpHalt,
-		isLoad:    leadRec.inst.Op.Class() == isa.ClassLoad,
-		isStore:   leadRec.inst.Op.Class() == isa.ClassStore,
-	}
-	for _, t := range g.members.Threads() {
+	u := c.newUop()
+	u.pc = leadRec.pc
+	u.inst = leadRec.inst
+	u.class = leadRec.inst.Op.Class()
+	u.itid = g.members
+	u.fetchITID = g.members
+	u.mode = g.fetchMode()
+	u.halt = leadRec.inst.Op == isa.OpHalt
+	u.isLoad = u.class == isa.ClassLoad
+	u.isStore = u.class == isa.ClassStore
+	for m := g.members; m != 0; m &= m - 1 {
+		t := m.First()
 		rec, ok := c.streams[t].peek()
 		if !ok {
 			panic(fmt.Sprintf("core: group invariant violated: thread %d exhausted, leader at %#x", t, u.pc))
@@ -441,7 +465,7 @@ func (c *Core) buildUop(g *group, leadRec *dynRec, now uint64, traceHit bool) *u
 		u.dynIdx[t] = rec.idx
 		c.streams[t].advance()
 	}
-	c.fetchQ = append(c.fetchQ, u)
+	c.fetchQ.push(u)
 	c.stats.FetchAccesses++
 	c.stats.FetchedByMode[u.mode] += uint64(g.members.Count())
 
@@ -461,22 +485,21 @@ func (c *Core) handleControl(g *group, u *uop, now uint64, traceHit bool) *uop {
 	c.stats.BranchUops++
 
 	// Partition members by actual next PC (the oracle's outcomes).
-	var parts []ITID
-	var partPC []uint64
-	for _, t := range g.members.Threads() {
+	var parts [MaxThreads]ITID
+	var partPC [MaxThreads]uint64
+	nparts := 0
+	for m := g.members; m != 0; m &= m - 1 {
+		t := m.First()
 		np := u.effs[t].NextPC
-		found := false
-		for i, pc := range partPC {
-			if pc == np {
-				parts[i] = parts[i].With(t)
-				found = true
-				break
-			}
+		i := 0
+		for i < nparts && partPC[i] != np {
+			i++
 		}
-		if !found {
-			parts = append(parts, ITIDOf(t))
-			partPC = append(partPC, np)
+		if i == nparts {
+			partPC[i] = np
+			nparts++
 		}
+		parts[i] = parts[i].With(t)
 	}
 
 	// Prediction. One front-end prediction per fetched control uop.
@@ -488,7 +511,8 @@ func (c *Core) handleControl(g *group, u *uop, now uint64, traceHit bool) *uop {
 		}
 		// Train with each member's outcome (shared PHT, per-thread
 		// history, as in an SMT front end).
-		for _, t := range g.members.Threads() {
+		for m := g.members; m != 0; m &= m - 1 {
+			t := m.First()
 			if c.bp.Dir.Update(t, u.pc, u.effs[t].Taken) {
 				if t == leader {
 					c.stats.PredictorHits++
@@ -498,8 +522,8 @@ func (c *Core) handleControl(g *group, u *uop, now uint64, traceHit bool) *uop {
 	case u.inst.Op == isa.OpJal:
 		predictedNext = uint64(u.inst.Imm)
 		if u.inst.Rd == isa.RegRA {
-			for _, t := range g.members.Threads() {
-				c.bp.RAS[t].Push(u.pc + isa.InstBytes)
+			for m := g.members; m != 0; m &= m - 1 {
+				c.bp.RAS[m.First()].Push(u.pc + isa.InstBytes)
 			}
 			c.stats.RASPushes++
 		}
@@ -507,7 +531,8 @@ func (c *Core) handleControl(g *group, u *uop, now uint64, traceHit bool) *uop {
 		if u.inst.Rd == isa.RegZero && u.inst.Rs1 == isa.RegRA {
 			// Return: predict with the RAS.
 			c.stats.RASPops++
-			for _, t := range g.members.Threads() {
+			for m := g.members; m != 0; m &= m - 1 {
+				t := m.First()
 				if tgt, ok := c.bp.RAS[t].Pop(); ok && t == leader {
 					predictedNext = tgt
 				}
@@ -524,8 +549,8 @@ func (c *Core) handleControl(g *group, u *uop, now uint64, traceHit bool) *uop {
 	// Taken-branch bookkeeping: FHB recording and catchup transitions
 	// happen whenever the machine is not globally merged.
 	takenAny := false
-	for _, t := range g.members.Threads() {
-		if u.effs[t].Taken {
+	for m := g.members; m != 0; m &= m - 1 {
+		if u.effs[m.First()].Taken {
 			takenAny = true
 		}
 	}
@@ -533,8 +558,8 @@ func (c *Core) handleControl(g *group, u *uop, now uint64, traceHit bool) *uop {
 		g.takenSinceDiverge++
 		if c.cfg.Sync == SyncFHB {
 			target := u.effs[leader].NextPC
-			for _, t := range g.members.Threads() {
-				c.fhb[t].Record(target)
+			for m := g.members; m != 0; m &= m - 1 {
+				c.fhb[m.First()].Record(target)
 				c.stats.FHBInserts++
 			}
 			c.updateCatchup(g, target)
@@ -548,17 +573,17 @@ func (c *Core) handleControl(g *group, u *uop, now uint64, traceHit bool) *uop {
 		followPath = u.effs[leader].NextPC
 	}
 
-	if len(parts) > 1 {
+	if nparts > 1 {
 		// Divergence: split the group. Subgroups leaving the followed
 		// path redirect — a fixed front-end penalty under a trace hit,
 		// a stall until the branch resolves otherwise.
 		c.stats.RecordDivergencePC(u.pc)
-		c.emit(obs.EvDiverge, int32(leader), u.pc, uint64(len(parts)))
+		c.emit(obs.EvDiverge, int32(leader), u.pc, uint64(nparts))
 		if c.probe != nil {
-			c.probe.Diverge(u.pc, len(parts))
+			c.probe.Diverge(u.pc, nparts)
 		}
-		subs := c.splitGroup(g, parts, u.pc)
-		for i, sg := range subs {
+		subs := c.splitGroup(g, parts[:nparts], u.pc)
+		for i, sg := range subs[:nparts] {
 			if partPC[i] == followPath {
 				continue
 			}
@@ -618,8 +643,8 @@ func (c *Core) updateCatchup(g *group, target uint64) {
 }
 
 func (c *Core) groupFHBContains(g *group, target uint64) bool {
-	for _, t := range g.members.Threads() {
-		if c.fhb[t].Contains(target) {
+	for m := g.members; m != 0; m &= m - 1 {
+		if c.fhb[m.First()].Contains(target) {
 			return true
 		}
 	}
@@ -631,7 +656,8 @@ func (c *Core) retireTrace(u *uop) {
 	if c.tc == nil {
 		return
 	}
-	for _, t := range u.itid.Threads() {
+	for m := u.itid; m != 0; m &= m - 1 {
+		t := m.First()
 		c.tb[t].Retire(u.pc, u.effs[t].Taken)
 	}
 }

@@ -194,10 +194,15 @@ func runFuzzCase(t *testing.T, seed int64) {
 	if err != nil {
 		t.Fatalf("seed %d: core: %v", seed, err)
 	}
-	st, err := c.Run()
-	if err != nil {
-		t.Fatalf("seed %d: run: %v", seed, err)
+	for !c.allDone() {
+		if err := c.step(); err != nil {
+			t.Fatalf("seed %d: run: %v", seed, err)
+		}
+		if err := checkNoFreeUopReachable(c); err != nil {
+			t.Fatalf("seed %d: cycle %d: %v", seed, c.now, err)
+		}
 	}
+	st := c.Stats()
 
 	if mode == prog.ModeMT {
 		// Racy shared writes make an independent replay incomparable;
@@ -221,6 +226,70 @@ func runFuzzCase(t *testing.T, seed int64) {
 				t.Fatalf("seed %d: thread %d reg %d: %#x vs oracle %#x", seed, i, reg, got, want)
 			}
 		}
+	}
+}
+
+// checkNoFreeUopReachable asserts the uop recycle invariant (uop.go): no
+// uop on the free list is reachable from the fetch queue (or a queued
+// uop's split latch), the window, a ROB queue, the memory queue,
+// lastWriter, a live group's waitBranch or a live uop's consumers.
+func checkNoFreeUopReachable(c *Core) error {
+	free := func(u *uop) bool { return u != nil && u.state == uopFree }
+	for _, u := range c.fetchQ.uops {
+		if free(u) {
+			return fmt.Errorf("free uop in fetchQ")
+		}
+		for _, p := range u.pieces[:u.npieces] {
+			if free(p) {
+				return fmt.Errorf("free uop in the split latch of %#x", u.pc)
+			}
+		}
+	}
+	for _, u := range c.window.uops {
+		if free(u) {
+			return fmt.Errorf("free uop in the window")
+		}
+		for _, cons := range u.consumers {
+			if free(cons) {
+				return fmt.Errorf("free uop among the consumers of seq %d", u.seq)
+			}
+		}
+	}
+	for t := range c.robQ {
+		for _, u := range c.robQ[t].uops {
+			if free(u) {
+				return fmt.Errorf("free uop in robQ[%d]", t)
+			}
+		}
+	}
+	for _, u := range c.memQ {
+		if free(u) {
+			return fmt.Errorf("free uop in memQ")
+		}
+	}
+	for t := range c.lastWriter {
+		for r, u := range c.lastWriter[t] {
+			if free(u) {
+				return fmt.Errorf("free uop is lastWriter[%d][%d]", t, r)
+			}
+		}
+	}
+	for _, g := range c.groups {
+		if !g.dead && free(g.waitBranch) {
+			return fmt.Errorf("group %s waits on a free uop", g.members)
+		}
+	}
+	return nil
+}
+
+// TestFuzzRegressions replays fuzz seeds that once failed, whatever the
+// seed budget: seed 131 livelocked after an LVIP rollback made a committed
+// uop the producer of a new consumer.
+func TestFuzzRegressions(t *testing.T) {
+	for _, seed := range []int64{131} {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			runFuzzCase(t, seed)
+		})
 	}
 }
 

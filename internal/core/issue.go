@@ -1,6 +1,7 @@
 package core
 
 import (
+	"mmt/internal/isa"
 	"mmt/internal/obs"
 	"mmt/internal/prog"
 )
@@ -43,7 +44,7 @@ func (c *Core) issueStage(now uint64) {
 	intFree := c.cfg.IntALUs
 	fpFree := c.cfg.FPUs
 	lsFree := c.cfg.LSPorts
-	for _, u := range c.window {
+	for _, u := range c.window.uops {
 		if issued >= c.cfg.IssueWidth {
 			break
 		}
@@ -106,13 +107,16 @@ func (c *Core) issueStage(now uint64) {
 func (c *Core) issueLoad(u *uop, ports int, now uint64) uint64 {
 	if u.memPerThread {
 		var done uint64
-		for i, t := range u.itid.Threads() {
+		i := 0
+		for m := u.itid; m != 0; m &= m - 1 {
+			t := m.First()
 			start := now + uint64(i/ports)
 			d := c.mem.AccessData(c.dataSpace(t, u.effs[t].Addr), u.effs[t].Addr, false, start)
 			if d > done {
 				done = d
 			}
 			c.stats.LSQAccesses++
+			i++
 		}
 		return done
 	}
@@ -128,7 +132,7 @@ func (c *Core) issueLoad(u *uop, ports int, now uint64) uint64 {
 func (c *Core) completeStage(now uint64) {
 	// Oldest-first so that an LVIP rollback squashes younger completions
 	// before they act.
-	for _, u := range c.window {
+	for _, u := range c.window.uops {
 		if u.state != uopIssued || u.doneAt > now {
 			continue
 		}
@@ -174,17 +178,16 @@ func (c *Core) completeStage(now uint64) {
 				}
 			}
 		}
-		u.stalledGroups = nil
+		u.stalledGroups = u.stalledGroups[:0]
 	}
 }
 
 // loadValuesDiffer reports whether a merged ME load's per-process values
 // disagree.
 func (c *Core) loadValuesDiffer(u *uop) bool {
-	threads := u.itid.Threads()
-	first := u.effs[threads[0]].LoadVal
-	for _, t := range threads[1:] {
-		if u.effs[t].LoadVal != first {
+	first := u.effs[u.itid.First()].LoadVal
+	for m := u.itid & (u.itid - 1); m != 0; m &= m - 1 {
+		if u.effs[m.First()].LoadVal != first {
 			return true
 		}
 	}
@@ -222,7 +225,8 @@ func (c *Core) lvipRollback(u *uop, now uint64, train bool) {
 	u.lvipPredIdent = false
 	u.sharedVerify = false
 	if dest, ok := u.inst.Dest(); ok {
-		for _, t := range affected.Threads() {
+		for m := affected; m != 0; m &= m - 1 {
+			t := m.First()
 			c.rst.WriteSplit(t, dest)
 			u.destVer[t] = c.rst.version[t][dest]
 		}
@@ -235,8 +239,8 @@ func (c *Core) lvipRollback(u *uop, now uint64, train bool) {
 // restart fetch in fresh singleton groups after the redirect penalty.
 func (c *Core) squashYounger(affected ITID, afterSeq uint64, now uint64) {
 	// Reverse order: undo rename effects youngest-first.
-	for i := len(c.window) - 1; i >= 0; i-- {
-		w := c.window[i]
+	for i := len(c.window.uops) - 1; i >= 0; i-- {
+		w := c.window.uops[i]
 		if w.seq <= afterSeq {
 			break
 		}
@@ -247,14 +251,13 @@ func (c *Core) squashYounger(affected ITID, afterSeq uint64, now uint64) {
 	}
 	// Uops still in the fetch queue have no rename state to undo.
 	// Everything in the fetch queue is younger than any renamed uop.
-	keep := c.fetchQ[:0]
-	for _, w := range c.fetchQ {
+	keep := c.fetchQ.uops[:0]
+	for _, w := range c.fetchQ.uops {
 		if w.itid&affected != 0 {
 			w.itid &^= affected
 			w.fetchITID = w.itid
-			w.pendingPieces = nil // invalidate the split latch
+			c.dropSplitLatch(w)
 			if w.itid == 0 {
-				w.state = uopSquashed
 				c.stats.SquashedUops++
 				for _, g := range w.stalledGroups {
 					if g.waitBranch == w {
@@ -264,22 +267,41 @@ func (c *Core) squashYounger(affected ITID, afterSeq uint64, now uint64) {
 						}
 					}
 				}
-				w.stalledGroups = nil
+				c.freeUop(w) // never renamed: nothing else refers to it
 				continue
 			}
 		}
 		keep = append(keep, w)
 	}
-	c.fetchQ = keep
+	c.fetchQ.uops = keep
 
 	// Rebuild rename bookkeeping for the affected threads.
 	c.rebuildWriterState(affected)
 
 	// Rewind streams and restart fetch.
-	for _, t := range affected.Threads() {
+	for m := affected; m != 0; m &= m - 1 {
+		t := m.First()
 		c.streams[t].rewindTo(c.rewindPoint(t, afterSeq))
 	}
 	c.regroupAfterSquash(affected, now)
+}
+
+// dropSplitLatch invalidates the split latch of a queued uop u whose
+// threads changed, recycling the pieces split off from u. A piece that a
+// fetch group still waits on is left to the garbage collector instead,
+// because the group keeps pointing at it.
+func (c *Core) dropSplitLatch(u *uop) {
+	for i := 1; i < u.npieces; i++ {
+		p := u.pieces[i]
+		waitedOn := false
+		for _, g := range p.stalledGroups {
+			waitedOn = waitedOn || g.waitBranch == p
+		}
+		if !waitedOn {
+			c.freeUop(p)
+		}
+	}
+	u.npieces = 0
 }
 
 // squashFrom removes the affected threads from one renamed uop, undoing
@@ -287,7 +309,8 @@ func (c *Core) squashYounger(affected ITID, afterSeq uint64, now uint64) {
 // remain.
 func (c *Core) squashFrom(w *uop, affected ITID, now uint64) {
 	if dest, ok := w.inst.Dest(); ok {
-		for _, t := range w.itid.Threads() {
+		for m := w.itid; m != 0; m &= m - 1 {
+			t := m.First()
 			if !affected.Has(t) || !w.destUndo[t].valid {
 				continue
 			}
@@ -298,8 +321,8 @@ func (c *Core) squashFrom(w *uop, affected ITID, now uint64) {
 	}
 	removed := w.itid & affected
 	w.itid &^= affected
-	for _, t := range removed.Threads() {
-		c.removeFromROBQ(t, w)
+	for m := removed; m != 0; m &= m - 1 {
+		c.removeFromROBQ(m.First(), w)
 	}
 	if w.itid == 0 {
 		if w.state == uopWaiting || w.state == uopReady {
@@ -333,7 +356,7 @@ func (c *Core) squashFrom(w *uop, affected ITID, now uint64) {
 				}
 			}
 		}
-		w.stalledGroups = nil
+		w.stalledGroups = w.stalledGroups[:0]
 		return
 	}
 	// Partial squash: the uop survives (and keeps its single LSQ entry)
@@ -341,10 +364,10 @@ func (c *Core) squashFrom(w *uop, affected ITID, now uint64) {
 }
 
 func (c *Core) removeFromROBQ(t int, w *uop) {
-	q := c.robQ[t]
+	q := c.robQ[t].uops
 	for i := len(q) - 1; i >= 0; i-- {
 		if q[i] == w {
-			c.robQ[t] = append(q[:i], q[i+1:]...)
+			c.robQ[t].uops = append(q[:i], q[i+1:]...)
 			return
 		}
 	}
@@ -355,7 +378,7 @@ func (c *Core) removeFromROBQ(t int, w *uop) {
 // which, because squashing removed everything younger, is simply the
 // record after the thread's youngest remaining ROB entry.
 func (c *Core) rewindPoint(t int, afterSeq uint64) uint64 {
-	q := c.robQ[t]
+	q := c.robQ[t].uops
 	if len(q) == 0 {
 		return c.streams[t].base
 	}
@@ -364,27 +387,28 @@ func (c *Core) rewindPoint(t int, afterSeq uint64) uint64 {
 }
 
 // rebuildWriterState recomputes lastWriter and activeWriters for the
-// affected threads by walking the surviving window in order.
+// affected threads by walking the surviving window in order. Committed
+// uops can still sit in the window behind an older uncommitted head; they
+// are no longer writers in flight (commit already retired their mapping
+// and decremented activeWriters), so the rebuild skips them.
 func (c *Core) rebuildWriterState(affected ITID) {
-	for _, t := range affected.Threads() {
-		for r := range c.lastWriter[t] {
-			c.lastWriter[t][r] = nil
-			c.activeWriters[t][r] = 0
-		}
+	for m := affected; m != 0; m &= m - 1 {
+		t := m.First()
+		c.lastWriter[t] = [isa.NumRegs]*uop{}
+		c.activeWriters[t] = [isa.NumRegs]int{}
 	}
-	for _, w := range c.window {
-		if w.state == uopSquashed {
+	for _, w := range c.window.uops {
+		if w.state == uopSquashed || w.state == uopCommitted {
 			continue
 		}
 		dest, ok := w.inst.Dest()
 		if !ok {
 			continue
 		}
-		for _, t := range w.itid.Threads() {
-			if affected.Has(t) {
-				c.lastWriter[t][dest] = w
-				c.activeWriters[t][dest]++
-			}
+		for m := w.itid & affected; m != 0; m &= m - 1 {
+			t := m.First()
+			c.lastWriter[t][dest] = w
+			c.activeWriters[t][dest]++
 		}
 	}
 }
@@ -402,11 +426,9 @@ func (c *Core) regroupAfterSquash(affected ITID, now uint64) {
 			g.dead = true
 		}
 	}
-	for _, t := range affected.Threads() {
+	for m := affected; m != 0; m &= m - 1 {
+		t := m.First()
 		c.fhb[t].Clear()
-		c.groups = append(c.groups, &group{
-			members:    ITIDOf(t),
-			stallUntil: now + c.cfg.MispredictPenalty,
-		})
+		c.newGroup(ITIDOf(t), now+c.cfg.MispredictPenalty, 0)
 	}
 }

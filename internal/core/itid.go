@@ -20,7 +20,14 @@ import (
 const MaxThreads = 4
 
 // ITID (Instruction Thread ID) is the bitmask identifying which hardware
-// threads an instruction was fetched (and possibly executes) for.
+// threads an instruction was fetched (and possibly executes) for. The
+// member threads are visited in ascending order by bit iteration, which
+// never allocates:
+//
+//	for m := itid; m != 0; m &= m - 1 {
+//		t := m.First()
+//		...
+//	}
 type ITID uint8
 
 // ITIDOf returns the singleton ITID for thread t.
@@ -38,17 +45,6 @@ func (m ITID) First() int {
 		return -1
 	}
 	return bits.TrailingZeros8(uint8(m))
-}
-
-// Threads returns the thread ids in the mask in ascending order.
-func (m ITID) Threads() []int {
-	out := make([]int, 0, m.Count())
-	for t := 0; t < MaxThreads; t++ {
-		if m.Has(t) {
-			out = append(out, t)
-		}
-	}
-	return out
 }
 
 // With returns m with thread t added; Without with t removed.

@@ -5,6 +5,16 @@ import (
 	"testing/quick"
 )
 
+// members collects m's threads with the bit-iteration idiom the core uses
+// at every ITID site.
+func members(m ITID) []int {
+	var out []int
+	for b := m; b != 0; b &= b - 1 {
+		out = append(out, b.First())
+	}
+	return out
+}
+
 func TestITIDBasics(t *testing.T) {
 	m := ITIDOf(1).With(3)
 	if !m.Has(1) || !m.Has(3) || m.Has(0) || m.Has(2) {
@@ -16,7 +26,7 @@ func TestITIDBasics(t *testing.T) {
 	if m.First() != 1 {
 		t.Errorf("first = %d", m.First())
 	}
-	got := m.Threads()
+	got := members(m)
 	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
 		t.Errorf("threads = %v", got)
 	}
@@ -43,19 +53,27 @@ func TestITIDString(t *testing.T) {
 func TestITIDProperties(t *testing.T) {
 	prop := func(raw uint8) bool {
 		m := ITID(raw & 0xf)
-		// Count equals number of Threads.
-		if len(m.Threads()) != m.Count() {
+		// Count equals the number of members iterated.
+		if len(members(m)) != m.Count() {
 			return false
 		}
 		// With/Without round trip.
-		for _, th := range m.Threads() {
+		for _, th := range members(m) {
 			if m.Without(th).With(th) != m {
 				return false
 			}
 		}
-		// First is the minimum member.
-		if m != 0 && m.Threads()[0] != m.First() {
+		// First is the minimum member, and iteration visits exactly the
+		// members, in ascending order.
+		if m != 0 && members(m)[0] != m.First() {
 			return false
+		}
+		prev := -1
+		for _, th := range members(m) {
+			if !m.Has(th) || th <= prev {
+				return false
+			}
+			prev = th
 		}
 		return true
 	}

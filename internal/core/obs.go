@@ -70,7 +70,7 @@ func (c *Core) sample() obs.Sample {
 	return obs.Sample{
 		TS:             c.now,
 		Committed:      c.stats.TotalCommitted(),
-		FetchQ:         len(c.fetchQ),
+		FetchQ:         len(c.fetchQ.uops),
 		ROB:            c.robOcc,
 		IQ:             c.iqOcc,
 		LSQ:            c.lsqOcc,

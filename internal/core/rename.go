@@ -14,18 +14,18 @@ import (
 // set of 1–4 instructions".
 func (c *Core) renameStage(now uint64) {
 	slots := c.cfg.RenameWidth
-	for len(c.fetchQ) > 0 && slots > 0 {
-		u := c.fetchQ[0]
+	for len(c.fetchQ.uops) > 0 && slots > 0 {
+		u := c.fetchQ.uops[0]
 		if u.state == uopSquashed { // squashed while still in the queue
-			c.fetchQ = c.fetchQ[1:]
+			c.fetchQ.drop(1)
 			continue
 		}
 		// The split latch: evaluate the split stage once per uop even
 		// when rename retries across cycles.
-		if u.pendingPieces == nil {
-			u.pendingPieces = c.splitUop(u)
+		if u.npieces == 0 {
+			c.splitUop(u)
 		}
-		pieces := u.pendingPieces
+		pieces := u.pieces[:u.npieces]
 		if len(pieces) > slots {
 			if slots < c.cfg.RenameWidth {
 				break // wait for a fresh cycle's full bandwidth
@@ -37,7 +37,7 @@ func (c *Core) renameStage(now uint64) {
 		if !c.windowSpace(pieces) {
 			break
 		}
-		c.fetchQ = c.fetchQ[1:]
+		c.fetchQ.drop(1)
 		for _, p := range pieces {
 			c.rename(p, now)
 		}
@@ -77,23 +77,26 @@ func (c *Core) windowSpace(pieces []*uop) bool {
 
 // splitUop implements the decision logic of paper Table 2: given a
 // fetch-identical uop, produce the minimal set of uops with disjoint
-// ITIDs. With shared execution disabled (MMT-F), every fetch-identical uop
-// splits into singletons at decode.
-func (c *Core) splitUop(u *uop) []*uop {
+// ITIDs, latched in u.pieces. With shared execution disabled (MMT-F),
+// every fetch-identical uop splits into singletons at decode.
+func (c *Core) splitUop(u *uop) {
 	if u.fetchITID.Count() == 1 {
 		u.lsqSlots = c.lsqSlotsFor(u, u.itid)
 		u.memPerThread = false
-		return []*uop{u}
+		u.pieces[0], u.npieces = u, 1
+		return
 	}
 	if !c.cfg.SharedExec {
 		// MMT-F: "always splitting into different instructions in the
 		// decode stage" (§5).
-		return c.splitIntoSingletons(u)
+		c.splitIntoSingletons(u)
+		return
 	}
 	if u.inst.Op == isa.OpTid {
 		// Thread-identity reads are inherently per-thread: identical
 		// mappings do not imply identical results.
-		return c.splitIntoSingletons(u)
+		c.splitIntoSingletons(u)
+		return
 	}
 
 	c.stats.SplitOps++
@@ -108,8 +111,7 @@ func (c *Core) splitUop(u *uop) []*uop {
 	// LVIP (Table 2: Load/ME/X-id → check LVIP). Mailbox-window loads in
 	// MP mode behave like MT shared loads.
 	if u.isLoad {
-		var expanded []ITID
-		var expandedRM []bool
+		expanded, expandedRM := c.scratch.classes[:0], c.scratch.regMerge[:0]
 		for i, cl := range classes {
 			if cl.Count() >= 2 && c.memPrivate(u.effs[cl.First()].Addr) {
 				split := false
@@ -120,8 +122,8 @@ func (c *Core) splitUop(u *uop) []*uop {
 					// The upper bound: merge exactly the classes whose
 					// values actually match; never roll back.
 					first := u.effs[cl.First()].LoadVal
-					for _, t := range cl.Threads() {
-						if u.effs[t].LoadVal != first {
+					for m := cl; m != 0; m &= m - 1 {
+						if u.effs[m.First()].LoadVal != first {
 							split = true
 							break
 						}
@@ -131,8 +133,8 @@ func (c *Core) splitUop(u *uop) []*uop {
 					split = !c.lvip.PredictIdentical(u.pc)
 				}
 				if split {
-					for _, t := range cl.Threads() {
-						expanded = append(expanded, ITIDOf(t))
+					for m := cl; m != 0; m &= m - 1 {
+						expanded = append(expanded, ITIDOf(m.First()))
 						expandedRM = append(expandedRM, false)
 					}
 					continue
@@ -144,17 +146,11 @@ func (c *Core) splitUop(u *uop) []*uop {
 		classes, rmAssist = expanded, expandedRM
 	}
 
-	stalled := u.stalledGroups
-	u.stalledGroups = nil
-	out := make([]*uop, 0, len(classes))
 	for i, cl := range classes {
-		var p *uop
-		if i == 0 {
-			p = u
-		} else {
-			cp := *u
-			cp.splitOff = true
-			p = &cp
+		p := u
+		if i > 0 {
+			p = c.cloneUop(u)
+			p.splitOff = true
 		}
 		p.itid = cl
 		p.regMergeAssisted = cl.Count() >= 2 && rmAssist[i]
@@ -169,57 +165,60 @@ func (c *Core) splitUop(u *uop) []*uop {
 		// and rolled back on the rare race.
 		p.sharedVerify = u.isLoad && !private && cl.Count() >= 2
 		p.lsqSlots = c.lsqSlotsFor(p, cl)
-		out = append(out, p)
+		u.pieces[i] = p
 	}
-	distributeStalledGroups(stalled, out)
-	return out
+	u.npieces = len(classes)
+	distributeStalledGroups(u)
 }
 
-// distributeStalledGroups reattaches fetch groups waiting on a control uop
-// to the split piece that executes for the group's threads, so each group
-// resumes when *its* branch instance resolves (and a rollback squashing
-// one piece cannot strand an unrelated group).
-func distributeStalledGroups(stalled []*group, pieces []*uop) {
-	for _, g := range stalled {
-		attached := false
-		for _, p := range pieces {
-			if p.itid&g.members != 0 {
-				p.stalledGroups = append(p.stalledGroups, g)
-				g.waitBranch = p
-				attached = true
+// distributeStalledGroups reattaches fetch groups waiting on a split
+// control uop u to the piece that executes for the group's threads, so
+// each group resumes when *its* branch instance resolves (and a rollback
+// squashing one piece cannot strand an unrelated group). An entry whose
+// group no longer waits on u is dropped: that group died, and may have
+// been recycled.
+func distributeStalledGroups(u *uop) {
+	pieces := u.pieces[:u.npieces]
+	keep := u.stalledGroups[:0]
+	for _, g := range u.stalledGroups {
+		if g.waitBranch != u {
+			continue
+		}
+		p := u
+		for _, q := range pieces {
+			if q.itid&g.members != 0 {
+				p = q
 				break
 			}
 		}
-		if !attached {
-			pieces[0].stalledGroups = append(pieces[0].stalledGroups, g)
-			g.waitBranch = pieces[0]
+		g.waitBranch = p
+		if p == u {
+			keep = append(keep, g)
+		} else {
+			p.stalledGroups = append(p.stalledGroups, g)
 		}
 	}
+	u.stalledGroups = keep
 }
 
 // splitIntoSingletons breaks a fetch-identical uop into one uop per
 // member thread.
-func (c *Core) splitIntoSingletons(u *uop) []*uop {
-	threads := u.fetchITID.Threads()
-	stalled := u.stalledGroups
-	u.stalledGroups = nil
-	out := make([]*uop, 0, len(threads))
-	for i, t := range threads {
-		var p *uop
-		if i == 0 {
-			p = u
-		} else {
-			cp := *u
-			cp.splitOff = true
-			p = &cp
+func (c *Core) splitIntoSingletons(u *uop) {
+	i := 0
+	for m := u.fetchITID; m != 0; m &= m - 1 {
+		p := u
+		if i > 0 {
+			p = c.cloneUop(u)
+			p.splitOff = true
 		}
-		p.itid = ITIDOf(t)
+		p.itid = ITIDOf(m.First())
 		p.memPerThread = false
 		p.lsqSlots = c.lsqSlotsFor(p, p.itid)
-		out = append(out, p)
+		u.pieces[i] = p
+		i++
 	}
-	distributeStalledGroups(stalled, out)
-	return out
+	u.npieces = i
+	distributeStalledGroups(u)
 }
 
 // lsqSlotsFor returns LSQ occupancy. A merged multi-execution memory op
@@ -246,21 +245,14 @@ func (c *Core) rename(u *uop, now uint64) {
 	// squashes.
 	srcs, n := u.inst.Sources()
 	u.ndeps = 0
-	seen := map[*uop]bool{}
 	for i := 0; i < n; i++ {
 		s := srcs[i]
 		if s == isa.RegZero {
 			continue
 		}
 		c.stats.RegReads++
-		for _, t := range u.itid.Threads() {
-			if w := c.lastWriter[t][s]; w != nil && !seen[w] {
-				seen[w] = true
-				if w.state != uopDone && w.state != uopSquashed {
-					u.ndeps++
-					w.consumers = append(w.consumers, u)
-				}
-			}
+		for m := u.itid; m != 0; m &= m - 1 {
+			dependOn(u, c.lastWriter[m.First()][s])
 		}
 	}
 
@@ -268,21 +260,17 @@ func (c *Core) rename(u *uop, now uint64) {
 	// same address in each of its threads (perfect store-to-load
 	// disambiguation; addresses come from the oracle).
 	if u.isLoad {
-		for _, t := range u.itid.Threads() {
-			if w := c.youngestStore(t, u.effs[t].Addr, u.seq); w != nil && !seen[w] {
-				seen[w] = true
-				if w.state != uopDone && w.state != uopSquashed {
-					u.ndeps++
-					w.consumers = append(w.consumers, u)
-				}
-			}
+		for m := u.itid; m != 0; m &= m - 1 {
+			t := m.First()
+			dependOn(u, c.youngestStore(t, u.effs[t].Addr, u.seq))
 		}
 	}
 
 	// Destination mapping (RST update, §4.2.3/4.2.4).
 	if dest, ok := u.inst.Dest(); ok {
 		c.stats.RegWrites++
-		for _, t := range u.itid.Threads() {
+		for m := u.itid; m != 0; m &= m - 1 {
+			t := m.First()
 			u.destUndo[t] = destUndo{
 				oldVer:     c.rst.version[t][dest],
 				oldByMerge: c.rst.byMerge[t][dest],
@@ -297,11 +285,12 @@ func (c *Core) rename(u *uop, now uint64) {
 			}
 			c.stats.RSTUpdates++
 		} else {
-			for _, t := range u.itid.Threads() {
-				c.rst.WriteSplit(t, dest)
+			for m := u.itid; m != 0; m &= m - 1 {
+				c.rst.WriteSplit(m.First(), dest)
 			}
 		}
-		for _, t := range u.itid.Threads() {
+		for m := u.itid; m != 0; m &= m - 1 {
+			t := m.First()
 			u.destVer[t] = c.rst.version[t][dest]
 			c.activeWriters[t][dest]++
 			c.lastWriter[t][dest] = u
@@ -313,16 +302,31 @@ func (c *Core) rename(u *uop, now uint64) {
 	if u.ndeps == 0 {
 		u.state = uopReady
 	}
-	c.window = append(c.window, u)
+	c.window.push(u)
 	c.robOcc++
 	c.iqOcc++
 	if u.isMem() {
 		c.lsqOcc += u.lsqSlots
 		c.memQ = append(c.memQ, u)
 	}
-	for _, t := range u.itid.Threads() {
-		c.robQ[t] = append(c.robQ[t], u)
+	for m := u.itid; m != 0; m &= m - 1 {
+		c.robQ[m.First()].push(u)
 	}
+}
+
+// dependOn makes u wait for producer w while w is still in flight. A
+// producer serving several of u's sources or threads is linked once: if
+// u already depends on w, u is the last consumer w lists, because nothing
+// else renames while u does.
+func dependOn(u, w *uop) {
+	if w == nil || w.state >= uopDone {
+		return
+	}
+	if n := len(w.consumers); n > 0 && w.consumers[n-1] == u {
+		return
+	}
+	u.ndeps++
+	w.consumers = append(w.consumers, u)
 }
 
 // youngestStore finds the youngest store older than seq writing addr in

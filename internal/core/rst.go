@@ -27,6 +27,10 @@ type RST struct {
 	Updates uint64
 	// MergeSets counts pair bits set back to 1 by register merging.
 	MergeSets uint64
+
+	// classes and regMergeAssisted hold Partition's results.
+	classes          [MaxThreads]ITID
+	regMergeAssisted [MaxThreads]bool
 }
 
 // NewRST builds the table for n threads in the given workload mode. In ME
@@ -107,14 +111,15 @@ func (r *RST) MergeInto(owner, other int, reg uint8) {
 // The returned classes are ordered by descending size (chooser order),
 // ties broken by lowest member thread. regMergeAssisted is set per class
 // when the class has ≥2 threads and any member's source equality was
-// established by register merging.
+// established by register merging. Both slices are backed by the table
+// and valid until the next call.
 func (r *RST) Partition(itid ITID, srcs []uint8) (classes []ITID, regMergeAssisted []bool) {
-	members := itid.Threads()
-	if len(members) <= 1 {
-		return []ITID{itid}, []bool{false}
+	classes, regMergeAssisted = r.classes[:0], r.regMergeAssisted[:0]
+	if itid.Count() <= 1 {
+		return append(classes, itid), append(regMergeAssisted, false)
 	}
-	assigned := make(map[int]int, len(members)) // thread -> class index
-	for _, t := range members {
+	for m := itid; m != 0; m &= m - 1 {
+		t := m.First()
 		placed := false
 		for ci := range classes {
 			rep := classes[ci].First()
@@ -127,14 +132,12 @@ func (r *RST) Partition(itid ITID, srcs []uint8) (classes []ITID, regMergeAssist
 			}
 			if same {
 				classes[ci] = classes[ci].With(t)
-				assigned[t] = ci
 				placed = true
 				break
 			}
 		}
 		if !placed {
 			classes = append(classes, ITIDOf(t))
-			assigned[t] = len(classes) - 1
 		}
 	}
 	// Chooser order: descending size, stable by first member.
@@ -143,18 +146,18 @@ func (r *RST) Partition(itid ITID, srcs []uint8) (classes []ITID, regMergeAssist
 			classes[j], classes[j-1] = classes[j-1], classes[j]
 		}
 	}
-	regMergeAssisted = make([]bool, len(classes))
-	for ci, cl := range classes {
-		if cl.Count() < 2 {
-			continue
-		}
-		for _, t := range cl.Threads() {
-			for _, s := range srcs {
-				if s != isa.RegZero && r.byMerge[t][s] {
-					regMergeAssisted[ci] = true
+	for _, cl := range classes {
+		assisted := false
+		if cl.Count() >= 2 {
+			for m := cl; m != 0; m &= m - 1 {
+				for _, s := range srcs {
+					if s != isa.RegZero && r.byMerge[m.First()][s] {
+						assisted = true
+					}
 				}
 			}
 		}
+		regMergeAssisted = append(regMergeAssisted, assisted)
 	}
 	return classes, regMergeAssisted
 }

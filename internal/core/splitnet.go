@@ -54,10 +54,9 @@ func (sn *SplitNetwork) Evaluate(shared PairBits, itid ITID) []ITID {
 	entryBit := make([]bool, len(sn.entries))
 	for e, eid := range sn.entries {
 		ok := true
-		ths := eid.Threads()
-		for a := 0; a < len(ths) && ok; a++ {
-			for b := a + 1; b < len(ths); b++ {
-				if !shared(ths[a], ths[b]) {
+		for a := eid; a != 0 && ok; a &= a - 1 {
+			for b := a & (a - 1); b != 0; b &= b - 1 {
+				if !shared(a.First(), b.First()) {
 					ok = false
 					break
 				}

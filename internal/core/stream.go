@@ -18,9 +18,14 @@ type dynRec struct {
 
 // stream adapts one context's oracle into a rewindable record stream.
 type stream struct {
-	ctx    *prog.Context
-	buf    []dynRec
-	base   uint64 // dynamic index of buf[0]
+	ctx *prog.Context
+	// recs is a power-of-two ring of the buffered records [base, end):
+	// record idx lives at recs[idx&(len(recs)-1)]. A slot is reused only
+	// after its record was released, so a pointer peek returned stays
+	// valid while its record is buffered.
+	recs   []dynRec
+	base   uint64 // dynamic index of the oldest buffered record
+	end    uint64 // dynamic index one past the newest buffered record
 	cursor uint64 // next index fetch will consume
 	// maxInsts caps the records produced (0 = unbounded); the thread
 	// then behaves as if it halted at the cap.
@@ -42,7 +47,7 @@ func (s *stream) peek() (*dynRec, bool) {
 	if s.maxInsts > 0 && s.cursor >= s.maxInsts {
 		return nil, false
 	}
-	for s.cursor >= s.base+uint64(len(s.buf)) {
+	for s.cursor >= s.end {
 		if s.ctx.Halted() {
 			return nil, false
 		}
@@ -52,11 +57,26 @@ func (s *stream) peek() (*dynRec, bool) {
 			s.err = err
 			return nil, false
 		}
-		s.buf = append(s.buf, dynRec{
-			idx: s.base + uint64(len(s.buf)), pc: pc, inst: inst, eff: eff,
-		})
+		if s.end-s.base == uint64(len(s.recs)) {
+			s.grow()
+		}
+		s.recs[s.end&uint64(len(s.recs)-1)] = dynRec{idx: s.end, pc: pc, inst: inst, eff: eff}
+		s.end++
 	}
-	return &s.buf[s.cursor-s.base], true
+	return &s.recs[s.cursor&uint64(len(s.recs)-1)], true
+}
+
+// grow doubles the ring, moving each buffered record to its new slot.
+func (s *stream) grow() {
+	n := 2 * len(s.recs)
+	if n == 0 {
+		n = 256
+	}
+	recs := make([]dynRec, n)
+	for idx := s.base; idx < s.end; idx++ {
+		recs[idx&uint64(n-1)] = s.recs[idx&uint64(len(s.recs)-1)]
+	}
+	s.recs = recs
 }
 
 // advance moves the cursor past the current record.
@@ -83,8 +103,6 @@ func (s *stream) release(idx uint64) {
 	if idx > s.cursor {
 		panic("core: releasing unfetched records")
 	}
-	drop := idx - s.base
-	s.buf = s.buf[drop:]
 	s.base = idx
 }
 

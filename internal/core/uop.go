@@ -12,6 +12,7 @@ const (
 	uopDone                      // result available
 	uopCommitted                 // retired
 	uopSquashed                  // rolled back (LVIP mispredict)
+	uopFree                      // on the Core's free list, awaiting reuse
 )
 
 // FetchMode is the instruction-fetch synchronization mode (paper Fig. 3a).
@@ -101,9 +102,11 @@ type uop struct {
 	// predicted) control uop resolves.
 	stalledGroups []*group
 
-	// pendingPieces caches the split-stage result while the uop waits in
-	// the fetch queue for rename bandwidth (the split latch).
-	pendingPieces []*uop
+	// pieces[:npieces] caches the split-stage result while the uop waits
+	// in the fetch queue for rename bandwidth (the split latch); pieces[0]
+	// is the uop itself. npieces == 0 means not split yet.
+	pieces  [MaxThreads]*uop
+	npieces int
 
 	halt bool
 }
@@ -122,3 +125,78 @@ func (u *uop) fetchIdenticalOnly() bool {
 
 // leader returns the representative thread id.
 func (u *uop) leader() int { return u.itid.First() }
+
+// Uop lifetime. Uops are recycled through a per-Core free list instead of
+// being left to the garbage collector: the cycle loop makes one per
+// fetched instruction and split piece, and allocating them dominated the
+// simulator's host time. A uop goes back on the list only when nothing
+// can reach it any more:
+//
+//   - compactWindow drops a committed or squashed uop off the window head.
+//     It has left every ROB queue and the memory queue, commit or the
+//     squash cleared it from lastWriter, and fetch groups stalled on it
+//     were released when it completed or was squashed. A uop's consumers
+//     are younger than it, and the window compacts in seq order, so no
+//     live uop lists it as a consumer.
+//   - squashYounger drops a fully squashed, never renamed uop from the
+//     fetch queue, releasing the groups stalled on it. When it
+//     invalidates a queued uop's split latch, the split-off pieces no
+//     fetch group waits on are recycled too (dropSplitLatch).
+
+// newUop returns a zeroed uop, reusing a recycled one when the free list
+// has any; a recycled uop keeps the capacity of its consumers and
+// stalledGroups lists.
+func (c *Core) newUop() *uop {
+	n := len(c.freeUops)
+	if n == 0 {
+		return new(uop)
+	}
+	u := c.freeUops[n-1]
+	c.freeUops = c.freeUops[:n-1]
+	u.state = uopWaiting
+	return u
+}
+
+// cloneUop returns a copy of u with its own empty consumer and
+// stalled-group lists and an empty split latch (a split piece).
+func (c *Core) cloneUop(u *uop) *uop {
+	p := c.newUop()
+	consumers, stalled := p.consumers, p.stalledGroups
+	*p = *u
+	p.consumers, p.stalledGroups = consumers, stalled
+	p.pieces, p.npieces = [MaxThreads]*uop{}, 0
+	return p
+}
+
+// freeUop zeroes u and puts it on the free list.
+func (c *Core) freeUop(u *uop) {
+	if u.state == uopFree {
+		panic("core: uop freed twice")
+	}
+	*u = uop{state: uopFree, consumers: u.consumers[:0], stalledGroups: u.stalledGroups[:0]}
+	c.freeUops = append(c.freeUops, u)
+}
+
+// uopQueue is a FIFO of uops over one backing array the run keeps
+// reusing. Dropping the head only advances uops; a push that finds the
+// array's tail full slides the queued uops back to its front, and grows
+// the array only when they fill more than half of it. Code that filters
+// or removes entries in place works on uops directly.
+type uopQueue struct {
+	buf  []*uop // the backing array
+	uops []*uop // the queued uops, oldest first; always a subslice of buf
+}
+
+// push appends u at the tail.
+func (q *uopQueue) push(u *uop) {
+	if len(q.uops) == cap(q.uops) && 2*len(q.uops) <= len(q.buf) {
+		q.uops = q.buf[:copy(q.buf, q.uops)]
+	}
+	q.uops = append(q.uops, u)
+	if cap(q.uops) > len(q.buf) { // append grew a new array
+		q.buf = q.uops[:cap(q.uops)]
+	}
+}
+
+// drop removes the n oldest uops.
+func (q *uopQueue) drop(n int) { q.uops = q.uops[n:] }

@@ -64,20 +64,29 @@ func (tc *TraceCache) Lookup(pc uint64) (branches int, ok bool) {
 	return t.branches, true
 }
 
-// Insert records a trace built at commit.
+// Insert records a trace built at commit. A resident trace with the same
+// start PC is updated in place: it takes the newest LRU stamp first, so
+// making room evicts only other traces.
 func (tc *TraceCache) Insert(startPC uint64, insts, branches int) {
 	if tc.capInsts <= 0 || insts <= 0 {
 		return
 	}
-	if old := tc.byStart[startPC]; old != nil {
-		tc.used -= old.insts
-		delete(tc.byStart, startPC)
+	tc.clock++
+	t := tc.byStart[startPC]
+	keep := 0
+	if t != nil {
+		tc.used -= t.insts
+		t.lru = tc.clock
+		keep = 1
 	}
-	for tc.used+insts > tc.capInsts && len(tc.byStart) > 0 {
+	for tc.used+insts > tc.capInsts && len(tc.byStart) > keep {
 		tc.evictLRU()
 	}
-	tc.clock++
-	tc.byStart[startPC] = &trace{startPC: startPC, insts: insts, branches: branches, lru: tc.clock}
+	if t == nil {
+		t = &trace{startPC: startPC, lru: tc.clock}
+		tc.byStart[startPC] = t
+	}
+	t.insts, t.branches = insts, branches
 	tc.used += insts
 }
 

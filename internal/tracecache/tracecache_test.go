@@ -99,3 +99,24 @@ func TestBuilderTracksContiguity(t *testing.T) {
 		t.Error("partial trace visible")
 	}
 }
+
+func TestInsertUpdatesResidentTraceInPlace(t *testing.T) {
+	// Capacity for exactly two 16-instruction traces.
+	tc := New(2 * 16 * instSlotBytes)
+	tc.Insert(0x1000, 16, 1)
+	tc.Insert(0x2000, 16, 1)
+	// 0x1000 is the LRU trace: growing it must evict 0x2000, not itself.
+	tc.Insert(0x1000, 32, 2)
+	if _, ok := tc.Lookup(0x2000); ok {
+		t.Error("the other trace survived an update that needed its room")
+	}
+	if br, ok := tc.Lookup(0x1000); !ok || br != 2 {
+		t.Errorf("updated trace = %d/%v", br, ok)
+	}
+	if tc.used != 32 || tc.Len() != 1 {
+		t.Errorf("used = %d, len = %d", tc.used, tc.Len())
+	}
+	if allocs := testing.AllocsPerRun(100, func() { tc.Insert(0x1000, 8, 1) }); allocs != 0 {
+		t.Errorf("re-inserting a resident trace allocates %v times", allocs)
+	}
+}
