@@ -2,12 +2,11 @@ package cli
 
 import (
 	"context"
-	"flag"
 	"fmt"
 	"io"
 	"os"
 	"os/signal"
-	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -15,18 +14,10 @@ import (
 	"mmt/internal/core"
 	"mmt/internal/obs"
 	"mmt/internal/obs/span"
-	"mmt/internal/prof"
 	"mmt/internal/runner"
 	"mmt/internal/sim"
 	"mmt/internal/workloads"
 )
-
-// Artifacts lists the artifact names RunBench accepts, in output order.
-var Artifacts = []string{
-	"table3", "fig1", "fig2", "fig5a", "fig5b", "fig5c", "fig5d",
-	"fig6", "fig7a", "fig7b", "fig7c", "fig7d",
-	"mp", "cosched", "diversity", "scaling", "ablations", "sec63",
-}
 
 // RunBench is the mmtbench command: regenerate the evaluation artifacts.
 // Artifact output goes to stdout; live progress and the runner summary go
@@ -39,15 +30,11 @@ func RunBench(args []string, stdout io.Writer) error {
 // runBench is RunBench with the progress stream and the runner summary
 // exposed for tests.
 func runBench(args []string, stdout, progress io.Writer) (runner.Summary, error) {
-	fs := flag.NewFlagSet("mmtbench", flag.ContinueOnError)
-	fs.SetOutput(stdout)
+	fs := newFlags("mmtbench", stdout)
+	rf := addRunnerFlags(fs.FlagSet)
 	var (
-		only     = fs.String("only", "", "comma-separated artifact list: "+strings.Join(Artifacts, ","))
-		outFile  = fs.String("out", "", "also write the report to this file")
-		jobs     = fs.Int("j", runtime.NumCPU(), "parallel simulation workers")
-		cacheDir = fs.String("cache-dir", "", "persistent result cache directory (empty = disabled)")
-		timeout  = fs.Duration("timeout", 0, "per-simulation wall-clock timeout (0 = none)")
-		retries  = fs.Int("retries", 1, "extra attempts for a failed simulation")
+		only    = fs.String("only", "", "comma-separated artifact list: "+strings.Join(artifactNames(), ","))
+		outFile = fs.String("out", "", "also write the report to this file")
 
 		benchJSON     = fs.String("bench-json", "", "write a BENCH_"+strconv.Itoa(BenchSchema)+".json performance artifact (wall time, cycles, IPC, cache hit ratio per experiment); a directory auto-names the file")
 		benchCompare  = fs.String("bench-compare", "", "compare two bench-json artifacts: OLD,NEW (runs nothing else)")
@@ -58,15 +45,10 @@ func runBench(args []string, stdout, progress io.Writer) (runner.Summary, error)
 		traceOut    = fs.String("trace-out", "", "write a Chrome trace-event JSON timeline of the runner's workers (open in Perfetto)")
 		metricsAddr = fs.String("metrics-addr", "", "serve live runner metrics, expvar and pprof on this address")
 		precheck    = fs.Bool("precheck", false, "statically analyze every workload program first (mmtcheck) and refuse to run on error findings")
-		version     = fs.Bool("version", false, "print version and exit")
 	)
-	flf := addFlightFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	flf := addFlightFlags(fs.FlagSet)
+	if done, err := fs.parse(args); done || err != nil {
 		return runner.Summary{}, err
-	}
-	if *version {
-		printVersion(stdout, "mmtbench")
-		return runner.Summary{}, nil
 	}
 	if *benchCompare != "" {
 		oldPath, newPath, ok := strings.Cut(*benchCompare, ",")
@@ -81,24 +63,13 @@ func runBench(args []string, stdout, progress io.Writer) (runner.Summary, error)
 	if *benchFailOver != 0 {
 		return runner.Summary{}, fmt.Errorf("-bench-fail-over only applies with -bench-compare")
 	}
-	if err := validateTimeout(*timeout); err != nil {
+	opts, err := rf.options(progress)
+	if err != nil {
 		return runner.Summary{}, err
 	}
-	if err := validateRetries(*retries); err != nil {
+	want, err := pickArtifacts(*only)
+	if err != nil {
 		return runner.Summary{}, err
-	}
-
-	// Validate requested artifact names.
-	if *only != "" {
-		valid := map[string]bool{}
-		for _, a := range Artifacts {
-			valid[a] = true
-		}
-		for _, s := range strings.Split(*only, ",") {
-			if s = strings.TrimSpace(s); !valid[s] {
-				return runner.Summary{}, fmt.Errorf("unknown artifact %q (valid: %s)", s, strings.Join(Artifacts, ","))
-			}
-		}
 	}
 
 	if *precheck {
@@ -111,30 +82,23 @@ func runBench(args []string, stdout, progress io.Writer) (runner.Summary, error)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	opts := runner.Options{
-		Workers:  *jobs,
-		CacheDir: *cacheDir,
-		Timeout:  *timeout,
-		Retries:  *retries,
-		Progress: progress,
+	opts.Metrics = obs.NewRegistry()
+	stopMetrics, err := serveMetrics(*metricsAddr, opts.Metrics, progress)
+	if err != nil {
+		return runner.Summary{}, err
 	}
-	if *metricsAddr != "" {
-		opts.Metrics = obs.NewRegistry()
-		srv, err := serveMetrics(*metricsAddr, opts.Metrics, progress)
-		if err != nil {
-			return runner.Summary{}, err
-		}
-		defer srv.Close()
-	}
+	defer stopMetrics()
 	jt, err := openJobTrace(*traceOut, "mmtbench runner",
-		map[string]string{"version": Version(), "workers": strconv.Itoa(*jobs)})
+		map[string]string{"version": Version(), "workers": strconv.Itoa(opts.Workers)})
 	if err != nil {
 		return runner.Summary{}, err
 	}
 	// Every job's spans feed the always-on flight ring (and -trace-out); a
 	// captured worker panic or SIGQUIT dumps the ring to disk.
 	opts.Tracer = span.NewTracer("mmtbench", 0)
-	opts.Flight, _ = flf.build("mmtbench", opts.Tracer, jt.observe, progress)
+	var stopDump func()
+	opts.Flight, _, stopDump = flf.build("mmtbench", opts.Tracer, jt.observe, progress)
+	defer stopDump()
 	opts.FlightDumpDir = *flf.dumpDir
 	// -bench-json and -profile-out observe the experiment stream through a
 	// wrapping executor; its completion hook must be installed before the
@@ -155,7 +119,7 @@ func runBench(args []string, stdout, progress io.Writer) (runner.Summary, error)
 		ex = bx
 	}
 
-	err = writeReport(ex, stdout, *only, *outFile)
+	err = writeReport(ex, stdout, want, *outFile)
 	pool.Close()
 	if cerr := jt.Close(); cerr != nil && err == nil {
 		err = cerr
@@ -185,21 +149,13 @@ func emitBenchArtifacts(stdout io.Writer, bx *benchExec, benchJSON, profileOut s
 	if p == nil {
 		return fmt.Errorf("no attributed timing experiment ran; nothing behind -profile-out")
 	}
-	b, err := p.Marshal()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(profileOut, b, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintln(stdout)
-	return prof.WriteReport(stdout, p, profileTop)
+	return writeProfile(stdout, profileOut, p, profileTop)
 }
 
-// writeReport renders the requested artifacts through the executor. The
+// writeReport renders the wanted artifacts through the executor. The
 // returned error includes any failure to flush or close the -out file —
 // a silently truncated report would otherwise look like a clean run.
-func writeReport(ex sim.Exec, stdout io.Writer, only, outFile string) (err error) {
+func writeReport(ex sim.Exec, stdout io.Writer, want map[string]bool, outFile string) (err error) {
 	var w io.Writer = stdout
 	if outFile != "" {
 		f, cerr := os.Create(outFile)
@@ -213,182 +169,171 @@ func writeReport(ex sim.Exec, stdout io.Writer, only, outFile string) (err error
 		}()
 		w = io.MultiWriter(stdout, f)
 	}
-	return renderArtifacts(ex, w, only)
+	apps := workloads.All()
+	for _, a := range Artifacts {
+		if !want[a.Name] {
+			continue
+		}
+		s, err := a.render(ex, apps)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(w, s)
+	}
+	return nil
 }
 
-// renderArtifacts runs every requested artifact in presentation order.
-func renderArtifacts(ex sim.Exec, w io.Writer, only string) error {
-	want := func(name string) bool {
-		if only == "" {
-			return true
-		}
-		for _, s := range strings.Split(only, ",") {
-			if strings.TrimSpace(s) == name {
-				return true
-			}
-		}
-		return false
-	}
+// Artifact is one section of the mmtbench report: its -only name, and
+// the function that simulates and formats it.
+type Artifact struct {
+	Name   string
+	render renderFunc
+}
 
-	apps := workloads.All()
+// renderFunc simulates one artifact's points through ex and formats them.
+type renderFunc func(ex sim.Exec, apps []workloads.App) (string, error)
 
-	if want("table3") {
+// Artifacts is the mmtbench report, in output order.
+var Artifacts = []Artifact{
+	{"table3", func(sim.Exec, []workloads.App) (string, error) {
 		h := core.EstimateHWCost(core.DefaultConfig(4))
-		fmt.Fprintf(w, "Table 3: MMT hardware cost estimate\n------------------------------------\n%s\n\n", h)
-	}
-	if want("fig1") {
-		rows, err := sim.Figure1(ex, apps, 1_000_000)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, sim.FormatFig1(rows))
-	}
-	if want("fig2") {
-		rows, err := sim.Figure2(ex, apps, 1_000_000)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, sim.FormatFig2(rows))
-	}
-	if want("fig5a") {
-		rows, gm, err := sim.Figure5Speedups(ex, apps, 2)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, sim.FormatFig5(rows, gm, 2))
-	}
-	if want("fig5b") {
-		rows, err := sim.Figure5b(ex, apps, 2)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, sim.FormatFig5b(rows))
-	}
-	if want("fig5c") {
-		rows, gm, err := sim.Figure5Speedups(ex, apps, 4)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, sim.FormatFig5(rows, gm, 4))
-	}
-	if want("fig5d") {
-		rows, err := sim.Figure5d(ex, apps, 2)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, sim.FormatFig5d(rows))
-	}
-	if want("fig6") {
-		rows, err := sim.Figure6(ex, apps)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, sim.FormatFig6(rows))
-	}
-	if want("fig7a") {
-		rows, err := sim.Figure7a(ex, apps, 2)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, sim.FormatFig7a(rows))
-	}
-	if want("fig7b") {
-		sp, err := sim.Figure7b(ex, apps, 2)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, sim.FormatSweep("Figure 7(b): geomean speedup vs load/store ports", sim.LSPortCounts, sp))
-	}
-	if want("fig7c") {
-		rows, err := sim.Figure7c(ex, apps, 2)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, sim.FormatFig7c(rows))
-	}
-	if want("fig7d") {
-		sp, err := sim.Figure7d(ex, apps, 2)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, sim.FormatSweep("Figure 7(d): geomean speedup vs fetch width", sim.FetchWidths, sp))
-	}
-	if want("mp") {
-		rows, err := sim.ExtensionMP(ex)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, sim.FormatMP(rows))
-	}
-	if want("cosched") {
-		rows, err := sim.ExtensionCoschedule(ex)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, sim.FormatCoschedule(rows))
-	}
-	if want("diversity") {
-		rows, err := sim.ExtensionDiversity(ex)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, sim.FormatDiversity(rows))
-	}
-	if want("scaling") {
-		rows, err := sim.ExtensionScaling(ex, apps)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, sim.FormatScaling(rows))
-	}
-	if want("ablations") {
-		type study struct {
+		return fmt.Sprintf("Table 3: MMT hardware cost estimate\n------------------------------------\n%s\n", h), nil
+	}},
+	{"fig1", func(ex sim.Exec, apps []workloads.App) (string, error) {
+		return show(sim.FormatFig1)(sim.Figure1(ex, apps, 1_000_000))
+	}},
+	{"fig2", func(ex sim.Exec, apps []workloads.App) (string, error) {
+		return show(sim.FormatFig2)(sim.Figure2(ex, apps, 1_000_000))
+	}},
+	{"fig5a", fig5(2)},
+	{"fig5b", func(ex sim.Exec, apps []workloads.App) (string, error) {
+		return show(sim.FormatFig5b)(sim.Figure5b(ex, apps, 2))
+	}},
+	{"fig5c", fig5(4)},
+	{"fig5d", func(ex sim.Exec, apps []workloads.App) (string, error) {
+		return show(sim.FormatFig5d)(sim.Figure5d(ex, apps, 2))
+	}},
+	{"fig6", func(ex sim.Exec, apps []workloads.App) (string, error) {
+		return show(sim.FormatFig6)(sim.Figure6(ex, apps))
+	}},
+	{"fig7a", func(ex sim.Exec, apps []workloads.App) (string, error) {
+		return show(sim.FormatFig7a)(sim.Figure7a(ex, apps, 2))
+	}},
+	{"fig7b", sweep("Figure 7(b): geomean speedup vs load/store ports", sim.LSPortCounts, sim.Figure7b)},
+	{"fig7c", func(ex sim.Exec, apps []workloads.App) (string, error) {
+		return show(sim.FormatFig7c)(sim.Figure7c(ex, apps, 2))
+	}},
+	{"fig7d", sweep("Figure 7(d): geomean speedup vs fetch width", sim.FetchWidths, sim.Figure7d)},
+	{"mp", func(ex sim.Exec, _ []workloads.App) (string, error) {
+		return show(sim.FormatMP)(sim.ExtensionMP(ex))
+	}},
+	{"cosched", func(ex sim.Exec, _ []workloads.App) (string, error) {
+		return show(sim.FormatCoschedule)(sim.ExtensionCoschedule(ex))
+	}},
+	{"diversity", func(ex sim.Exec, _ []workloads.App) (string, error) {
+		return show(sim.FormatDiversity)(sim.ExtensionDiversity(ex))
+	}},
+	{"scaling", func(ex sim.Exec, apps []workloads.App) (string, error) {
+		return show(sim.FormatScaling)(sim.ExtensionScaling(ex, apps))
+	}},
+	{"ablations", func(ex sim.Exec, apps []workloads.App) (string, error) {
+		var parts []string
+		for _, s := range []struct {
 			title string
 			names []string
-			run   func() ([]sim.AblationRow, []float64, error)
-		}
-		for _, s := range []study{
-			{"Ablation: remerge mechanism (MMT-FXR, 2T)", sim.SyncPolicyNames,
-				func() ([]sim.AblationRow, []float64, error) { return sim.AblationSyncPolicy(ex, apps, 2) }},
-			{"Ablation: load-value-identical policy (MMT-FXR, 2T)", sim.LVIPModeNames,
-				func() ([]sim.AblationRow, []float64, error) { return sim.AblationLVIP(ex, apps, 2) }},
-			{"Ablation: CATCHUP ahead-thread duty cycle (MMT-FXR, 2T)", dutyNames(),
-				func() ([]sim.AblationRow, []float64, error) { return sim.AblationAheadDuty(ex, apps, 2) }},
-			{"Ablation: register-merge read ports (MMT-FXR, 2T)", portNames(),
-				func() ([]sim.AblationRow, []float64, error) { return sim.AblationRegMergePorts(ex, apps, 2) }},
-			{"Ablation (§5 claim): machine scale — gains grow as the core shrinks", sim.MachineScaleNames,
-				func() ([]sim.AblationRow, []float64, error) { return sim.AblationMachineScale(ex, apps, 2) }},
-			{"Ablation (§5 claim): trace cache on/off — near-identical results", sim.TraceCacheNames,
-				func() ([]sim.AblationRow, []float64, error) { return sim.AblationTraceCache(ex, apps, 2) }},
+			run   func(sim.Exec, []workloads.App, int) ([]sim.AblationRow, []float64, error)
+		}{
+			{"Ablation: remerge mechanism (MMT-FXR, 2T)", sim.SyncPolicyNames, sim.AblationSyncPolicy},
+			{"Ablation: load-value-identical policy (MMT-FXR, 2T)", sim.LVIPModeNames, sim.AblationLVIP},
+			{"Ablation: CATCHUP ahead-thread duty cycle (MMT-FXR, 2T)", dutyNames(), sim.AblationAheadDuty},
+			{"Ablation: register-merge read ports (MMT-FXR, 2T)", portNames(), sim.AblationRegMergePorts},
+			{"Ablation (§5 claim): machine scale — gains grow as the core shrinks", sim.MachineScaleNames, sim.AblationMachineScale},
+			{"Ablation (§5 claim): trace cache on/off — near-identical results", sim.TraceCacheNames, sim.AblationTraceCache},
 		} {
-			rows, gms, err := s.run()
+			rows, gms, err := s.run(ex, apps, 2)
 			if err != nil {
-				return err
+				return "", err
 			}
-			fmt.Fprintln(w, sim.FormatAblation(s.title, s.names, rows, gms))
+			parts = append(parts, sim.FormatAblation(s.title, s.names, rows, gms))
 		}
-	}
-	if want("sec63") {
+		return strings.Join(parts, "\n"), nil
+	}},
+	{"sec63", func(ex sim.Exec, apps []workloads.App) (string, error) {
 		m, err := sim.RemergeWithin512(ex, apps, 2)
 		if err != nil {
-			return err
+			return "", err
 		}
-		fmt.Fprintln(w, "Section 6.3: remerges found within 512 taken branches")
-		fmt.Fprintln(w, "-----------------------------------------------------")
+		var b strings.Builder
+		b.WriteString("Section 6.3: remerges found within 512 taken branches\n")
+		b.WriteString("-----------------------------------------------------")
 		var total float64
 		n := 0
 		for _, a := range apps {
 			if v, ok := m[a.Name]; ok {
-				fmt.Fprintf(w, "%-14s %6.1f%%\n", a.Name, 100*v)
+				fmt.Fprintf(&b, "\n%-14s %6.1f%%", a.Name, 100*v)
 				total += v
 				n++
 			}
 		}
 		if n > 0 {
-			fmt.Fprintf(w, "%-14s %6.1f%%\n\n", "average", 100*total/float64(n))
+			fmt.Fprintf(&b, "\n%-14s %6.1f%%\n", "average", 100*total/float64(n))
 		}
+		return b.String(), nil
+	}},
+}
+
+// show formats an experiment's rows, or passes its error through.
+func show[R any](format func(R) string) func(R, error) (string, error) {
+	return func(rows R, err error) (string, error) {
+		if err != nil {
+			return "", err
+		}
+		return format(rows), nil
 	}
-	return nil
+}
+
+// fig5 renders Fig. 5(a) or 5(c): speedups over Base at threads.
+func fig5(threads int) renderFunc {
+	return func(ex sim.Exec, apps []workloads.App) (string, error) {
+		rows, gm, err := sim.Figure5Speedups(ex, apps, threads)
+		if err != nil {
+			return "", err
+		}
+		return sim.FormatFig5(rows, gm, threads), nil
+	}
+}
+
+// sweep renders one Fig. 7 configuration sweep at 2 threads.
+func sweep(title string, points []int, run func(sim.Exec, []workloads.App, int) ([]float64, error)) renderFunc {
+	return func(ex sim.Exec, apps []workloads.App) (string, error) {
+		return show(func(sp []float64) string { return sim.FormatSweep(title, points, sp) })(run(ex, apps, 2))
+	}
+}
+
+// artifactNames lists the artifacts' -only names in output order.
+func artifactNames() []string {
+	names := make([]string, len(Artifacts))
+	for i, a := range Artifacts {
+		names[i] = a.Name
+	}
+	return names
+}
+
+// pickArtifacts resolves -only into the set of artifacts to render; ""
+// selects them all.
+func pickArtifacts(only string) (map[string]bool, error) {
+	names := artifactNames()
+	if only == "" {
+		only = strings.Join(names, ",")
+	}
+	want := map[string]bool{}
+	for _, s := range strings.Split(only, ",") {
+		if s = strings.TrimSpace(s); !slices.Contains(names, s) {
+			return nil, fmt.Errorf("unknown artifact %q (valid: %s)", s, strings.Join(names, ","))
+		}
+		want[s] = true
+	}
+	return want, nil
 }
 
 func dutyNames() []string {

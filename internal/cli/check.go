@@ -2,7 +2,6 @@ package cli
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -10,6 +9,7 @@ import (
 	"mmt/internal/asm"
 	"mmt/internal/prof"
 	"mmt/internal/prog"
+	"mmt/internal/sim"
 	"mmt/internal/static"
 	"mmt/internal/static/absint"
 	"mmt/internal/workloads"
@@ -34,8 +34,7 @@ type CheckResult struct {
 // assembled programs, with optional cross-validation against a dynamic
 // attribution profile.
 func RunCheck(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("mmtcheck", flag.ContinueOnError)
-	fs.SetOutput(out)
+	fs := newFlags("mmtcheck", out)
 	var (
 		appName  = fs.String("app", "", "check one application (see mmtsim -list)")
 		all      = fs.Bool("all", false, "check every registered workload program")
@@ -47,14 +46,9 @@ func RunCheck(args []string, out io.Writer) error {
 		minCorr  = fs.Float64("min-correlation", 0, "with -against-profile: fail when the predicted-vs-observed merged-fraction Spearman falls below this")
 		estimate = fs.Bool("estimate", false, "print the static cost-model estimate (redundancy, LVIP potential, divergence sites)")
 		report   = fs.Bool("report", true, "include the static redundancy report (text format)")
-		version  = fs.Bool("version", false, "print version and exit")
 	)
-	if err := fs.Parse(args); err != nil {
+	if done, err := fs.parse(args); done || err != nil {
 		return err
-	}
-	if *version {
-		printVersion(out, "mmtcheck")
-		return nil
 	}
 	if *format != "text" && *format != "json" && *format != "sarif" {
 		return fmt.Errorf("unknown -format %q (want text, json or sarif)", *format)
@@ -105,22 +99,19 @@ func RunCheck(args []string, out io.Writer) error {
 			targets = append(targets, target{a.Name, p, &a})
 		}
 	case *appName != "":
-		a, ok := workloads.ByName(*appName)
-		if !ok {
-			return fmt.Errorf("unknown application %q", *appName)
-		}
-		if *equ != "" {
-			overrides, err := parseEqu(*equ)
-			if err != nil {
-				return err
-			}
-			a = a.Override(overrides)
-		}
-		p, err := asm.Assemble(a.Name, a.Source)
+		overrides, err := parseEqu(*equ)
 		if err != nil {
-			return fmt.Errorf("assembling %s: %w", a.Name, err)
+			return err
 		}
-		targets = append(targets, target{a.Name, p, &a})
+		t, err := sim.TaskSpec{App: *appName, Equ: overrides}.Task()
+		if err != nil {
+			return err
+		}
+		p, err := asm.Assemble(t.App.Name, t.App.Source)
+		if err != nil {
+			return fmt.Errorf("assembling %s: %w", t.App.Name, err)
+		}
+		targets = append(targets, target{t.App.Name, p, &t.App})
 	default:
 		return fmt.Errorf("nothing to check: pass -app, -all or -src")
 	}

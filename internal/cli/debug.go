@@ -55,9 +55,10 @@ func addFlightFlags(fs *flag.FlagSet) flightOptions {
 
 // build creates the ring, marks the process start, installs the SIGQUIT
 // dump handler and routes every span the tracer finishes into the ring —
-// and into also, when non-nil. It returns the ring and where a SIGQUIT
-// dump will land ("" when dumps are off).
-func (o flightOptions) build(service string, tracer *span.Tracer, also func(span.Record), progress io.Writer) (*flight.Recorder, string) {
+// and into also, when non-nil. It returns the ring, where a SIGQUIT dump
+// will land ("" when dumps are off) and the function that uninstalls the
+// handler.
+func (o flightOptions) build(service string, tracer *span.Tracer, also func(span.Record), progress io.Writer) (*flight.Recorder, string, func()) {
 	fl := flight.New(service, *o.entries)
 	fl.Mark("process start: " + service)
 	tracer.SetObserver(func(r span.Record) {
@@ -67,9 +68,10 @@ func (o flightOptions) build(service string, tracer *span.Tracer, also func(span
 		}
 	})
 	if *o.dumpDir == "" {
-		return fl, ""
+		return fl, "", func() {}
 	}
-	return fl, flight.InstallSignalDump(fl, *o.dumpDir, progress)
+	path, stop := flight.InstallSignalDump(fl, *o.dumpDir, progress)
+	return fl, path, stop
 }
 
 // debugStack is the assembled diagnostics surface for one daemon.
@@ -78,8 +80,8 @@ type debugStack struct {
 	Profiler *profiled.Profiler
 	History  *history.Sampler
 	Handler  http.Handler // the GET /v1/debug/ mux (profiles, metrics, config)
-	DumpDir  string
-	DumpPath string // where a SIGQUIT dump will land ("" when dumps are off)
+	DumpPath string       // where a SIGQUIT dump will land ("" when dumps are off)
+	stopDump func()       // uninstalls the SIGQUIT dump handler
 }
 
 // build assembles the stack for a daemon: the flight ring (always on, fed
@@ -89,8 +91,8 @@ type debugStack struct {
 // ("mmtserved@host:port"); fs is the parsed flag set, rendered at
 // GET /v1/debug/config so a bundle records the node's exact configuration.
 func (o debugOptions) build(service string, fs *flag.FlagSet, reg *obs.Registry, tracer *span.Tracer, also func(span.Record), logger *slog.Logger, progress io.Writer) *debugStack {
-	st := &debugStack{DumpDir: *o.flight.dumpDir}
-	st.Flight, st.DumpPath = o.flight.build(service, tracer, also, progress)
+	st := &debugStack{}
+	st.Flight, st.DumpPath, st.stopDump = o.flight.build(service, tracer, also, progress)
 	if *o.profileEvery > 0 {
 		st.Profiler = profiled.New(service, profiled.Options{
 			Every:       *o.profileEvery,
@@ -127,13 +129,12 @@ func (st *debugStack) Wrap(logger *slog.Logger) *slog.Logger {
 	return slog.New(flight.NewLogHandler(logger.Handler(), st.Flight))
 }
 
-// Close stops the samplers. The flight ring needs no teardown.
+// Close stops the samplers and uninstalls the SIGQUIT dump handler. The
+// flight ring needs no teardown.
 func (st *debugStack) Close() {
-	if st == nil {
-		return
-	}
 	st.Profiler.Close()
 	st.History.Close()
+	st.stopDump()
 }
 
 // ConfigDoc is the GET /v1/debug/config body: the daemon's resolved flag

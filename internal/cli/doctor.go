@@ -2,7 +2,6 @@ package cli
 
 import (
 	"context"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -26,8 +25,7 @@ func RunDoctor(args []string, stdout io.Writer) error {
 
 // runDoctor is RunDoctor with the progress stream exposed for tests.
 func runDoctor(args []string, stdout, progress io.Writer) error {
-	fs := flag.NewFlagSet("mmtdoctor", flag.ContinueOnError)
-	fs.SetOutput(stdout)
+	fs := newFlags("mmtdoctor", stdout)
 	var (
 		server  = fs.String("server", "http://127.0.0.1:8378", "router (or single mmtserved) base URL; fleet nodes are discovered via its /v1/cluster")
 		sources = fs.String("sources", "", "extra comma-separated base URLs to also collect from (e.g. an mmtcached)")
@@ -44,14 +42,9 @@ func runDoctor(args []string, stdout, progress io.Writer) error {
 		maxQueue  = fs.Int("max-queue", 0, "breach when any node's queue depth exceeds this (0 = unchecked)")
 		maxFailed = fs.Float64("max-failed-rate", 0, "breach when failed/(completed+failed) exceeds this, 0..1 (0 = unchecked)")
 		fromDump  = fs.String("from-dump", "", "render this on-disk flight dump file and exit")
-		version   = fs.Bool("version", false, "print version and exit")
 	)
-	if err := fs.Parse(args); err != nil {
+	if done, err := fs.parse(args); done || err != nil {
 		return err
-	}
-	if *version {
-		printVersion(stdout, "mmtdoctor")
-		return nil
 	}
 	if *fromDump != "" {
 		d, err := flight.ReadDump(*fromDump)

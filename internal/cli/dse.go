@@ -2,7 +2,6 @@ package cli
 
 import (
 	"context"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -27,8 +26,7 @@ func RunDSE(args []string, stdout io.Writer) error {
 
 // runDSE is RunDSE with the progress stream exposed for tests.
 func runDSE(args []string, stdout, progress io.Writer) error {
-	fs := flag.NewFlagSet("mmtdse", flag.ContinueOnError)
-	fs.SetOutput(stdout)
+	fs := newFlags("mmtdse", stdout)
 	var (
 		space = fs.String("space", "default", "search space: a builtin ("+
 			strings.Join(dse.Builtins(), ", ")+") or a JSON spec file")
@@ -44,15 +42,10 @@ func runDSE(args []string, stdout, progress io.Writer) error {
 		cacheDir    = fs.String("cache-dir", "", "persistent result cache directory for the local backend (empty = disabled)")
 		metricsAddr = fs.String("metrics-addr", "", "serve live mmt_dse_* metrics, expvar and pprof on this address")
 		rank        = fs.String("rank", "", "override the space's static ranker: on orders rung 0 by the absint cost model, off disables it (default: the space decides)")
-		version     = fs.Bool("version", false, "print version and exit")
 	)
-	logf := addLogFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	logf := addLogFlags(fs.FlagSet)
+	if done, err := fs.parse(args); done || err != nil {
 		return err
-	}
-	if *version {
-		printVersion(stdout, "mmtdse")
-		return nil
 	}
 	logger, err := logf.logger(progress)
 	if err != nil {
@@ -111,15 +104,13 @@ func runDSE(args []string, stdout, progress io.Writer) error {
 		Progress:       progress,
 		Log:            logger.With("service", "mmtdse"),
 		CheckpointPath: *out,
+		Metrics:        obs.NewRegistry(),
 	}
-	if *metricsAddr != "" {
-		opts.Metrics = obs.NewRegistry()
-		srv, err := serveMetrics(*metricsAddr, opts.Metrics, progress)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
+	stopMetrics, err := serveMetrics(*metricsAddr, opts.Metrics, progress)
+	if err != nil {
+		return err
 	}
+	defer stopMetrics()
 	if *resume != "" {
 		prior, err := dse.LoadStudy(*resume)
 		if err != nil {

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"math/rand"
@@ -35,8 +34,7 @@ func RunLoad(args []string, stdout io.Writer) error {
 }
 
 func runLoad(args []string, stdout, progress io.Writer) error {
-	fs := flag.NewFlagSet("mmtload", flag.ContinueOnError)
-	fs.SetOutput(stdout)
+	fs := newFlags("mmtload", stdout)
 	var (
 		server  = fs.String("server", "http://127.0.0.1:8377", "mmtserved (or, with -cluster, mmtrouter) base URL")
 		fleetly = fs.Bool("cluster", false, "treat -server as an mmtrouter: report per-node throughput and latency plus the fleet dedup ratio")
@@ -57,15 +55,10 @@ func runLoad(args []string, stdout, progress io.Writer) error {
 		attribution = fs.Bool("attribution", false, "request per-PC attribution profiles from the server and merge them")
 		profileOut  = fs.String("profile-out", "", "with -attribution: write the merged attribution profile to this file")
 		profileTop  = fs.Int("profile-top", 5, "sites in the printed attribution summary (0 = all)")
-		version     = fs.Bool("version", false, "print version and exit")
 	)
-	logf := addLogFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	logf := addLogFlags(fs.FlagSet)
+	if done, err := fs.parse(args); done || err != nil {
 		return err
-	}
-	if *version {
-		printVersion(stdout, "mmtload")
-		return nil
 	}
 	logger, err := logf.logger(progress)
 	if err != nil {
@@ -89,13 +82,11 @@ func runLoad(args []string, stdout, progress io.Writer) error {
 	submitted := reg.Counter("mmt_load_jobs_total", "Jobs submitted by the load generator.")
 	failures := reg.Counter("mmt_load_failures_total", "Jobs that ended in an error.")
 	latency := reg.Histogram("mmt_load_job_latency_seconds", "Submit-to-outcome latency observed by the client.")
-	if *metricsAddr != "" {
-		msrv, err := serveMetrics(*metricsAddr, reg, progress)
-		if err != nil {
-			return err
-		}
-		defer msrv.Close()
+	stopMetrics, err := serveMetrics(*metricsAddr, reg, progress)
+	if err != nil {
+		return err
 	}
+	defer stopMetrics()
 	specs := loadSpecs(*n, *dup, *seed, sim.TaskSpec{
 		App: *app, Preset: sim.Preset(*preset), Threads: *threads,
 		Config:      &sim.ConfigOverride{MaxInsts: *maxInsts},
@@ -248,16 +239,8 @@ func runLoad(args []string, stdout, progress io.Writer) error {
 			total, loadPct(merged.CPI.Base, total), loadPct(merged.CPI.FetchStall, total),
 			loadPct(merged.CPI.Catchup, total), loadPct(merged.CPI.Rollback, total), loadPct(merged.CPI.Drain, total))
 		if *profileOut != "" {
-			b, merr := merged.Marshal()
-			if merr != nil {
-				return merr
-			}
-			if werr := os.WriteFile(*profileOut, b, 0o644); werr != nil {
-				return werr
-			}
-			fmt.Fprintln(stdout)
-			if rerr := prof.WriteReport(stdout, merged, *profileTop); rerr != nil {
-				return rerr
+			if err := writeProfile(stdout, *profileOut, merged, *profileTop); err != nil {
+				return err
 			}
 		}
 	} else if *attribution && firstErr == nil {

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"strconv"
+	"sync"
 	"time"
 
 	"mmt/internal/obs"
@@ -16,7 +17,9 @@ import (
 // stream (opens in Perfetto or chrome://tracing), a JSONL event log, or
 // both fanned out. The returned close function finalizes every sink and
 // closes the files, reporting the first error — a truncated trace would
-// otherwise silently fail to load in the viewer.
+// otherwise silently fail to load in the viewer. Closing seals the
+// recorder: a simulation the runner abandoned at -timeout or on a signal
+// keeps emitting, and its late events are dropped.
 func openTraceSinks(traceOut, eventsOut string, meta map[string]string) (obs.Recorder, func() error, error) {
 	var (
 		sinks []obs.Recorder
@@ -49,7 +52,7 @@ func openTraceSinks(traceOut, eventsOut string, meta map[string]string) (obs.Rec
 		}
 		sinks = append(sinks, obs.NewJSONL(f, meta))
 	}
-	rec := obs.Multi(sinks...)
+	rec := &sealedRecorder{rec: obs.Multi(sinks...)}
 	closeAll := func() error {
 		err := rec.Close()
 		for _, f := range files {
@@ -60,6 +63,37 @@ func openTraceSinks(traceOut, eventsOut string, meta map[string]string) (obs.Rec
 		return err
 	}
 	return rec, closeAll, nil
+}
+
+// sealedRecorder serializes a recorder's calls and drops those that
+// arrive after Close.
+type sealedRecorder struct {
+	mu  sync.Mutex
+	rec obs.Recorder // nil once closed
+}
+
+func (s *sealedRecorder) Event(e obs.Event) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.rec != nil {
+		s.rec.Event(e)
+	}
+}
+
+func (s *sealedRecorder) Sample(m obs.Sample) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.rec != nil {
+		s.rec.Sample(m)
+	}
+}
+
+func (s *sealedRecorder) Close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	rec := s.rec
+	s.rec = nil
+	return rec.Close()
 }
 
 // jobTrace is the runner's -trace-out file (mmtbench, mmtserved): every
@@ -114,8 +148,12 @@ func (t *jobTrace) Close() error {
 }
 
 // serveMetrics starts the -metrics-addr listener and announces it on the
-// progress stream (never stdout, which stays reserved for results).
-func serveMetrics(addr string, reg *obs.Registry, progress io.Writer) (*obs.Server, error) {
+// progress stream (never stdout, which stays reserved for results). An
+// empty addr serves nothing. The returned function closes the listener.
+func serveMetrics(addr string, reg *obs.Registry, progress io.Writer) (func() error, error) {
+	if addr == "" {
+		return func() error { return nil }, nil
+	}
 	srv, err := obs.Serve(addr, reg)
 	if err != nil {
 		return nil, err
@@ -123,5 +161,5 @@ func serveMetrics(addr string, reg *obs.Registry, progress io.Writer) (*obs.Serv
 	if progress != nil {
 		fmt.Fprintf(progress, "serving metrics on http://%s/metrics (expvar at /debug/vars, pprof at /debug/pprof)\n", srv.Addr())
 	}
-	return srv, nil
+	return srv.Close, nil
 }

@@ -3,7 +3,6 @@ package cli
 import (
 	"bytes"
 	"encoding/json"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -78,28 +77,14 @@ func TestRunSimTraceCapture(t *testing.T) {
 }
 
 func TestVersionFlags(t *testing.T) {
-	for _, run := range []struct {
-		name string
-		fn   func([]string, *bytes.Buffer) error
-	}{
-		{"mmtsim", func(a []string, b *bytes.Buffer) error { return RunSim(a, b) }},
-		{"mmtpipe", func(a []string, b *bytes.Buffer) error { return RunPipe(a, b) }},
-		{"mmtprofile", func(a []string, b *bytes.Buffer) error { return RunProfile(a, b) }},
-	} {
+	for _, c := range commands {
 		var out bytes.Buffer
-		if err := run.fn([]string{"-version"}, &out); err != nil {
-			t.Fatalf("%s -version: %v", run.name, err)
+		if err := c.run([]string{"-version"}, &out); err != nil {
+			t.Fatalf("%s -version: %v", c.name, err)
 		}
-		if !strings.HasPrefix(out.String(), run.name+" ") || !strings.Contains(out.String(), "go1") {
-			t.Errorf("%s -version output: %q", run.name, out.String())
+		if !strings.HasPrefix(out.String(), c.name+" ") || !strings.Contains(out.String(), "go1") {
+			t.Errorf("%s -version output: %q", c.name, out.String())
 		}
-	}
-	var out bytes.Buffer
-	if _, err := runBench([]string{"-version"}, &out, io.Discard); err != nil {
-		t.Fatalf("mmtbench -version: %v", err)
-	}
-	if !strings.HasPrefix(out.String(), "mmtbench ") {
-		t.Errorf("mmtbench -version output: %q", out.String())
 	}
 }
 

@@ -1,7 +1,6 @@
 package cli
 
 import (
-	"flag"
 	"fmt"
 	"io"
 	"strings"
@@ -9,7 +8,6 @@ import (
 	"mmt/internal/core"
 	"mmt/internal/obs"
 	"mmt/internal/sim"
-	"mmt/internal/workloads"
 )
 
 // RunPipe is the mmtpipe command: a cycle-by-cycle pipeline trace. The
@@ -18,8 +16,7 @@ import (
 // mmtpipe shows exactly what a trace file would contain instead of
 // re-deriving events from statistics deltas.
 func RunPipe(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("mmtpipe", flag.ContinueOnError)
-	fs.SetOutput(out)
+	fs := newFlags("mmtpipe", out)
 	var (
 		appName = fs.String("app", "equake", "application name")
 		preset  = fs.String("preset", "MMT-FXR", "configuration preset")
@@ -28,29 +25,16 @@ func RunPipe(args []string, out io.Writer) error {
 		cycles  = fs.Uint64("cycles", 80, "cycles to trace")
 		dump    = fs.Uint64("dump", 0, "also print full machine state every N traced cycles (0 = off)")
 		stalls  = fs.Bool("stalls", false, "also show stall-cause edges in the event column")
-		version = fs.Bool("version", false, "print version and exit")
 	)
-	if err := fs.Parse(args); err != nil {
+	if done, err := fs.parse(args); done || err != nil {
 		return err
-	}
-	if *version {
-		printVersion(out, "mmtpipe")
-		return nil
 	}
 
-	app, ok := workloads.ByName(*appName)
-	if !ok {
-		return fmt.Errorf("unknown application %q", *appName)
-	}
-	cfg, err := sim.Configure(sim.Preset(*preset), *threads)
+	t, err := sim.TaskSpec{App: *appName, Preset: sim.Preset(*preset), Threads: *threads}.Task()
 	if err != nil {
 		return err
 	}
-	sys, err := app.Build(*threads, sim.Preset(*preset).IdenticalInputs())
-	if err != nil {
-		return err
-	}
-	c, err := core.New(cfg, sys)
+	c, err := t.Core()
 	if err != nil {
 		return err
 	}
@@ -65,7 +49,7 @@ func RunPipe(args []string, out io.Writer) error {
 	col := obs.NewCollector()
 	c.Attach(col, 0)
 
-	fmt.Fprintf(out, "%s / %s / %dT — tracing cycles %d..%d\n", app.Name, *preset, *threads, *from, *from+*cycles)
+	fmt.Fprintf(out, "%s / %s / %dT — tracing cycles %d..%d\n", t.App.Name, t.Preset, t.Threads, *from, *from+*cycles)
 	fmt.Fprintf(out, "%8s %6s %6s %6s %6s %7s %6s %5s  %s\n",
 		"cycle", "fetch", "renam", "issue", "commit", "mode", "div", "merg", "events")
 	prev := *st

@@ -1,7 +1,6 @@
 package cli
 
 import (
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -16,22 +15,16 @@ import (
 // with -from-run it renders (or, with -diff, compares) per-PC attribution
 // profiles written by mmtsim/mmtbench/mmtload -profile-out.
 func RunProfile(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("mmtprofile", flag.ContinueOnError)
-	fs.SetOutput(out)
+	fs := newFlags("mmtprofile", out)
 	var (
 		appName  = fs.String("app", "", "profile a single application (default: all)")
 		maxInsts = fs.Int("maxinsts", 1_000_000, "per-context dynamic instruction cap")
 		fromRun  = fs.String("from-run", "", "render an attribution profile: a -profile-out JSON file or a -out outcome file with an embedded profile")
 		diffWith = fs.String("diff", "", "with -from-run: second profile to diff against (-from-run = before, -diff = after)")
 		topN     = fs.Int("top", 10, "sites in the attribution report (0 = all)")
-		version  = fs.Bool("version", false, "print version and exit")
 	)
-	if err := fs.Parse(args); err != nil {
+	if done, err := fs.parse(args); done || err != nil {
 		return err
-	}
-	if *version {
-		printVersion(out, "mmtprofile")
-		return nil
 	}
 	if *diffWith != "" && *fromRun == "" {
 		return fmt.Errorf("-diff requires -from-run")
@@ -73,6 +66,20 @@ func RunProfile(args []string, out io.Writer) error {
 	}
 	fmt.Fprintln(out, sim.FormatFig2(rows2))
 	return nil
+}
+
+// writeProfile writes p behind -profile-out, then prints its top-N
+// report after a blank line.
+func writeProfile(out io.Writer, path string, p *prof.Profile, topN int) error {
+	b, err := p.Marshal()
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintln(out)
+	return prof.WriteReport(out, p, topN)
 }
 
 // loadProfileFile reads an attribution profile from either encoding: a

@@ -5,7 +5,6 @@ package cli
 
 import (
 	"context"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -15,7 +14,6 @@ import (
 	"syscall"
 
 	"mmt/internal/asm"
-	"mmt/internal/core"
 	"mmt/internal/obs"
 	"mmt/internal/obs/span"
 	"mmt/internal/prof"
@@ -28,8 +26,7 @@ import (
 // RunSim is the mmtsim command: run one workload under one configuration
 // and print detailed statistics.
 func RunSim(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("mmtsim", flag.ContinueOnError)
-	fs.SetOutput(out)
+	fs := newFlags("mmtsim", out)
 	var (
 		appName  = fs.String("app", "ammp", "application name (see -list)")
 		preset   = fs.String("preset", "MMT-FXR", "configuration: Base, MMT-F, MMT-FX, MMT-FXR, Limit")
@@ -52,15 +49,10 @@ func RunSim(args []string, out io.Writer) error {
 		sampleEvery = fs.Uint64("sample-every", 1000, "cycles between occupancy/IPC samples when tracing (0 = events only)")
 		metricsAddr = fs.String("metrics-addr", "", "serve /metrics, expvar and pprof on this address while running")
 		precheck    = fs.Bool("precheck", false, "statically analyze the program first (mmtcheck) and refuse to run on error findings")
-		version     = fs.Bool("version", false, "print version and exit")
 	)
-	flf := addFlightFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	flf := addFlightFlags(fs.FlagSet)
+	if done, err := fs.parse(args); done || err != nil {
 		return err
-	}
-	if *version {
-		printVersion(out, "mmtsim")
-		return nil
 	}
 	if err := validateTimeout(*timeout); err != nil {
 		return err
@@ -74,11 +66,11 @@ func RunSim(args []string, out io.Writer) error {
 		return nil
 	}
 	if *disasm {
-		a, ok := workloads.ByName(*appName)
-		if !ok {
-			return fmt.Errorf("unknown application %q", *appName)
+		t, err := sim.TaskSpec{App: *appName}.Task()
+		if err != nil {
+			return err
 		}
-		p, err := asm.Assemble(a.Name, a.Source)
+		p, err := asm.Assemble(t.App.Name, t.App.Source)
 		if err != nil {
 			return err
 		}
@@ -86,78 +78,47 @@ func RunSim(args []string, out io.Writer) error {
 		return nil
 	}
 
-	mutate := func(c *core.Config) {
-		if *fhb > 0 {
-			c.FHBSize = *fhb
-		}
-		if *fw > 0 {
-			c.FetchWidth = *fw
-		}
-		if *lsports > 0 {
-			c.LSPorts = *lsports
-			c.Mem.MSHRs = 4 * *lsports
-		}
+	overrides, err := parseEqu(*equ)
+	if err != nil {
+		return err
 	}
-	app, ok := workloads.ByName(*appName)
-	if !ok {
-		return fmt.Errorf("unknown application %q", *appName)
-	}
-	if *equ != "" {
-		overrides, err := parseEqu(*equ)
-		if err != nil {
-			return err
-		}
-		app = app.Override(overrides)
+	// The knob flags are the wire's configuration override, so they get
+	// the range checks mmtserved applies to submissions. Attribution is
+	// part of the task key, so a profiled run never collides with an
+	// unprofiled cache entry (and vice versa).
+	task, err := sim.TaskSpec{App: *appName, Equ: overrides, Preset: sim.Preset(*preset), Threads: *threads,
+		Attribution: *profileOut != "",
+		Config:      &sim.ConfigOverride{FHBSize: *fhb, FetchWidth: *fw, LSPorts: *lsports}}.Task()
+	if err != nil {
+		return err
 	}
 	if *precheck {
-		if err := Precheck(app); err != nil {
+		if err := Precheck(task.App); err != nil {
 			return err
 		}
 	}
 
-	var reg *obs.Registry
-	if *metricsAddr != "" {
-		reg = obs.NewRegistry()
-		srv, err := serveMetrics(*metricsAddr, reg, os.Stderr)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
+	reg := obs.NewRegistry()
+	stopMetrics, err := serveMetrics(*metricsAddr, reg, os.Stderr)
+	if err != nil {
+		return err
 	}
-
-	task := sim.Task{App: app, Preset: sim.Preset(*preset), Threads: *threads, Mutate: mutate}
-	// Attribution is part of the task key, so a profiled run never collides
-	// with an unprofiled cache entry (and vice versa).
-	task.Attribution = *profileOut != ""
-
+	defer stopMetrics()
+	closeSinks := func() error { return nil }
 	if *traceOut != "" || *eventsOut != "" {
-		// A traced run must actually simulate: the pool would serve a
-		// cache or memo hit without replaying the event stream, so run
-		// the task inline on this goroutine instead.
-		rec, closeSinks, err := openTraceSinks(*traceOut, *eventsOut, map[string]string{
+		// A traced run must actually simulate: a cache hit would not
+		// replay the event stream, so it runs with the cache off.
+		task.Trace, closeSinks, err = openTraceSinks(*traceOut, *eventsOut, map[string]string{
 			"version": Version(),
-			"app":     app.Name,
-			"preset":  *preset,
-			"threads": strconv.Itoa(*threads),
+			"app":     task.App.Name,
+			"preset":  string(task.Preset),
+			"threads": strconv.Itoa(task.Threads),
 		})
 		if err != nil {
 			return err
 		}
-		task.Trace = rec
 		task.SampleEvery = *sampleEvery
-		o, err := task.Execute()
-		if cerr := closeSinks(); cerr != nil && err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-		if err := writeOutcome(*outFile, o); err != nil {
-			return err
-		}
-		printResult(out, o.Result)
-		prof.PublishCoreStats(reg, o.Result.Stats)
-		return emitProfile(out, *profileOut, *profileTop, o)
+		*cacheDir = ""
 	}
 
 	// Even a single simulation goes through the runner, so mmtsim shares
@@ -167,14 +128,19 @@ func RunSim(args []string, out io.Writer) error {
 	// The job's spans feed the always-on flight ring; a captured worker
 	// panic or SIGQUIT dumps the ring to disk.
 	tracer := span.NewTracer("mmtsim", 0)
-	fl, _ := flf.build("mmtsim", tracer, nil, os.Stderr)
+	fl, _, stopDump := flf.build("mmtsim", tracer, nil, os.Stderr)
+	defer stopDump()
 	pool, err := runner.New(ctx, runner.Options{Workers: 1, CacheDir: *cacheDir, Timeout: *timeout,
 		Metrics: reg, Tracer: tracer, Flight: fl, FlightDumpDir: *flf.dumpDir})
 	if err != nil {
+		closeSinks()
 		return err
 	}
 	defer pool.Close()
 	o, err := pool.Do(task)
+	if cerr := closeSinks(); cerr != nil && err == nil {
+		err = cerr
+	}
 	if err != nil {
 		return err
 	}
@@ -183,28 +149,13 @@ func RunSim(args []string, out io.Writer) error {
 	}
 	printResult(out, o.Result)
 	prof.PublishCoreStats(reg, o.Result.Stats)
-	return emitProfile(out, *profileOut, *profileTop, o)
-}
-
-// emitProfile writes the outcome's attribution profile behind -profile-out
-// and prints its top-N report; path "" disables it.
-func emitProfile(out io.Writer, path string, topN int, o *sim.Outcome) error {
-	if path == "" {
+	if *profileOut == "" {
 		return nil
 	}
 	if o.Attribution == nil {
 		return fmt.Errorf("outcome has no attribution profile (produced by a pre-profiler build?)")
 	}
-	b, err := o.Attribution.Marshal()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintln(out)
-	prof.WriteReport(out, o.Attribution, topN)
-	return nil
+	return writeProfile(out, *profileOut, o.Attribution, *profileTop)
 }
 
 // writeOutcome writes the canonical outcome encoding behind -out; path ""
@@ -220,8 +171,12 @@ func writeOutcome(path string, o *sim.Outcome) error {
 	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
-// parseEqu parses "NAME=VAL,NAME=VAL" override lists.
+// parseEqu parses "NAME=VAL,NAME=VAL" override lists; "" overrides
+// nothing.
 func parseEqu(s string) (map[string]int64, error) {
+	if s == "" {
+		return nil, nil
+	}
 	out := make(map[string]int64)
 	for _, pair := range strings.Split(s, ",") {
 		name, val, ok := strings.Cut(strings.TrimSpace(pair), "=")

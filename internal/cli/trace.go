@@ -3,7 +3,6 @@ package cli
 import (
 	"context"
 	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -28,8 +27,7 @@ func RunTrace(args []string, stdout io.Writer) error {
 
 // runTrace is RunTrace with the warning stream exposed (for tests).
 func runTrace(args []string, stdout, progress io.Writer) error {
-	fs := flag.NewFlagSet("mmttrace", flag.ContinueOnError)
-	fs.SetOutput(stdout)
+	fs := newFlags("mmttrace", stdout)
 	var (
 		server  = fs.String("server", "http://127.0.0.1:8378", "router (or single mmtserved) base URL; fleet nodes are discovered via its /v1/cluster")
 		sources = fs.String("sources", "", "extra comma-separated base URLs to also fetch spans from (e.g. an mmtcached)")
@@ -38,14 +36,9 @@ func runTrace(args []string, stdout, progress io.Writer) error {
 		limit   = fs.Int("limit", 20, "how many traces to list without -slowest")
 		chrome  = fs.String("chrome", "", "also write the stitched trace as Chrome trace-event JSON (open in Perfetto)")
 		timeout = fs.Duration("timeout", 10*time.Second, "overall fetch timeout")
-		version = fs.Bool("version", false, "print version and exit")
 	)
-	if err := fs.Parse(args); err != nil {
+	if done, err := fs.parse(args); done || err != nil {
 		return err
-	}
-	if *version {
-		printVersion(stdout, "mmttrace")
-		return nil
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)

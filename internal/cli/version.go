@@ -1,9 +1,6 @@
 package cli
 
 import (
-	"fmt"
-	"io"
-	"runtime"
 	"runtime/debug"
 	"strings"
 )
@@ -46,9 +43,4 @@ func Version() string {
 		}
 	}
 	return v
-}
-
-// printVersion writes the line every command's -version flag produces.
-func printVersion(w io.Writer, cmd string) {
-	fmt.Fprintf(w, "%s %s %s\n", cmd, Version(), runtime.Version())
 }

@@ -2,7 +2,6 @@ package cli
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"strings"
@@ -17,20 +16,14 @@ var defaultVetRoots = []string{"mmt/internal/core", "mmt/internal/sim"}
 // RunVet is the mmtvet command: the determinism linter over the
 // simulation packages' import closure.
 func RunVet(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("mmtvet", flag.ContinueOnError)
-	fs.SetOutput(out)
+	fs := newFlags("mmtvet", out)
 	var (
-		dir     = fs.String("dir", ".", "module root (where go.mod lives)")
-		roots   = fs.String("roots", strings.Join(defaultVetRoots, ","), "comma-separated root import paths whose closure is checked")
-		format  = fs.String("format", "text", "output format: text or json")
-		version = fs.Bool("version", false, "print version and exit")
+		dir    = fs.String("dir", ".", "module root (where go.mod lives)")
+		roots  = fs.String("roots", strings.Join(defaultVetRoots, ","), "comma-separated root import paths whose closure is checked")
+		format = fs.String("format", "text", "output format: text or json")
 	)
-	if err := fs.Parse(args); err != nil {
+	if done, err := fs.parse(args); done || err != nil {
 		return err
-	}
-	if *version {
-		printVersion(out, "mmtvet")
-		return nil
 	}
 	if *format != "text" && *format != "json" {
 		return fmt.Errorf("unknown -format %q (want text or json)", *format)

@@ -288,6 +288,7 @@ func checkNoFreeUopReachable(c *Core) error {
 func TestFuzzRegressions(t *testing.T) {
 	for _, seed := range []int64{131} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			t.Parallel() // seeds share no state
 			runFuzzCase(t, seed)
 		})
 	}
@@ -301,6 +302,7 @@ func TestFuzzDifferential(t *testing.T) {
 	for seed := int64(1); seed <= int64(n); seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			t.Parallel() // seeds share no state
 			runFuzzCase(t, seed)
 		})
 	}

@@ -177,13 +177,19 @@ func FetchDump(ctx context.Context, hc *http.Client, base string) (Dump, error) 
 // under dir before the process exits with the conventional status 2 and a
 // goroutine stack dump on stderr — the black-box lands on disk exactly
 // when an operator (or orchestrator) kills a wedged node. Returns the path
-// the dump will be written to.
-func InstallSignalDump(r *Recorder, dir string, logw io.Writer) string {
-	path := DumpPath(dir, r.Service(), os.Getpid())
+// the dump will be written to, and the function that uninstalls the
+// handler, so a finished run's ring is never dumped. Call stop once.
+func InstallSignalDump(r *Recorder, dir string, logw io.Writer) (path string, stop func()) {
+	path = DumpPath(dir, r.Service(), os.Getpid())
 	c := make(chan os.Signal, 1)
+	done := make(chan struct{})
 	signal.Notify(c, syscall.SIGQUIT)
 	go func() {
-		<-c
+		select {
+		case <-c:
+		case <-done:
+			return
+		}
 		if err := r.WriteDump(path, "SIGQUIT"); err == nil {
 			if logw != nil {
 				fmt.Fprintf(logw, "flight: SIGQUIT dump written to %s\n", path)
@@ -198,5 +204,8 @@ func InstallSignalDump(r *Recorder, dir string, logw io.Writer) string {
 		os.Stderr.Write(buf[:n]) //nolint:errcheck // best-effort, exiting
 		os.Exit(2)
 	}()
-	return path
+	return path, func() {
+		signal.Stop(c)
+		close(done)
+	}
 }

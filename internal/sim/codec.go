@@ -218,25 +218,11 @@ func (s TaskSpec) Task() (Task, error) {
 	if len(s.Equ) > 0 {
 		app = app.Override(s.Equ)
 	}
-	preset := s.Preset
-	if preset == "" {
-		preset = PresetMMTFXR
-	}
-	threads := s.Threads
-	if threads == 0 {
-		threads = 2
-	}
 	if s.Attribution && s.Profile {
 		return Task{}, fmt.Errorf("sim: attribution requires a timing simulation, not a trace-alignment profile")
 	}
-	t := Task{
-		App:         app,
-		Preset:      preset,
-		Threads:     threads,
-		Profile:     s.Profile,
-		MaxInsts:    s.MaxInsts,
-		Attribution: s.Attribution,
-	}
+	t := s.named()
+	t.App, t.MaxInsts, t.Attribution = app, s.MaxInsts, s.Attribution
 	if ov := s.Config; !ov.zero() {
 		// Validate here too: specs built in-process never pass through the
 		// strict JSON decoder.
@@ -257,16 +243,19 @@ func (s TaskSpec) Task() (Task, error) {
 
 // Name returns the resolved task's display label without building the
 // workload (for error paths where Task() already failed).
-func (s TaskSpec) Name() string {
-	t := Task{App: workloads.App{Name: s.App}, Preset: s.Preset, Threads: s.Threads,
-		Profile: s.Profile}
+func (s TaskSpec) Name() string { return s.named().Name() }
+
+// named is the task the spec names, with the defaults applied (MMT-FXR,
+// 2 threads) and only the workload's name resolved.
+func (s TaskSpec) named() Task {
+	t := Task{App: workloads.App{Name: s.App}, Preset: s.Preset, Threads: s.Threads, Profile: s.Profile}
 	if t.Preset == "" {
 		t.Preset = PresetMMTFXR
 	}
 	if t.Threads == 0 {
 		t.Threads = 2
 	}
-	return t.Name()
+	return t
 }
 
 // Validate checks the outcome's shape: exactly one of Result or Profile

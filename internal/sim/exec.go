@@ -62,7 +62,8 @@ type Task struct {
 	// cycles (0 disables sampling). Tracing never changes the simulated
 	// outcome, so it is NOT part of the key — but executors that serve
 	// outcomes from a cache or memo never replay the event stream, so
-	// traced tasks must Execute directly. Ignored by Profile tasks.
+	// traced tasks must run where neither can answer (Execute, or a fresh
+	// pool without a persistent cache). Ignored by Profile tasks.
 	Trace       obs.Recorder
 	SampleEvery uint64
 	// Attribution attaches a per-PC attribution profiler (internal/prof)
@@ -188,21 +189,37 @@ func (t Task) phase(name string) func() {
 	return t.Phase(name)
 }
 
+// system builds the task's program system, inside the "build" phase.
+func (t Task) system() (*prog.System, error) {
+	defer t.phase("build")()
+	if t.Build != nil {
+		return t.Build()
+	}
+	return t.App.Build(t.Threads, t.Preset.IdenticalInputs())
+}
+
+// Core builds the task's simulated machine, ready to step: the resolved
+// configuration, the built system, and the core around them.
+func (t Task) Core() (*core.Core, error) {
+	cfg, err := t.ResolvedConfig()
+	if err != nil {
+		return nil, err
+	}
+	sys, err := t.system()
+	if err != nil {
+		return nil, err
+	}
+	return core.New(cfg, sys)
+}
+
 // Execute runs the task to completion on the calling goroutine.
 func (t Task) Execute() (*Outcome, error) {
-	build := t.Build
-	if build == nil {
-		app, threads, ident := t.App, t.Threads, t.Preset.IdenticalInputs()
-		build = func() (*prog.System, error) { return app.Build(threads, ident) }
-	}
 	if t.Profile {
-		leave := t.phase("build")
-		sys, err := build()
-		leave()
+		sys, err := t.system()
 		if err != nil {
 			return nil, err
 		}
-		leave = t.phase("run")
+		leave := t.phase("run")
 		prof, err := trace.ProfileSystem(sys, t.MaxInsts, trace.DefaultAlignConfig())
 		leave()
 		if err != nil {
@@ -210,17 +227,7 @@ func (t Task) Execute() (*Outcome, error) {
 		}
 		return &Outcome{Profile: prof}, nil
 	}
-	cfg, err := t.ResolvedConfig()
-	if err != nil {
-		return nil, err
-	}
-	leave := t.phase("build")
-	sys, err := build()
-	leave()
-	if err != nil {
-		return nil, err
-	}
-	c, err := core.New(cfg, sys)
+	c, err := t.Core()
 	if err != nil {
 		return nil, err
 	}
@@ -232,7 +239,7 @@ func (t Task) Execute() (*Outcome, error) {
 		profiler = prof.New()
 		c.AttachProbe(profiler)
 	}
-	leave = t.phase("run")
+	leave := t.phase("run")
 	st, err := c.Run()
 	leave()
 	if err != nil {

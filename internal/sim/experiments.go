@@ -279,7 +279,7 @@ var FHBSizes = []int{8, 16, 32, 64, 128}
 
 // fhbMutate returns the Fig. 7(a)/(c) configuration hook for one size.
 func fhbMutate(size int) func(*core.Config) {
-	return func(c *core.Config) { c.FHBSize = size }
+	return (&ConfigOverride{FHBSize: size}).apply
 }
 
 // Fig7aRow is one application's speedup over Base per FHB size.
@@ -358,12 +358,10 @@ func Figure7c(ex Exec, apps []workloads.App, threads int) ([]Fig7cRow, error) {
 // in the paper.
 var LSPortCounts = []int{2, 4, 6, 8, 12}
 
-// lsPortMutate returns the Fig. 7(b) configuration hook for one port count.
+// lsPortMutate returns the Fig. 7(b) configuration hook for one port
+// count (MSHRs scale with the ports).
 func lsPortMutate(ports int) func(*core.Config) {
-	return func(c *core.Config) {
-		c.LSPorts = ports
-		c.Mem.MSHRs = 4 * ports
-	}
+	return (&ConfigOverride{LSPorts: ports}).apply
 }
 
 // Figure7b sweeps load/store ports and returns the geomean MMT speedup
@@ -404,7 +402,7 @@ var FetchWidths = []int{4, 8, 16, 32}
 
 // fetchWidthMutate returns the Fig. 7(d) configuration hook for one width.
 func fetchWidthMutate(w int) func(*core.Config) {
-	return func(c *core.Config) { c.FetchWidth = w }
+	return (&ConfigOverride{FetchWidth: w}).apply
 }
 
 // Figure7d sweeps the fetch width and returns the geomean MMT speedup over
