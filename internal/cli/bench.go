@@ -93,11 +93,12 @@ func runBench(args []string, stdout, progress io.Writer) (runner.Summary, error)
 	if err != nil {
 		return runner.Summary{}, err
 	}
-	// Every job's spans feed the always-on flight ring (and -trace-out); a
+	// Every job's spans stream to -trace-out and ride in flight dumps; a
 	// captured worker panic or SIGQUIT dumps the ring to disk.
 	opts.Tracer = span.NewTracer("mmtbench", 0)
+	opts.Tracer.SetObserver(jt.observe)
 	var stopDump func()
-	opts.Flight, _, stopDump = flf.build("mmtbench", opts.Tracer, jt.observe, progress)
+	opts.Flight, _, stopDump = flf.build("mmtbench", opts.Tracer, progress)
 	defer stopDump()
 	opts.FlightDumpDir = *flf.dumpDir
 	// -bench-json and -profile-out observe the experiment stream through a

@@ -32,10 +32,10 @@ func runCached(args []string, stdout, progress io.Writer, ready func(addr string
 		return errors.New("-dir is required (entry directory)")
 	}
 
-	return d.serve(ready, nil, func(env daemonEnv) (*node, error) {
+	return d.serve(ready, func(env daemonEnv) (*node, error) {
 		srv, err := cluster.NewCacheServer(cluster.CacheServerOptions{
 			Dir: *dir, MaxBytes: *maxBytes,
-			Metrics: env.Metrics, Tracer: env.Tracer, Log: env.Log, Flight: env.Flight, Debug: env.Debug,
+			Metrics: env.Metrics, Tracer: env.Tracer, Log: env.Log,
 		})
 		if err != nil {
 			return nil, err

@@ -67,8 +67,7 @@ type daemonEnv struct {
 	Tracer  *span.Tracer  // labeled name@Addr, so a fleet waterfall names the node
 	Log     *slog.Logger  // feeds the flight ring; carries the service name
 	Flight  *flight.Recorder
-	Debug   http.Handler // the GET /v1/debug/ mux
-	DumpDir string       // -flight-dump-dir
+	DumpDir string // -flight-dump-dir
 }
 
 // node is a daemon's server as the lifecycle drives it.
@@ -86,12 +85,12 @@ type node struct {
 // serve runs the daemon until SIGINT/SIGTERM. It starts the -metrics-addr
 // side port, binds -addr before the server exists — so the tracer's
 // service label carries the bound address — and builds the tracer, the
-// diagnostics stack (whose flight ring sees every finished span, as does
-// also when non-nil) and the wrapped logger. start then constructs the
-// server. serve announces it, calls ready with the bound address, and
-// serves until a signal, or until serving fails. Every resource is
-// closed exactly once.
-func (d *daemon) serve(ready func(addr string), also func(span.Record), start func(daemonEnv) (*node, error)) error {
+// diagnostics stack (whose flight dumps carry the tracer's spans) and the
+// wrapped logger. start then constructs the server. serve announces it,
+// calls ready with the bound address, and serves until a signal, or until
+// serving fails, with GET /v1/debug/ in front of the server. Every
+// resource is closed exactly once.
+func (d *daemon) serve(ready func(addr string), start func(daemonEnv) (*node, error)) error {
 	env := daemonEnv{Metrics: obs.NewRegistry(), DumpDir: *d.debug.flight.dumpDir}
 	stopMetrics, err := serveMetrics(*d.metricsAddr, env.Metrics, d.progress)
 	if err != nil {
@@ -105,10 +104,10 @@ func (d *daemon) serve(ready func(addr string), also func(span.Record), start fu
 	env.Addr = ln.Addr().String()
 	service := d.Name() + "@" + env.Addr
 	env.Tracer = span.NewTracer(service, span.DefaultCapacity)
-	st := d.debug.build(service, d.FlagSet, env.Metrics, env.Tracer, also, d.logger, d.progress)
+	st := d.debug.build(service, d.FlagSet, env.Metrics, env.Tracer, d.logger, d.progress)
 	defer st.Close()
 	env.Log = st.Wrap(d.logger).With("service", d.Name())
-	env.Flight, env.Debug = st.Flight, st.Handler
+	env.Flight = st.Flight
 	n, err := start(env)
 	if err != nil {
 		ln.Close()
@@ -123,7 +122,10 @@ func (d *daemon) serve(ready func(addr string), also func(span.Record), start fu
 		ready(env.Addr)
 	}
 
-	httpSrv := &http.Server{Handler: n}
+	mux := http.NewServeMux()
+	mux.Handle("GET /v1/debug/", st.Handler)
+	mux.Handle("/", n)
+	httpSrv := &http.Server{Handler: mux}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }() // Serve closes ln
 	var sig os.Signal

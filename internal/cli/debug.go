@@ -37,36 +37,27 @@ func addDebugFlags(fs *flag.FlagSet) debugOptions {
 	}
 }
 
-// flightOptions carries the flight-recorder flags shared by the batch
-// tools (mmtsim, mmtbench) and the daemons: the black-box ring and its
-// SIGQUIT/panic dumps.
+// flightOptions carries the flight-recorder flag shared by the batch
+// tools (mmtsim, mmtbench) and the daemons: where the black box's
+// SIGQUIT/panic dumps land.
 type flightOptions struct {
-	entries *int
 	dumpDir *string
 }
 
-// addFlightFlags registers -flight-entries and -flight-dump-dir on fs.
+// addFlightFlags registers -flight-dump-dir on fs.
 func addFlightFlags(fs *flag.FlagSet) flightOptions {
 	return flightOptions{
-		entries: fs.Int("flight-entries", flight.DefaultCapacity, "flight recorder ring capacity (entries)"),
 		dumpDir: fs.String("flight-dump-dir", os.TempDir(), "where SIGQUIT/panic flight dumps land (empty = no dumps; the ring stays live)"),
 	}
 }
 
-// build creates the ring, marks the process start, installs the SIGQUIT
-// dump handler and routes every span the tracer finishes into the ring —
-// and into also, when non-nil. It returns the ring, where a SIGQUIT dump
-// will land ("" when dumps are off) and the function that uninstalls the
-// handler.
-func (o flightOptions) build(service string, tracer *span.Tracer, also func(span.Record), progress io.Writer) (*flight.Recorder, string, func()) {
-	fl := flight.New(service, *o.entries)
+// build creates the ring, whose dumps carry the tracer's spans, marks the
+// process start and installs the SIGQUIT dump handler. It returns the
+// ring, where a SIGQUIT dump will land ("" when dumps are off) and the
+// function that uninstalls the handler.
+func (o flightOptions) build(service string, tracer *span.Tracer, progress io.Writer) (*flight.Recorder, string, func()) {
+	fl := flight.New(service, flight.DefaultCapacity, tracer)
 	fl.Mark("process start: " + service)
-	tracer.SetObserver(func(r span.Record) {
-		fl.SpanRef(r.Name, r.TraceID, r.StartUNS, r.DurNS)
-		if also != nil {
-			also(r)
-		}
-	})
 	if *o.dumpDir == "" {
 		return fl, "", func() {}
 	}
@@ -79,20 +70,20 @@ type debugStack struct {
 	Flight   *flight.Recorder
 	Profiler *profiled.Profiler
 	History  *history.Sampler
-	Handler  http.Handler // the GET /v1/debug/ mux (profiles, metrics, config)
+	Handler  http.Handler // the GET /v1/debug/ mux (flight, profiles, metrics, config)
 	DumpPath string       // where a SIGQUIT dump will land ("" when dumps are off)
 	stopDump func()       // uninstalls the SIGQUIT dump handler
 }
 
-// build assembles the stack for a daemon: the flight ring (always on, fed
-// the tracer's spans and, through also, any other span consumer), the
-// profiler and metrics-history samplers (flag-gated), the SIGQUIT dump
-// handler, and the /v1/debug/ mux. service is the fleet-visible label
-// ("mmtserved@host:port"); fs is the parsed flag set, rendered at
-// GET /v1/debug/config so a bundle records the node's exact configuration.
-func (o debugOptions) build(service string, fs *flag.FlagSet, reg *obs.Registry, tracer *span.Tracer, also func(span.Record), logger *slog.Logger, progress io.Writer) *debugStack {
+// build assembles the stack for a daemon: the flight ring (always on, its
+// dumps carrying the tracer's spans), the profiler and metrics-history
+// samplers (flag-gated), the SIGQUIT dump handler, and the /v1/debug/
+// mux. service is the fleet-visible label ("mmtserved@host:port"); fs is
+// the parsed flag set, rendered at GET /v1/debug/config so a bundle
+// records the node's exact configuration.
+func (o debugOptions) build(service string, fs *flag.FlagSet, reg *obs.Registry, tracer *span.Tracer, logger *slog.Logger, progress io.Writer) *debugStack {
 	st := &debugStack{}
-	st.Flight, st.DumpPath, st.stopDump = o.flight.build(service, tracer, also, progress)
+	st.Flight, st.DumpPath, st.stopDump = o.flight.build(service, tracer, progress)
 	if *o.profileEvery > 0 {
 		st.Profiler = profiled.New(service, profiled.Options{
 			Every:       *o.profileEvery,
@@ -109,6 +100,7 @@ func (o debugOptions) build(service string, fs *flag.FlagSet, reg *obs.Registry,
 	}
 
 	mux := http.NewServeMux()
+	mux.Handle("GET /v1/debug/flight", st.Flight)
 	if st.Profiler != nil {
 		mux.Handle("GET /v1/debug/profiles", st.Profiler)
 	}

@@ -42,7 +42,7 @@ func runRouter(args []string, stdout, progress io.Writer, ready func(addr string
 		return err
 	}
 
-	return d.serve(ready, nil, func(env daemonEnv) (*node, error) {
+	return d.serve(ready, func(env daemonEnv) (*node, error) {
 		rt, err := cluster.NewRouter(cluster.RouterOptions{
 			Nodes:          nodes,
 			ProbeEvery:     *probeEvery,
@@ -50,7 +50,7 @@ func runRouter(args []string, stdout, progress io.Writer, ready func(addr string
 			StealThreshold: *stealAt,
 			StealMax:       *stealMax,
 			PlacementTTL:   *placementTTL,
-			Metrics:        env.Metrics, Tracer: env.Tracer, Log: env.Log, Flight: env.Flight, Debug: env.Debug,
+			Metrics:        env.Metrics, Tracer: env.Tracer, Log: env.Log,
 		})
 		if err != nil {
 			return nil, err

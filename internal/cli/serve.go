@@ -52,20 +52,21 @@ func runServe(args []string, stdout, progress io.Writer, ready func(addr string)
 	// deadline expires or a second signal arrives.
 	rootCtx, abort := context.WithCancel(context.Background())
 	defer abort()
-	// Finished spans stream to -trace-out as well as the flight ring.
 	jt, err := openJobTrace(*traceOut, "mmtserved runner",
 		map[string]string{"version": Version(), "workers": strconv.Itoa(ropts.Workers)})
 	if err != nil {
 		return err
 	}
-	err = d.serve(ready, jt.observe, func(env daemonEnv) (*node, error) {
-		ropts.FlightDumpDir = env.DumpDir
+	err = d.serve(ready, func(env daemonEnv) (*node, error) {
+		env.Tracer.SetObserver(jt.observe)
+		// A captured worker panic lands in the flight ring and dumps it.
+		ropts.Flight, ropts.FlightDumpDir = env.Flight, env.DumpDir
 		srv, err := serve.New(rootCtx, serve.Options{
 			Runner:          ropts,
 			MaxQueue:        *queue,
 			DefaultDeadline: *deadline,
 			Precheck:        *precheck,
-			Metrics:         env.Metrics, Tracer: env.Tracer, Log: env.Log, Flight: env.Flight, Debug: env.Debug,
+			Metrics:         env.Metrics, Tracer: env.Tracer, Log: env.Log,
 		})
 		if err != nil {
 			return nil, err

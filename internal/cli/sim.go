@@ -125,10 +125,10 @@ func RunSim(args []string, out io.Writer) error {
 	// mmtbench's persistent cache, timeout and panic isolation.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	// The job's spans feed the always-on flight ring; a captured worker
-	// panic or SIGQUIT dumps the ring to disk.
+	// The job's spans ride in flight dumps; a captured worker panic or
+	// SIGQUIT dumps the ring to disk.
 	tracer := span.NewTracer("mmtsim", 0)
-	fl, _, stopDump := flf.build("mmtsim", tracer, nil, os.Stderr)
+	fl, _, stopDump := flf.build("mmtsim", tracer, os.Stderr)
 	defer stopDump()
 	pool, err := runner.New(ctx, runner.Options{Workers: 1, CacheDir: *cacheDir, Timeout: *timeout,
 		Metrics: reg, Tracer: tracer, Flight: fl, FlightDumpDir: *flf.dumpDir})

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"mmt/internal/obs"
-	"mmt/internal/obs/flight"
 	"mmt/internal/obs/span"
 	"mmt/internal/runner"
 )
@@ -35,15 +34,9 @@ type CacheServerOptions struct {
 	// GET /v1/spans.
 	Tracer *span.Tracer
 	// Log, when non-nil, receives request-scoped structured log lines
-	// stamped with trace and span ids. Nil discards.
+	// stamped with trace and span ids; rejected entries log a warning.
+	// Nil discards.
 	Log *slog.Logger
-	// Flight, when non-nil, is the process flight recorder: entry rejects
-	// land in its ring as marks and it is served at GET /v1/debug/flight.
-	Flight *flight.Recorder
-	// Debug, when non-nil, is mounted under GET /v1/debug/ — continuous
-	// profiles, metrics history, resolved config. The flight ring's exact
-	// route wins over this prefix.
-	Debug http.Handler
 }
 
 // CacheServer is the content-addressed remote result cache behind
@@ -64,7 +57,6 @@ type CacheServer struct {
 	mux    *http.ServeMux
 	met    *cacheMetrics
 	tracer *span.Tracer
-	flight *flight.Recorder
 	log    *slog.Logger
 	start  time.Time
 }
@@ -102,7 +94,7 @@ func NewCacheServer(opts CacheServerOptions) (*CacheServer, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &CacheServer{store: store, met: met, tracer: opts.Tracer, flight: opts.Flight, log: opts.Log, start: time.Now()}
+	s := &CacheServer{store: store, met: met, tracer: opts.Tracer, log: opts.Log, start: time.Now()}
 	if s.log == nil {
 		s.log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
@@ -116,13 +108,6 @@ func NewCacheServer(opts CacheServerOptions) (*CacheServer, error) {
 	}
 	if opts.Metrics != nil {
 		mux.Handle("GET /metrics", opts.Metrics)
-	}
-	if opts.Debug != nil {
-		mux.Handle("GET /v1/debug/", opts.Debug)
-	}
-	if opts.Flight != nil {
-		// The exact route wins over the Debug prefix above.
-		mux.Handle("GET /v1/debug/flight", opts.Flight)
 	}
 	s.mux = mux
 	return s, nil
@@ -206,9 +191,10 @@ func (s *CacheServer) handlePut(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *CacheServer) reject(w http.ResponseWriter, status int, format string, args ...any) {
+	msg := fmt.Sprintf(format, args...)
 	s.met.rejects.Inc()
-	s.flight.MarkErr("cache entry rejected", fmt.Sprintf(format, args...))
-	writeError(w, status, 0, format, args...)
+	s.log.Warn("cache entry rejected", "error", msg)
+	writeError(w, status, 0, "%s", msg)
 }
 
 func (s *CacheServer) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strings"
 	"testing"
 
 	"mmt/internal/obs"
+	"mmt/internal/obs/flight"
 	"mmt/internal/runner"
 )
 
@@ -100,7 +104,9 @@ func cacheStatsMatch(t *testing.T, cs CacheStats, reg *obs.Registry) {
 // with 400 so a bad client cannot poison the shared store.
 func TestCacheServerRoundTrip(t *testing.T) {
 	reg := obs.NewRegistry()
-	srv, hs := startCacheServer(t, CacheServerOptions{Metrics: reg})
+	fl := flight.New("mmtcached-test", 64, nil)
+	srv, hs := startCacheServer(t, CacheServerOptions{Metrics: reg,
+		Log: slog.New(flight.NewLogHandler(slog.NewTextHandler(io.Discard, nil), fl))})
 	cli := NewCacheClient(hs.URL, nil)
 	ctx := context.Background()
 
@@ -147,6 +153,16 @@ func TestCacheServerRoundTrip(t *testing.T) {
 	cacheStatsMatch(t, cs, reg)
 	if srv.Store().Len() != 1 {
 		t.Errorf("store holds %d entries, want 1", srv.Store().Len())
+	}
+	// Each reject is a warning, which a flight-wrapped logger lands in the ring.
+	var warned int
+	for _, e := range fl.Entries() {
+		if e.Kind == flight.KindLog && strings.Contains(e.Name, "cache entry rejected") && int(e.Arg)-8 == int(slog.LevelWarn) {
+			warned++
+		}
+	}
+	if warned != int(cs.Rejects) {
+		t.Errorf("%d reject warnings in the flight ring, want %d", warned, cs.Rejects)
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"mmt/internal/obs"
-	"mmt/internal/obs/flight"
 	"mmt/internal/obs/span"
 	"mmt/internal/serve"
 	"mmt/internal/serve/client"
@@ -57,14 +56,6 @@ type RouterOptions struct {
 	// Log, when non-nil, receives structured request-scoped log lines
 	// stamped with trace/span ids. Nil discards them.
 	Log *slog.Logger
-	// Flight, when non-nil, is the router's flight recorder: routing edges
-	// (forwards, re-routes, backends marked down) land in its ring and it
-	// is served at GET /v1/debug/flight.
-	Flight *flight.Recorder
-	// Debug, when non-nil, is mounted under GET /v1/debug/ — continuous
-	// profiles, metrics history, resolved config. The flight ring's exact
-	// route wins over this prefix.
-	Debug http.Handler
 }
 
 // nodeState is a backend's probed lifecycle position.
@@ -249,13 +240,6 @@ func (rt *Router) routes() *http.ServeMux {
 	if rt.opts.Metrics != nil {
 		mux.Handle("GET /metrics", rt.opts.Metrics)
 	}
-	if rt.opts.Debug != nil {
-		mux.Handle("GET /v1/debug/", rt.opts.Debug)
-	}
-	if rt.opts.Flight != nil {
-		// The exact route wins over the Debug prefix above.
-		mux.Handle("GET /v1/debug/flight", rt.opts.Flight)
-	}
 	return mux
 }
 
@@ -407,7 +391,6 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			sub.SetAttr("job", st.ID)
 			sub.SetAttr("node", b.node.Name)
 			rt.met.submitLatency.ObserveWithExemplar(time.Since(start), st.TraceID)
-			rt.opts.Flight.Admit(st.ID, routeVerdict(b.node.Name, info), st.TraceID)
 			rt.log.Info("job routed", "job", st.ID, "node", b.node.Name,
 				"pinned", info.pinned, "rerouted", info.rerouted, "stolen", info.stolen,
 				"trace", st.TraceID, "span", sub.Context().SpanID)
@@ -432,25 +415,11 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		rt.countError()
 		b.markDown(err)
 		rt.dropPlacement(key, b)
-		rt.opts.Flight.MarkErr("backend down, re-placing: "+b.node.Name, err.Error())
 		rt.log.Warn("backend down, re-placing", "node", b.node.Name,
 			"error", err.Error(), "trace", req.TraceID)
 	}
 	sub.SetAttr("error", "all backends unreachable")
 	writeError(w, http.StatusBadGateway, 0, "all backends unreachable")
-}
-
-// routeVerdict renders a forward's placement decision for the flight
-// ring's admission slot: "routed:node", plus rerouted/stolen markers.
-func routeVerdict(node string, info routeInfo) string {
-	v := "routed:" + node
-	if info.rerouted {
-		v += " rerouted"
-	}
-	if info.stolen {
-		v += " stolen"
-	}
-	return v
 }
 
 // recordSubmit books a successful forward: job routing (with the job's

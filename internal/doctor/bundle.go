@@ -15,7 +15,7 @@ import (
 //	cluster.json             the router's /v1/cluster snapshot (when routed)
 //	triage.txt, triage.json  the distilled report
 //	nodes/<service>/
-//	    flight.json          the node's flight ring (mmtdoctor -from-dump renders it)
+//	    flight.json          the node's flight dump (mmtdoctor -from-dump renders it)
 //	    metrics.json         the node's in-process metrics time series
 //	    profiles.json        continuous-profiler capture index
 //	    cpu-merged.json      merged top-frames report over recent CPU captures

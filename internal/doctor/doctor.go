@@ -173,8 +173,8 @@ func Discover(ctx context.Context, server string, sources []string) (eps []strin
 // collectNode pulls one process's whole debug surface. The flight ring is
 // the liveness probe: without it the node is reported unreachable.
 func collectNode(ctx context.Context, opts *Options, base string) *NodeDiag {
-	d, err := flight.FetchDump(ctx, nil, base)
-	if err != nil {
+	var d flight.Dump
+	if err := fetchJSON(ctx, base+"/v1/debug/flight", &d); err != nil {
 		return nil
 	}
 	n := &NodeDiag{Base: base, Service: d.Service, Flight: &d}

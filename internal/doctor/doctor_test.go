@@ -19,14 +19,17 @@ import (
 	"mmt/internal/serve"
 )
 
-// fakeNode serves one synthetic debug surface: a real flight ring plus
-// hand-rolled history, profile, config and span endpoints.
+// fakeNode serves one synthetic debug surface: a real flight ring over a
+// real span ring, plus hand-rolled history, profile, config and span
+// endpoints.
 func fakeNode(t *testing.T, service string, withPanic bool) *httptest.Server {
 	t.Helper()
-	fl := flight.New(service, 32)
+	tr := span.NewTracer(service, 16)
+	fl := flight.New(service, 32, tr)
 	fl.Mark("process start")
-	fl.Admit("job-1", "queued", "t-slow")
-	fl.Complete("job-1", "t-slow", 50*time.Millisecond, "")
+	sp := tr.Start(span.SpanContext{TraceID: "t-slow"}, "serve.flight")
+	sp.SetAttr("job", "job-1")
+	sp.End()
 	if withPanic {
 		fl.Panic("task", "sha256:abc", "t-crash", "boom")
 	}
@@ -203,6 +206,15 @@ func TestCollectAndWriteBundle(t *testing.T) {
 	}
 	if len(d.Panics()) != 1 {
 		t.Errorf("bundled dump panics = %d", len(d.Panics()))
+	}
+	var job bool
+	for _, e := range d.Entries {
+		if e.Kind == flight.KindSpan && e.Name == "serve.flight" && e.Attrs["job"] == "job-1" {
+			job = true
+		}
+	}
+	if !job {
+		t.Errorf("bundled dump lost the span ring's serve.flight row: %+v", d.Entries)
 	}
 }
 

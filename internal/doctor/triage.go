@@ -74,7 +74,7 @@ func triage(b *Bundle, topFrames int) *Triage {
 		t.nodeFrames(n, topFrames)
 		t.nodePanics(n)
 		if n.Flight != nil && n.Flight.Dropped > 0 {
-			t.Notes = append(t.Notes, fmt.Sprintf("%s: flight ring overwrote %d older entries",
+			t.Notes = append(t.Notes, fmt.Sprintf("%s: flight and span rings overwrote %d older entries",
 				n.Service, n.Flight.Dropped))
 		}
 		for _, e := range n.Errors {

@@ -1,7 +1,6 @@
 package flight
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -13,13 +12,17 @@ import (
 	"strings"
 	"syscall"
 	"time"
+
+	"mmt/internal/obs/span"
 )
 
 // DumpSchema versions the on-disk dump format.
 const DumpSchema = 1
 
-// Dump is a flight ring frozen at one instant: what the process's recent
-// past looked like when it panicked, was SIGQUIT'd, or was scraped.
+// Dump is a flight ring and the span ring frozen at one instant: what
+// the process's recent past looked like when it panicked, was SIGQUIT'd,
+// or was scraped. Dropped counts the older entries both rings have
+// overwritten.
 type Dump struct {
 	Schema   int     `json:"schema"`
 	Service  string  `json:"service"`
@@ -89,16 +92,9 @@ func (d Dump) Render(w io.Writer) {
 func (e Entry) detail() string {
 	switch e.Kind {
 	case KindSpan:
-		return fmt.Sprintf("%.3fms", float64(e.Dur)/1e6)
+		return fmt.Sprintf("%.3fms", float64(e.Dur)/1e6) + span.FormatAttrs(e.Attrs)
 	case KindLog:
 		return "level=" + levelName(int(e.Arg)-8)
-	case KindAdmit:
-		return e.Err
-	case KindComplete:
-		if e.Err != "" {
-			return fmt.Sprintf("%.3fms error: %s", float64(e.Dur)/1e6, e.Err)
-		}
-		return fmt.Sprintf("%.3fms ok", float64(e.Dur)/1e6)
 	case KindPanic:
 		return "PANIC: " + e.Err
 	default:
@@ -145,32 +141,6 @@ func (r *Recorder) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	enc.Encode(d) //nolint:errcheck // client went away; nothing to do
-}
-
-// FetchDump GETs one process's flight ring from its /v1/debug/flight
-// endpoint.
-func FetchDump(ctx context.Context, hc *http.Client, base string) (Dump, error) {
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		strings.TrimRight(base, "/")+"/v1/debug/flight", nil)
-	if err != nil {
-		return Dump{}, err
-	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		return Dump{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return Dump{}, fmt.Errorf("flight: GET %s/v1/debug/flight: status %d", base, resp.StatusCode)
-	}
-	var d Dump
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(&d); err != nil {
-		return Dump{}, err
-	}
-	return d, nil
 }
 
 // InstallSignalDump arranges for SIGQUIT to write the ring to a dump file

@@ -1,43 +1,40 @@
 // Package flight is the fleet's black-box recorder: an always-on, bounded,
-// allocation-free-on-the-hot-path ring of the most recent observability
-// entries in one process — finished span references (the job timeline,
-// fed from a span.Tracer observer), structured log lines, job
-// admission/completion edges, and captured panics. When a node stalls or
-// dies *after the fact*, the ring is the replay: it is served live at
-// GET /v1/debug/flight, dumped to disk on SIGQUIT or a captured worker
+// allocation-free ring of what no other store in the process holds —
+// marks, structured log lines and captured panics. A dump joins that ring
+// with the process's span ring (the job timeline), read at the moment the
+// dump is taken, so each fact is recorded once. When a node stalls or
+// dies *after the fact*, the dump is the replay: it is served live at
+// GET /v1/debug/flight, written to disk on SIGQUIT or a captured worker
 // panic, and rendered offline by `mmtdoctor -from-dump`.
 //
 // Recording copies fixed-size values into a preallocated slot under a
-// mutex: no allocation, no I/O, no encoding — the ring costs the hot path
-// one lock and a struct copy. Every method on a nil *Recorder is a no-op.
+// mutex: no allocation, no I/O, no encoding — the ring costs one lock and
+// a struct copy. Every method on a nil *Recorder is a no-op.
 package flight
 
 import (
 	"os"
+	"sort"
 	"sync"
 	"time"
+
+	"mmt/internal/obs/span"
 )
 
 // Kind classifies one ring entry.
 type Kind uint8
 
 const (
-	// KindMark is a free-form annotation (process start, config reload,
-	// route decisions, cache rejections).
+	// KindMark is a free-form annotation (process start, a captured
+	// panic's task key).
 	KindMark Kind = iota
-	// KindSpan is a finished distributed span reference: Name is the span
-	// name, Trace its trace id, TS its start (unix ns), Dur its duration
-	// in ns.
+	// KindSpan is a finished span, read from the span ring when a dump is
+	// taken: Name is the span name, Trace its trace id, TS its start
+	// (unix ns), Dur its duration in ns, Attrs its attributes.
 	KindSpan
 	// KindLog is a structured log line: Name holds the rendered message,
 	// Arg the slog level + 8 (so debug=-4 fits an unsigned slot).
 	KindLog
-	// KindAdmit is a serving-layer job admission edge: Name the job id,
-	// Err the admission verdict ("queued", "dedup", "rejected", ...).
-	KindAdmit
-	// KindComplete is a job completion edge: Name the job id, Dur the
-	// job's latency in ns, Err its error (empty on success).
-	KindComplete
 	// KindPanic is a captured worker panic: Name the job name, Err the
 	// panic value, Trace the job's correlation id.
 	KindPanic
@@ -46,12 +43,10 @@ const (
 )
 
 var kindNames = [numKinds]string{
-	KindMark:     "mark",
-	KindSpan:     "span",
-	KindLog:      "log",
-	KindAdmit:    "admit",
-	KindComplete: "complete",
-	KindPanic:    "panic",
+	KindMark:  "mark",
+	KindSpan:  "span",
+	KindLog:   "log",
+	KindPanic: "panic",
 }
 
 func (k Kind) String() string {
@@ -74,25 +69,28 @@ func (k *Kind) UnmarshalText(b []byte) error {
 		}
 	}
 	// Tolerate dumps from other builds (newer kinds, or the retired
-	// "event" and "sample"): unknown kinds render as kind-?.
+	// "event", "sample", "admit" and "complete"): unknown kinds render as
+	// kind-?.
 	*k = numKinds
 	return nil
 }
 
-// Entry is one ring slot. All fields are fixed-size values (string headers
-// included), so recording one is a struct copy into preallocated storage.
-// Field meaning varies by Kind; unused slots stay zero and are omitted
-// from dumps.
+// Entry is one ring slot or one dump row. All fields are fixed-size values
+// (string and map headers included), so recording one is a struct copy
+// into preallocated storage. Field meaning varies by Kind; unused slots
+// stay zero and are omitted from dumps. Span rows carry no Seq: they come
+// from the span ring, not this one.
 type Entry struct {
-	Seq   uint64 `json:"seq"`
-	UNS   int64  `json:"uns"` // wall clock at record time, unix nanoseconds
-	Kind  Kind   `json:"kind"`
-	Name  string `json:"name,omitempty"`
-	Trace string `json:"trace,omitempty"`
-	TS    uint64 `json:"ts,omitempty"`
-	Arg   uint64 `json:"arg,omitempty"`
-	Dur   uint64 `json:"dur,omitempty"`
-	Err   string `json:"err,omitempty"`
+	Seq   uint64            `json:"seq,omitempty"`
+	UNS   int64             `json:"uns"` // wall clock at record time (a span's end), unix nanoseconds
+	Kind  Kind              `json:"kind"`
+	Name  string            `json:"name,omitempty"`
+	Trace string            `json:"trace,omitempty"`
+	TS    uint64            `json:"ts,omitempty"`
+	Arg   uint64            `json:"arg,omitempty"`
+	Dur   uint64            `json:"dur,omitempty"`
+	Err   string            `json:"err,omitempty"`
+	Attrs map[string]string `json:"attrs,omitempty"`
 }
 
 // DefaultCapacity is the ring's default slot count.
@@ -103,6 +101,7 @@ const DefaultCapacity = 4096
 // http.Handler for the GET /v1/debug/flight endpoint.
 type Recorder struct {
 	service string
+	tracer  *span.Tracer // the job timeline a dump merges in; may be nil
 
 	mu      sync.Mutex
 	buf     []Entry // preallocated to capacity; len grows to cap then stays
@@ -111,13 +110,14 @@ type Recorder struct {
 	dropped uint64
 }
 
-// New returns a ring for the given service label ("mmtserved@host:port").
+// New returns a ring for the given service label ("mmtserved@host:port")
+// whose dumps carry tracer's finished spans (none when tracer is nil).
 // capacity <= 0 selects DefaultCapacity.
-func New(service string, capacity int) *Recorder {
+func New(service string, capacity int, tracer *span.Tracer) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Recorder{service: service, buf: make([]Entry, 0, capacity)}
+	return &Recorder{service: service, tracer: tracer, buf: make([]Entry, 0, capacity)}
 }
 
 // Service returns the ring's service label ("" on nil).
@@ -150,45 +150,6 @@ func (r *Recorder) Mark(name string) {
 		return
 	}
 	r.record(Entry{Kind: KindMark, Name: name})
-}
-
-// MarkErr records an annotation carrying an error or verdict string.
-func (r *Recorder) MarkErr(name, errText string) {
-	if r == nil {
-		return
-	}
-	r.record(Entry{Kind: KindMark, Name: name, Err: errText})
-}
-
-// Admit records a serving-layer admission edge: job is the job id,
-// verdict how admission resolved ("queued", "dedup", "rejected",
-// "expired", ...), trace the job's correlation id.
-func (r *Recorder) Admit(job, verdict, trace string) {
-	if r == nil {
-		return
-	}
-	r.record(Entry{Kind: KindAdmit, Name: job, Err: verdict, Trace: trace})
-}
-
-// Complete records a job completion edge with its end-to-end latency and
-// final error (empty on success).
-func (r *Recorder) Complete(job, trace string, dur time.Duration, errText string) {
-	if r == nil {
-		return
-	}
-	r.record(Entry{Kind: KindComplete, Name: job, Trace: trace,
-		Dur: uint64(dur.Nanoseconds()), Err: errText})
-}
-
-// SpanRef records a finished distributed span by reference (wired from
-// span.Tracer's observer), so the ring interleaves span completions with
-// admission edges and log lines without holding attribute maps.
-func (r *Recorder) SpanRef(name, trace string, startUNS, durNS int64) {
-	if r == nil {
-		return
-	}
-	r.record(Entry{Kind: KindSpan, Name: name, Trace: trace,
-		TS: uint64(startUNS), Dur: uint64(durNS)})
 }
 
 // Log records a rendered structured-log line. level is the slog level
@@ -246,7 +207,9 @@ func (r *Recorder) Entries() []Entry {
 	return out
 }
 
-// Snapshot assembles a Dump of the current ring state.
+// Snapshot assembles a Dump of the ring and the span ring as they stand:
+// each finished span becomes a KindSpan row, and the rows are ordered by
+// UNS (a span's end).
 func (r *Recorder) Snapshot(reason string) Dump {
 	d := Dump{
 		Service:  r.Service(),
@@ -256,5 +219,14 @@ func (r *Recorder) Snapshot(reason string) Dump {
 		Dropped:  r.Dropped(),
 		Entries:  r.Entries(),
 	}
+	if r == nil || r.tracer == nil {
+		return d
+	}
+	d.Dropped += r.tracer.Dropped()
+	for _, s := range r.tracer.Records("") {
+		d.Entries = append(d.Entries, Entry{UNS: s.EndUNS(), Kind: KindSpan, Name: s.Name,
+			Trace: s.TraceID, TS: uint64(s.StartUNS), Dur: uint64(s.DurNS), Attrs: s.Attrs})
+	}
+	sort.SliceStable(d.Entries, func(i, j int) bool { return d.Entries[i].UNS < d.Entries[j].UNS })
 	return d
 }

@@ -5,24 +5,25 @@ import (
 	"encoding/json"
 	"log/slog"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
-	"time"
+
+	"mmt/internal/obs/span"
 )
 
 func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
 	r.Mark("x")
-	r.MarkErr("x", "y")
-	r.Admit("j", "queued", "t")
-	r.Complete("j", "t", time.Second, "")
-	r.SpanRef("s", "t", 1, 2)
 	r.Log(0, "m", "t")
 	r.Panic("n", "k", "t", "v")
 	if r.Len() != 0 || r.Dropped() != 0 || r.Entries() != nil || r.Service() != "" {
 		t.Error("nil recorder leaked state")
+	}
+	if d := r.Snapshot("x"); len(d.Entries) != 0 {
+		t.Errorf("nil recorder snapshot holds %d entries", len(d.Entries))
 	}
 }
 
@@ -31,7 +32,7 @@ func TestNilRecorderIsSafe(t *testing.T) {
 // how many it dropped.
 func TestEvictionOrder(t *testing.T) {
 	const capacity = 8
-	r := New("test", capacity)
+	r := New("test", capacity, nil)
 	for i := 0; i < 3*capacity; i++ {
 		r.Mark("m")
 	}
@@ -63,50 +64,73 @@ func TestEvictionOrder(t *testing.T) {
 	}
 }
 
-// TestRecordDoesNotAllocate pins the zero-alloc-on-the-hot-path contract
-// for the entry points fed on every job.
+// TestRecordDoesNotAllocate pins the zero-alloc contract: recording an
+// entry is a struct copy into a preallocated slot.
 func TestRecordDoesNotAllocate(t *testing.T) {
-	r := New("test", 64)
-	if n := testing.AllocsPerRun(200, func() { r.SpanRef("runner.exec", "t-1", 5, 9) }); n > 0 {
-		t.Errorf("SpanRef allocates %.1f times per call, want 0", n)
+	r := New("test", 64, nil)
+	if n := testing.AllocsPerRun(200, func() { r.Mark("process start") }); n > 0 {
+		t.Errorf("Mark allocates %.1f times per call, want 0", n)
 	}
-	if n := testing.AllocsPerRun(200, func() { r.Complete("j-1", "t-1", time.Millisecond, "") }); n > 0 {
-		t.Errorf("Complete allocates %.1f times per call, want 0", n)
-	}
-	if n := testing.AllocsPerRun(200, func() { r.Admit("j-1", "queued", "t-1") }); n > 0 {
-		t.Errorf("Admit allocates %.1f times per call, want 0", n)
+	if n := testing.AllocsPerRun(200, func() { r.Log(0, "job routed job=j-1", "t-1") }); n > 0 {
+		t.Errorf("Log allocates %.1f times per call, want 0", n)
 	}
 }
 
+// TestConcurrentRecording records into both rings from several
+// goroutines while another takes snapshots; run it under -race.
 func TestConcurrentRecording(t *testing.T) {
-	r := New("test", 128)
+	tr := span.NewTracer("test", 64)
+	r := New("test", 128, tr)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				r.SpanRef("runner.exec", "t", 1, 2)
+				r.Log(0, "job routed", "t")
+				sp := tr.Start(span.SpanContext{TraceID: "t"}, "runner.exec")
+				sp.SetAttr("worker", "0")
+				sp.End()
 			}
 		}()
 	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 50; i++ {
+			if d := r.Snapshot("test"); len(d.Entries) > 128+64 {
+				t.Errorf("snapshot holds %d entries, more than both rings", len(d.Entries))
+			}
+		}
+	}()
 	wg.Wait()
+	<-done
 	if got := r.Len(); got != 128 {
 		t.Errorf("Len = %d, want 128", got)
 	}
 	if got := r.Dropped(); got != 8*500-128 {
 		t.Errorf("Dropped = %d, want %d", got, 8*500-128)
 	}
+	if d := r.Snapshot("test"); len(d.Entries) != 128+64 || d.Dropped != 2*(8*500)-128-64 {
+		t.Errorf("snapshot = %d entries, %d dropped; want %d and %d", len(d.Entries), d.Dropped, 128+64, 2*(8*500)-128-64)
+	}
 }
 
+// TestDumpRoundTripAndRender: a dump holds the ring's entries and every
+// span in the span ring, attrs included, merged in end-time order.
 func TestDumpRoundTripAndRender(t *testing.T) {
-	r := New("mmtserved@127.0.0.1:9", 32)
+	tr := span.NewTracer("mmtserved@127.0.0.1:9", 16)
+	r := New("mmtserved@127.0.0.1:9", 32, tr)
 	r.Mark("boot")
-	r.Admit("j-1", "queued", "t-9")
-	r.Complete("j-1", "t-9", 1500*time.Microsecond, "")
-	r.SpanRef("serve.exec", "t-9", time.Now().UnixNano(), int64(2*time.Millisecond))
+	sp := tr.Start(span.SpanContext{TraceID: "t-9"}, "serve.submit")
+	sp.SetAttr("job", "j-1")
+	sp.End()
 	r.Log(0, "job submitted job=j-1", "t-9")
+	tr.Start(span.SpanContext{TraceID: "t-9"}, "serve.exec").End()
 	r.Panic("libsvm/base", "deadbeef", "t-9", "boom")
+	if r.Len() != 4 { // Panic records two entries (panic + key mark)
+		t.Fatalf("ring holds %d entries, want 4: spans belong to the span ring", r.Len())
+	}
 
 	path := filepath.Join(t.TempDir(), "dump.json")
 	if err := r.WriteDump(path, "test"); err != nil {
@@ -119,8 +143,15 @@ func TestDumpRoundTripAndRender(t *testing.T) {
 	if d.Service != "mmtserved@127.0.0.1:9" || d.Reason != "test" {
 		t.Errorf("dump header = %+v", d)
 	}
-	if len(d.Entries) != 7 { // Panic records two entries (panic + key mark)
-		t.Fatalf("entries = %d, want 7", len(d.Entries))
+	var kinds []string
+	for _, e := range d.Entries {
+		kinds = append(kinds, e.Kind.String())
+	}
+	if got, want := strings.Join(kinds, " "), "mark span log span panic mark"; got != want {
+		t.Fatalf("dump rows = %s, want %s", got, want)
+	}
+	if e := d.Entries[1]; e.Name != "serve.submit" || e.Trace != "t-9" || e.Attrs["job"] != "j-1" || e.Seq != 0 {
+		t.Errorf("span row = %+v, want serve.submit of t-9 carrying job=j-1 and no ring seq", e)
 	}
 	if p := d.Panics(); len(p) != 1 || p[0].Err != "boom" || p[0].Trace != "t-9" {
 		t.Errorf("Panics() = %+v", p)
@@ -138,7 +169,7 @@ func TestDumpRoundTripAndRender(t *testing.T) {
 	var buf bytes.Buffer
 	d.Render(&buf)
 	out := buf.String()
-	for _, want := range []string{"mmtserved@127.0.0.1:9", "PANIC: boom", "t-9", "serve.exec", "2.000ms", "j-1", "deadbeef"} {
+	for _, want := range []string{"mmtserved@127.0.0.1:9", "PANIC: boom", "t-9", "serve.exec", "ms job=j-1", "deadbeef"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendered dump missing %q:\n%s", want, out)
 		}
@@ -148,6 +179,7 @@ func TestDumpRoundTripAndRender(t *testing.T) {
 // TestLegacyDumpLoads: a schema-1 dump written before the ring stopped
 // recording obs events and samples still loads, and its retired "event"
 // and "sample" entries render as kind-? beside the kinds still in use.
+// The rendering is pinned byte for byte by legacy_v1.txt.
 func TestLegacyDumpLoads(t *testing.T) {
 	d, err := ReadDump(filepath.Join("testdata", "legacy_v1.json"))
 	if err != nil {
@@ -167,6 +199,34 @@ func TestLegacyDumpLoads(t *testing.T) {
 			t.Errorf("rendered legacy dump missing %q:\n%s", want, out)
 		}
 	}
+	golden, err := os.ReadFile(filepath.Join("testdata", "legacy_v1.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != string(golden) {
+		t.Errorf("legacy dump renders differently:\n%s\nwant:\n%s", out, golden)
+	}
+}
+
+// TestRetiredEdgeKindsLoad: a dump from a build whose ring still held job
+// admission and completion edges loads, and those rows render as kind-?.
+func TestRetiredEdgeKindsLoad(t *testing.T) {
+	raw := `{"schema":1,"service":"mmtserved@127.0.0.1:8392","reason":"SIGQUIT","taken_uns":2000,"dropped":0,"entries":[
+		{"seq":1,"uns":1000,"kind":"admit","name":"j000001-25e65768","trace":"load-9-3","err":"queued"},
+		{"seq":2,"uns":1500,"kind":"complete","name":"j000001-25e65768","trace":"load-9-3","dur":400000,"err":""}]}`
+	path := filepath.Join(t.TempDir(), "edges.json")
+	if err := os.WriteFile(path, []byte(raw), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d, err := ReadDump(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	d.Render(&buf)
+	if n := strings.Count(buf.String(), "kind-?"); n != 2 {
+		t.Errorf("%d kind-? rows, want 2 (the admit and the complete):\n%s", n, buf.String())
+	}
 }
 
 func TestDumpPathSanitizesService(t *testing.T) {
@@ -178,7 +238,7 @@ func TestDumpPathSanitizesService(t *testing.T) {
 }
 
 func TestServeHTTP(t *testing.T) {
-	r := New("svc", 16)
+	r := New("svc", 16, nil)
 	r.Mark("hello")
 	rr := httptest.NewRecorder()
 	r.ServeHTTP(rr, httptest.NewRequest("GET", "/v1/debug/flight", nil))
@@ -195,7 +255,7 @@ func TestServeHTTP(t *testing.T) {
 }
 
 func TestLogHandlerCapture(t *testing.T) {
-	r := New("svc", 16)
+	r := New("svc", 16, nil)
 	var sink bytes.Buffer
 	logger := slog.New(NewLogHandler(slog.NewTextHandler(&sink, nil), r))
 

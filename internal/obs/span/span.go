@@ -236,8 +236,8 @@ func (t *Tracer) StartAt(parent SpanContext, name string, at time.Time) *Span {
 }
 
 // SetObserver registers fn to receive every finished span record after it
-// lands in the ring — the flight recorder hooks here so span completions
-// interleave with events and log lines in the black box. fn runs on the
+// lands in the ring — the runner's -trace-out file and mmtload's span log
+// stream from here; flight dumps read the ring itself. fn runs on the
 // goroutine that ended the span and must be fast; nil unregisters.
 func (t *Tracer) SetObserver(fn func(Record)) {
 	if t == nil {

@@ -175,17 +175,23 @@ func (t *Tree) WriteWaterfall(w io.Writer) {
 
 // annotations renders a record's attributes (sorted) and link.
 func annotations(r Record) string {
+	s := FormatAttrs(r.Attrs)
+	if r.LinkSpan != "" {
+		s += fmt.Sprintf(" link=%s@%s", r.LinkSpan, r.LinkTrace)
+	}
+	return s
+}
+
+// FormatAttrs renders span attributes as " key=value" pairs in key order.
+func FormatAttrs(attrs map[string]string) string {
 	var b strings.Builder
-	keys := make([]string, 0, len(r.Attrs))
-	for k := range r.Attrs { // mmtvet:ok — sorted below
+	keys := make([]string, 0, len(attrs))
+	for k := range attrs { // mmtvet:ok — sorted below
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		fmt.Fprintf(&b, " %s=%s", k, r.Attrs[k])
-	}
-	if r.LinkSpan != "" {
-		fmt.Fprintf(&b, " link=%s@%s", r.LinkSpan, r.LinkTrace)
+		fmt.Fprintf(&b, " %s=%s", k, attrs[k])
 	}
 	return b.String()
 }

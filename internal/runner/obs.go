@@ -29,7 +29,7 @@ func newPoolMetrics(r *obs.Registry) *poolMetrics {
 		r = obs.NewRegistry()
 	}
 	return &poolMetrics{
-		scheduled:    r.Counter("mmt_runner_jobs_scheduled_total", "Distinct jobs scheduled on the pool."),
+		scheduled:    r.Counter("mmt_runner_jobs_scheduled_total", "Jobs scheduled on the pool; a failed key scheduled again counts again."),
 		executed:     r.Counter("mmt_runner_jobs_executed_total", "Simulations run to completion."),
 		cacheHits:    r.Counter("mmt_runner_cache_hits_total", "Jobs served from the persistent result cache."),
 		cacheMisses:  r.Counter("mmt_runner_cache_misses_total", "Persistent-cache lookups that missed."),

@@ -110,8 +110,8 @@ type Options struct {
 	// worker panic is recorded there with the offending job's task key
 	// and trace id, and — when FlightDumpDir is set — the whole ring is
 	// dumped to disk so the moments leading up to the panic survive the
-	// process. Route the Tracer's finished spans into the same ring
-	// (SpanRef) to keep the job timeline there too.
+	// process. A ring built over the same Tracer (flight.New) carries the
+	// job timeline in that dump.
 	Flight *flight.Recorder
 	// FlightDumpDir is where panic-triggered flight dumps land (empty
 	// disables dumping; the ring entry is still recorded).
@@ -212,7 +212,9 @@ func (p *Pool) Schedule(tasks ...sim.Task) error {
 
 // Do returns the task's outcome, scheduling it if it is not already
 // queued, running or finished. It blocks until the job completes or the
-// pool's context is canceled.
+// pool's context is canceled. A failure is not kept: once Do has
+// reported a job's error, the next Do of its key runs the task afresh,
+// while callers already waiting on that job still get the error.
 func (p *Pool) Do(t sim.Task) (*sim.Outcome, error) {
 	j, err := p.ensure(t)
 	if err != nil {
@@ -228,6 +230,13 @@ func (p *Pool) Do(t sim.Task) (*sim.Outcome, error) {
 		default:
 			return nil, p.ctx.Err()
 		}
+	}
+	if j.err != nil {
+		p.mu.Lock()
+		if p.jobs[j.key] == j {
+			delete(p.jobs, j.key)
+		}
+		p.mu.Unlock()
 	}
 	return j.out, j.err
 }
@@ -605,7 +614,7 @@ func (p *Pool) progressLoop() {
 func (p *Pool) progressLine() string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	total := len(p.jobs)
+	total := p.met.scheduled.Value()
 	if total == 0 {
 		return ""
 	}

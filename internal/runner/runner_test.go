@@ -349,6 +349,41 @@ func TestErrorsNotCached(t *testing.T) {
 	}
 }
 
+// TestFailedJobRerunsOnNextDo: a pool does not memoize a failure. Once a
+// job's build fails, the next Do of the same key builds it again, and
+// the summary counts both schedulings.
+func TestFailedJobRerunsOnNextDo(t *testing.T) {
+	var builds int
+	flaky := sim.Task{
+		App:     mustApp(t, "libsvm"),
+		Preset:  sim.PresetBase,
+		Threads: 2,
+		Variant: "test:fails-once",
+	}
+	flaky.Build = func() (*prog.System, error) {
+		builds++
+		if builds == 1 {
+			return nil, errors.New("transient")
+		}
+		return mustApp(t, "libsvm").Build(2, sim.PresetBase.IdenticalInputs())
+	}
+
+	p := newPool(t, context.Background(), Options{Workers: 1})
+	if _, err := p.Do(flaky); err == nil || !strings.Contains(err.Error(), "transient") {
+		t.Fatalf("first Do = %v, want the transient error", err)
+	}
+	out, err := p.Do(flaky)
+	if err != nil || out.Result == nil {
+		t.Fatalf("second Do = %v, want a fresh run", err)
+	}
+	if builds != 2 {
+		t.Errorf("builds = %d, want 2 (the failure was memoized)", builds)
+	}
+	if s := p.Summary(); s.Jobs != 2 || s.Failed != 1 || s.Executed != 1 {
+		t.Errorf("summary = %+v, want 2 jobs, 1 failed, 1 executed", s)
+	}
+}
+
 func TestUnkeyableTaskReported(t *testing.T) {
 	p := newPool(t, context.Background(), Options{Workers: 1})
 	bogus := sim.Task{App: mustApp(t, "libsvm"), Preset: sim.Preset("Bogus"), Threads: 2}
@@ -445,9 +480,8 @@ func mustApp(t *testing.T, name string) workloads.App {
 // spans of the jobs that ran before it.
 func TestPanicLandsInFlightRecorder(t *testing.T) {
 	dir := t.TempDir()
-	fl := flight.New("runner-test", 64)
 	tr := span.NewTracer("runner-test", 64)
-	tr.SetObserver(func(r span.Record) { fl.SpanRef(r.Name, r.TraceID, r.StartUNS, r.DurNS) })
+	fl := flight.New("runner-test", 64, tr)
 	p := newPool(t, context.Background(), Options{
 		Workers:       1,
 		Flight:        fl,
@@ -505,7 +539,7 @@ func TestPanicLandsInFlightRecorder(t *testing.T) {
 	}
 	var ranBefore bool
 	for _, e := range d.Entries {
-		if e.Kind == flight.KindSpan && e.Name == "runner.exec" {
+		if e.Kind == flight.KindSpan && e.Name == "runner.exec" && e.Attrs["name"] != "" {
 			ranBefore = true
 		}
 	}

@@ -15,7 +15,7 @@ type JobTiming struct {
 
 // Summary is the pool's post-run report.
 type Summary struct {
-	Jobs        int // distinct jobs scheduled
+	Jobs        int // jobs scheduled: distinct keys, plus reruns of failed ones
 	Executed    int // simulations actually run
 	CacheHits   int // served from the persistent cache
 	Failed      int
@@ -37,7 +37,7 @@ func (p *Pool) Summary() Summary {
 	defer p.mu.Unlock()
 	simTime, _ := p.met.runTime.Total()
 	s := Summary{
-		Jobs:        len(p.jobs),
+		Jobs:        int(p.met.scheduled.Value()),
 		Executed:    int(p.met.executed.Value()),
 		CacheHits:   int(p.met.cacheHits.Value()),
 		Failed:      int(p.met.failed.Value()),

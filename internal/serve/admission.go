@@ -164,13 +164,11 @@ func (s *Server) submit(req SubmitRequest, parent span.SpanContext) (JobStatus, 
 			j.started = now
 		}
 		s.met.deduped.Inc()
-		s.opts.Flight.Admit(j.id, "dedup", j.traceID)
 		return s.snapshotLocked(j, now), nil
 	}
 
 	if len(s.queue) >= s.opts.MaxQueue {
 		s.met.rejected.Inc()
-		s.opts.Flight.Admit("", "rejected", req.TraceID)
 		return JobStatus{}, &httpError{
 			status:     http.StatusTooManyRequests,
 			msg:        "admission queue full",
@@ -192,7 +190,6 @@ func (s *Server) submit(req SubmitRequest, parent span.SpanContext) (JobStatus, 
 	heap.Push(&s.queue, f)
 	s.admitted++
 	s.met.queueDepth.Set(int64(len(s.queue)))
-	s.opts.Flight.Admit(j.id, "queued", j.traceID)
 	s.cond.Signal()
 	return s.snapshotLocked(j, now), nil
 }
@@ -329,7 +326,6 @@ func (s *Server) resolveFlightLocked(f *flight, raw []byte, err error, source st
 			s.met.completed.Inc()
 		}
 		s.met.jobLatency.ObserveWithExemplar(now.Sub(j.submitted), j.traceID)
-		s.opts.Flight.Complete(j.id, j.traceID, now.Sub(j.submitted), j.errMsg)
 		close(j.done)
 	}
 }

@@ -64,13 +64,6 @@ func (s *Server) routes() *http.ServeMux {
 	if s.opts.Metrics != nil {
 		mux.Handle("GET /metrics", s.opts.Metrics)
 	}
-	if s.opts.Debug != nil {
-		mux.Handle("GET /v1/debug/", s.opts.Debug)
-	}
-	if s.opts.Flight != nil {
-		// The exact route wins over the Debug prefix above.
-		mux.Handle("GET /v1/debug/flight", s.opts.Flight)
-	}
 	return mux
 }
 

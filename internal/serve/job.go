@@ -181,6 +181,5 @@ func (s *Server) expireLocked(j *Job, now time.Time) {
 	j.errMsg = fmt.Sprintf("deadline exceeded before dispatch (queued %s)", now.Sub(j.submitted).Round(time.Millisecond))
 	j.finished = now
 	s.met.expired.Inc()
-	s.opts.Flight.Complete(j.id, j.traceID, now.Sub(j.submitted), j.errMsg)
 	close(j.done)
 }

@@ -39,13 +39,15 @@ import (
 	"time"
 
 	"mmt/internal/obs"
-	obsflight "mmt/internal/obs/flight"
 	"mmt/internal/obs/span"
 	"mmt/internal/runner"
 	"mmt/internal/sim"
 )
 
-// Options configures a Server.
+// Options configures a Server. The diagnostics surface, GET /v1/debug/
+// with the flight ring, is the embedding daemon's to mount in front of
+// the Server. A flight ring built over Tracer holds a job's spans, one
+// layered under Log its log lines, and Runner.Flight its worker panics.
 type Options struct {
 	// Runner configures the underlying pool. The server chains its own
 	// completion bookkeeping onto Runner.OnComplete (a caller-provided
@@ -88,15 +90,6 @@ type Options struct {
 	// Log, when non-nil, receives structured request-scoped log lines
 	// stamped with trace/span ids. Nil discards them.
 	Log *slog.Logger
-	// Flight, when non-nil, is the process flight recorder: admission and
-	// completion edges land in its ring and it is served at
-	// GET /v1/debug/flight. It is shared with the runner pool (for panic
-	// capture) unless the pool brings its own.
-	Flight *obsflight.Recorder
-	// Debug, when non-nil, is mounted under GET /v1/debug/ — continuous
-	// profiles, metrics history, resolved config. The flight ring's exact
-	// route wins over this prefix.
-	Debug http.Handler
 }
 
 // Server is the job server. It implements http.Handler; the caller owns
@@ -145,9 +138,6 @@ func New(ctx context.Context, opts Options) (*Server, error) {
 	}
 	if opts.Tracer != nil && opts.Runner.Tracer == nil {
 		opts.Runner.Tracer = opts.Tracer
-	}
-	if opts.Flight != nil && opts.Runner.Flight == nil {
-		opts.Runner.Flight = opts.Flight
 	}
 	if opts.Log == nil {
 		opts.Log = slog.New(slog.NewTextHandler(io.Discard, nil))

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -269,6 +270,47 @@ func TestWarmRestartServedFromCache(t *testing.T) {
 	}
 	if st := getStats(t, hsB.URL); st.FromCache != 1 || st.Simulated != 0 {
 		t.Errorf("warm stats: from_cache %d simulated %d, want 1/0", st.FromCache, st.Simulated)
+	}
+}
+
+// TestResubmitAfterFailureRebuilds: a spec whose simulation failed once
+// is built again when resubmitted, instead of failing with the error the
+// pool kept from the first run.
+func TestResubmitAfterFailureRebuilds(t *testing.T) {
+	var builds atomic.Int32
+	resolve := func(spec sim.TaskSpec) (sim.Task, error) {
+		task, err := spec.Task()
+		if err != nil {
+			return sim.Task{}, err
+		}
+		app, threads, ident := task.App, task.Threads, task.Preset.IdenticalInputs()
+		task.Build = func() (*prog.System, error) {
+			if builds.Add(1) == 1 {
+				return nil, errors.New("transient")
+			}
+			return app.Build(threads, ident)
+		}
+		return task, nil
+	}
+	_, hs := startServer(t, Options{Runner: runner.Options{Workers: 1}, Resolve: resolve})
+	spec := cheapSpec(20000)
+
+	st, resp := postJob(t, hs.URL, SubmitRequest{Task: spec})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %s", resp.Status)
+	}
+	if first := waitDone(t, hs.URL, st.ID); first.State != StateFailed || !strings.Contains(first.Error, "transient") {
+		t.Fatalf("first job: state %s (error %q), want failed: transient", first.State, first.Error)
+	}
+	st, resp = postJob(t, hs.URL, SubmitRequest{Task: spec})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("resubmit: %s", resp.Status)
+	}
+	if again := waitDone(t, hs.URL, st.ID); again.State != StateDone || again.Source != "simulated" {
+		t.Errorf("resubmitted job: state %s source %q (error %q), want done and simulated", again.State, again.Source, again.Error)
+	}
+	if n := builds.Load(); n != 2 {
+		t.Errorf("builds = %d, want 2", n)
 	}
 }
 
