@@ -82,15 +82,8 @@ func runDSE(args []string, stdout, progress io.Writer) error {
 	}
 	switch *rank {
 	case "":
-	case "on":
-		if spec.Filter == nil {
-			spec.Filter = &dse.FilterSpec{}
-		}
-		spec.Filter.Rank = true
-	case "off":
-		if spec.Filter != nil {
-			spec.Filter.Rank = false
-		}
+	case "on", "off":
+		spec.Rank = *rank == "on"
 	default:
 		return fmt.Errorf("-rank must be on or off (got %q)", *rank)
 	}

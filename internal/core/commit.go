@@ -86,12 +86,10 @@ func (c *Core) commit(u *uop, now uint64) {
 			for m := u.itid; m != 0; m &= m - 1 {
 				t := m.First()
 				c.mem.AccessData(c.dataSpace(t, u.effs[t].Addr), u.effs[t].Addr, true, now)
-				c.stats.LSQAccesses++
 			}
 		} else {
 			t := u.leader()
 			c.mem.AccessData(c.dataSpace(t, u.effs[t].Addr), u.effs[t].Addr, true, now)
-			c.stats.LSQAccesses++
 		}
 	}
 

@@ -159,6 +159,19 @@ func (c Config) Validate() error {
 	if c.SharedFetch && c.FHBSize < 1 {
 		return fmt.Errorf("core: shared fetch requires FHBSize >= 1")
 	}
+	// A shared fetch splits into up to Threads pieces that dispatch
+	// together (windowSpace), so a smaller window never admits them.
+	if c.SharedFetch {
+		for _, w := range []struct {
+			name string
+			size int
+		}{{"ROB", c.ROBSize}, {"IQ", c.IQSize}, {"LSQ", c.LSQSize}} {
+			if w.size < c.Threads {
+				return fmt.Errorf("core: shared fetch needs at least %d %s entries (one per thread), have %d",
+					c.Threads, w.name, w.size)
+			}
+		}
+	}
 	return nil
 }
 

@@ -266,6 +266,52 @@ func TestFourThreads(t *testing.T) {
 	}
 }
 
+// TestMinimalWindows: Validate's window floor is tight. A ROB, IQ and
+// LSQ of exactly Threads entries still admit a shared fetch's pieces, and
+// a divergent kernel whose loads and stores split per thread runs to the
+// oracle's result; one entry fewer is refused.
+func TestMinimalWindows(t *testing.T) {
+	src := `
+        li    r4, input
+        ld    r5, 0(r4)          ; per-instance input: 0 or 1
+        li    r7, 30
+loop:   ld    r6, 8(r4)          ; same address, per-instance value
+        add   r6, r6, r5
+        st    r6, 8(r4)
+        bnez  r5, odd
+        addi  r8, r8, 1
+        j     join
+odd:    addi  r8, r8, 2
+        addi  r8, r8, 1
+join:   addi  r7, r7, -1
+        bnez  r7, loop
+        halt
+        .data
+input:  .word 0
+        .word 0
+`
+	init := func(ctx int, mem *prog.Memory) {
+		mem.Write64(prog.DataBase, uint64(ctx%2))
+		mem.Write64(prog.DataBase+8, uint64(ctx))
+	}
+	for _, exec := range []bool{false, true} { // MMT-F, MMT-FXR
+		cfg := DefaultConfig(4)
+		cfg.SharedExec, cfg.RegMerge = exec, exec
+		cfg.ROBSize, cfg.IQSize, cfg.LSQSize = 4, 4, 4
+		st, _ := runCore(t, cfg, src, prog.ModeME, init)
+		if st.Divergences == 0 {
+			t.Errorf("shared exec %v: no divergences on divergent inputs", exec)
+		}
+		for _, window := range []*int{&cfg.ROBSize, &cfg.IQSize, &cfg.LSQSize} {
+			*window = 3
+			if err := cfg.Validate(); err == nil {
+				t.Errorf("shared exec %v: a 3-entry window at 4 threads accepted", exec)
+			}
+			*window = 4
+		}
+	}
+}
+
 func TestMMTFSplitsEverything(t *testing.T) {
 	cfg := DefaultConfig(2)
 	cfg.SharedExec, cfg.RegMerge = false, false // MMT-F

@@ -513,11 +513,7 @@ func (c *Core) handleControl(g *group, u *uop, now uint64, traceHit bool) *uop {
 		// history, as in an SMT front end).
 		for m := g.members; m != 0; m &= m - 1 {
 			t := m.First()
-			if c.bp.Dir.Update(t, u.pc, u.effs[t].Taken) {
-				if t == leader {
-					c.stats.PredictorHits++
-				}
-			}
+			c.bp.Dir.Update(t, u.pc, u.effs[t].Taken)
 		}
 	case u.inst.Op == isa.OpJal:
 		predictedNext = uint64(u.inst.Imm)
@@ -525,12 +521,10 @@ func (c *Core) handleControl(g *group, u *uop, now uint64, traceHit bool) *uop {
 			for m := g.members; m != 0; m &= m - 1 {
 				c.bp.RAS[m.First()].Push(u.pc + isa.InstBytes)
 			}
-			c.stats.RASPushes++
 		}
 	case u.inst.Op == isa.OpJalr:
 		if u.inst.Rd == isa.RegZero && u.inst.Rs1 == isa.RegRA {
 			// Return: predict with the RAS.
-			c.stats.RASPops++
 			for m := g.members; m != 0; m &= m - 1 {
 				t := m.First()
 				if tgt, ok := c.bp.RAS[t].Pop(); ok && t == leader {
@@ -538,7 +532,6 @@ func (c *Core) handleControl(g *group, u *uop, now uint64, traceHit bool) *uop {
 				}
 			}
 		} else {
-			c.stats.BTBLookups++
 			if tgt, ok := c.bp.BTB.Lookup(u.pc); ok {
 				predictedNext = tgt
 			}
@@ -577,7 +570,6 @@ func (c *Core) handleControl(g *group, u *uop, now uint64, traceHit bool) *uop {
 		// Divergence: split the group. Subgroups leaving the followed
 		// path redirect — a fixed front-end penalty under a trace hit,
 		// a stall until the branch resolves otherwise.
-		c.stats.RecordDivergencePC(u.pc)
 		c.emit(obs.EvDiverge, int32(leader), u.pc, uint64(nparts))
 		if c.probe != nil {
 			c.probe.Diverge(u.pc, nparts)

@@ -115,13 +115,11 @@ func (c *Core) issueLoad(u *uop, ports int, now uint64) uint64 {
 			if d > done {
 				done = d
 			}
-			c.stats.LSQAccesses++
 			i++
 		}
 		return done
 	}
 	t := u.leader()
-	c.stats.LSQAccesses++
 	return c.mem.AccessData(c.dataSpace(t, u.effs[t].Addr), u.effs[t].Addr, false, now)
 }
 

@@ -26,19 +26,10 @@ type Stats struct {
 	NotIdentical       uint64
 
 	// Synchronization events.
-	Divergences uint64
-	// DivergencePCs histograms divergence sites (diagnostics). The map is
-	// bounded: only the first MaxDivergencePCs distinct sites (in
-	// deterministic simulation order) get dedicated counters; divergences
-	// at any later site are pooled in DivergencePCOverflow, so long runs
-	// cannot grow the map without bound.
-	DivergencePCs map[uint64]uint64
-	// DivergencePCOverflow counts divergences at sites beyond the
-	// MaxDivergencePCs tracked ones.
-	DivergencePCOverflow uint64
-	Remerges             uint64
-	CatchupsStarted      uint64
-	CatchupsAborted      uint64
+	Divergences     uint64
+	Remerges        uint64
+	CatchupsStarted uint64
+	CatchupsAborted uint64
 	// RemergeDistance histogram: taken branches between divergence and
 	// remerge, bucketed per DistBuckets; the last bin is ">512".
 	RemergeDistance [7]uint64
@@ -49,10 +40,6 @@ type Stats struct {
 	// WrongPathFetchSlots counts fetch bandwidth burned on wrong-path
 	// fetch while a mispredicted branch resolves.
 	WrongPathFetchSlots uint64
-	PredictorHits       uint64
-	RASPushes           uint64
-	RASPops             uint64
-	BTBLookups          uint64
 	TraceCacheHits      uint64
 
 	// LVIP.
@@ -72,7 +59,6 @@ type Stats struct {
 	FUOps          uint64
 	RegReads       uint64
 	RegWrites      uint64
-	LSQAccesses    uint64
 	CommittedUops  uint64
 	SquashedUops   uint64
 	FetchQFullStop uint64
@@ -86,25 +72,6 @@ type Stats struct {
 	FHBSearches uint64
 	LVIPLookups uint64
 	SplitOps    uint64
-}
-
-// MaxDivergencePCs bounds the DivergencePCs histogram. Real workloads have
-// far fewer distinct divergence sites than this; the cap only matters for
-// pathological or very long runs, where the overflow counter preserves the
-// total while the per-site breakdown stays truncated.
-const MaxDivergencePCs = 1024
-
-// RecordDivergencePC counts one divergence at pc, respecting the
-// MaxDivergencePCs bound.
-func (s *Stats) RecordDivergencePC(pc uint64) {
-	if s.DivergencePCs == nil {
-		s.DivergencePCs = make(map[uint64]uint64)
-	}
-	if _, ok := s.DivergencePCs[pc]; ok || len(s.DivergencePCs) < MaxDivergencePCs {
-		s.DivergencePCs[pc]++
-		return
-	}
-	s.DivergencePCOverflow++
 }
 
 // TotalCommitted sums committed instructions over threads.

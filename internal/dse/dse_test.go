@@ -132,7 +132,10 @@ func TestPointAtRoundTrip(t *testing.T) {
 	spec, _ := Builtin("default")
 	ids := map[string]bool{}
 	for i := 0; i < spec.Size(); i++ {
-		p := spec.PointAt(i)
+		p, err := spec.PointAt(i)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if ids[p.ID] {
 			t.Fatalf("duplicate point ID %s", p.ID)
 		}
@@ -147,6 +150,37 @@ func TestPointAtRoundTrip(t *testing.T) {
 	}
 	if !ids[paper] {
 		t.Fatalf("paper point %s not among the space's points", paper)
+	}
+
+	// Every knob, each with its Table 4 value and one other, in either
+	// order: the paper point is read off the preset's configuration, and
+	// must name the Table 4 value of every dimension.
+	all := &Spec{Name: "all-knobs", Dimensions: []Dimension{
+		{Name: "fhb_size", Values: []int{16, 32}},
+		{Name: "fetch_width", Values: []int{8, 4}},
+		{Name: "ls_ports", Values: []int{4, 2}},
+		{Name: "lvip_size", Values: []int{4096, 1024}},
+		{Name: "fetch_queue", Values: []int{16, 32}},
+		{Name: "iq_size", Values: []int{64, 32}},
+		{Name: "rob_size", Values: []int{128, 256}},
+		{Name: "lsq_size", Values: []int{64, 32}},
+		{Name: "reg_merge_ports", Values: []int{1, 2}},
+		{Name: "sync_policy", Strings: []string{"fhb", "hints"}},
+		{Name: "l1_kb", Values: []int{32, 64}},
+		{Name: "l2_kb", Values: []int{4096, 2048}},
+	}}
+	if err := all.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	const table4 = "fhb_size=32,fetch_width=8,ls_ports=2,lvip_size=4096,fetch_queue=32,iq_size=64," +
+		"rob_size=256,lsq_size=64,reg_merge_ports=2,sync_policy=fhb,l1_kb=64,l2_kb=4096"
+	if got := all.PaperPointID(); got != table4 {
+		t.Errorf("paper point of the all-knob space:\n got %s\nwant %s", got, table4)
+	}
+	// A dimension without its Table 4 value leaves no paper point.
+	all.Dimensions[0].Values = []int{16, 64}
+	if got := all.PaperPointID(); got != "" {
+		t.Errorf("space without fhb_size=32 names paper point %s", got)
 	}
 }
 
@@ -164,6 +198,9 @@ func TestSpecValidation(t *testing.T) {
 		`{"name":"x","sampler":"halving","rungs":[100,100],"dimensions":[{"name":"fhb_size","values":[8]}]}`,
 		`{"name":"x","workloads":["no-such-app"],"dimensions":[{"name":"fhb_size","values":[8]}]}`,
 		`{"name":"x","dimensions":[{"name":"fhb_size","values":[8]},{"name":"fhb_size","values":[16]}]}`,
+		`{"name":"x","dimensions":[{"name":"rob_size","values":[1]}]}`,      // window below the thread count
+		`{"name":"x","dimensions":[{"name":"max_insts","values":[1000]}]}`,  // the rungs own the budget
+		`{"name":"x","dimensions":[{"name":"sync_policy","strings":[""]}]}`, // "" keeps the preset
 	}
 	for _, c := range bad {
 		if _, err := ParseSpec([]byte(c)); err == nil {
@@ -183,51 +220,29 @@ func TestSpecValidation(t *testing.T) {
 
 // --- Static filter -----------------------------------------------------
 
-func TestStaticFilterMonotone(t *testing.T) {
-	f, err := NewStaticFilter([]string{"libsvm", "twolf"}, 0.5, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	small := sim.ConfigOverride{FHBSize: 1, FetchWidth: 1}
-	big := sim.ConfigOverride{FHBSize: 1024, FetchWidth: 8}
-	cs, cb := f.Coverage(&small), f.Coverage(&big)
-	if cs > cb {
-		t.Errorf("coverage not monotone in FHB capacity: %v > %v", cs, cb)
-	}
-	if cb != 1.0 {
-		t.Errorf("a 1024-entry FHB does not cover every span: %v", cb)
-	}
-	if cs < 0 || cs > 1 {
-		t.Errorf("coverage %v outside [0,1]", cs)
-	}
-}
-
-// TestStaticFilterOrderInsensitive: the filter holds per-app statics
-// sorted by name, so construction order cannot leak into coverage,
-// scores, or rejection reasons.
+// TestStaticFilterOrderInsensitive: the filter holds per-app estimates
+// sorted by name, so construction order cannot leak into scores.
 func TestStaticFilterOrderInsensitive(t *testing.T) {
-	f1, err := NewStaticFilter([]string{"libsvm", "twolf", "equake"}, 0.5, true)
+	f1, err := NewStaticFilter([]string{"libsvm", "twolf", "equake"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2, err := NewStaticFilter([]string{"twolf", "equake", "libsvm"}, 0.5, true)
+	f2, err := NewStaticFilter([]string{"twolf", "equake", "libsvm"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	spec := &Spec{Name: "order-test"}
 	for _, o := range []sim.ConfigOverride{
 		{FHBSize: 4, FetchWidth: 2},
 		{FHBSize: 32, FetchWidth: 8, LVIPSize: 1024},
 		{FHBSize: 256, FetchWidth: 8},
 	} {
-		o := o
-		if c1, c2 := f1.Coverage(&o), f2.Coverage(&o); c1 != c2 {
-			t.Errorf("coverage depends on construction order: %v vs %v", c1, c2)
+		c, err := spec.resolve(&o)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if s1, s2 := f1.Score(&o), f2.Score(&o); s1 != s2 {
+		if s1, s2 := f1.Score(&c), f2.Score(&c); s1 != s2 {
 			t.Errorf("score depends on construction order: %v vs %v", s1, s2)
-		}
-		if r1, r2 := f1.Reject(&o), f2.Reject(&o); r1 != r2 {
-			t.Errorf("rejection reason depends on construction order: %q vs %q", r1, r2)
 		}
 	}
 }
@@ -235,10 +250,6 @@ func TestStaticFilterOrderInsensitive(t *testing.T) {
 // rankedSpec is a halving space with enough spread for the ranker to
 // reorder rung 0.
 func rankedSpec(rank bool) *Spec {
-	var filter *FilterSpec
-	if rank {
-		filter = &FilterSpec{Rank: true}
-	}
 	return &Spec{
 		Name:    "rank-test",
 		Sampler: "halving",
@@ -248,7 +259,7 @@ func rankedSpec(rank bool) *Spec {
 			{Name: "fhb_size", Values: []int{2, 8, 32, 128}},
 			{Name: "fetch_width", Values: []int{2, 8}},
 		},
-		Filter: filter,
+		Rank: rank,
 	}
 }
 

@@ -2,42 +2,31 @@ package dse
 
 import (
 	"fmt"
+	"io"
 	"sort"
 
-	"mmt/internal/sim"
+	"mmt/internal/core"
 	"mmt/internal/static/absint"
 	"mmt/internal/workloads"
 )
 
-// StaticFilter is the cheap first evaluation stage: before spending a
-// simulation on a candidate, it checks the candidate's FHB against the
-// workloads' statically predicted reconvergence spans and — when ranking
-// is enabled — scores the candidate with the abstract-interpretation
-// cost model (absint.Estimate), so successive-halving rung 0 starts from
-// the statically best points. Analysis runs once per workload and is
-// shared by every candidate; per-app results are held sorted by workload
-// name, so every derived number and reason string is deterministic
-// regardless of construction order.
+// StaticFilter is the DSE's one static stage: before spending a
+// simulation on a candidate, it scores the candidate with the
+// abstract-interpretation cost model (absint.Estimate), so
+// successive-halving rung 0 starts from the statically best points.
+// Analysis runs once per workload and is shared by every candidate;
+// estimates are held sorted by workload name, so every score is
+// deterministic regardless of construction order.
 type StaticFilter struct {
-	min  float64
-	rank bool
-	// apps is sorted by name; spans and estimates aggregate in that
-	// order, so float accumulation is reproducible.
-	apps []appStatics
+	// ests is sorted by workload name; scores accumulate in that order,
+	// so float accumulation is reproducible.
+	ests []*absint.Estimate
 }
 
-type appStatics struct {
-	name string
-	// spans are the |reconvergence span| of the app's report entries.
-	spans []int64
-	est   *absint.Estimate
-}
-
-// NewStaticFilter statically analyzes the named workloads and returns a
-// filter rejecting points below minCoverage; with rank set it also
-// prepares the cost-model estimates behind Score.
-func NewStaticFilter(apps []string, minCoverage float64, rank bool) (*StaticFilter, error) {
-	f := &StaticFilter{min: minCoverage, rank: rank}
+// NewStaticFilter statically analyzes the named workloads and prepares
+// the cost-model estimates behind Score.
+func NewStaticFilter(apps []string) (*StaticFilter, error) {
+	f := &StaticFilter{}
 	names := append([]string(nil), apps...)
 	sort.Strings(names)
 	for _, name := range names {
@@ -49,82 +38,55 @@ func NewStaticFilter(apps []string, minCoverage float64, rank bool) (*StaticFilt
 		if err != nil {
 			return nil, fmt.Errorf("dse: analyzing %s: %w", a.Name, err)
 		}
-		as := appStatics{name: name}
-		for _, e := range r.A.BuildReport().Reconv {
-			span := e.Span
-			if span < 0 {
-				span = -span
-			}
-			as.spans = append(as.spans, span)
-		}
-		if rank {
-			as.est = absint.EstimateOf(r)
-		}
-		f.apps = append(f.apps, as)
+		f.ests = append(f.ests, absint.EstimateOf(r))
 	}
 	return f, nil
 }
 
-// Ranking reports whether the filter carries cost-model estimates.
-func (f *StaticFilter) Ranking() bool { return f != nil && f.rank }
-
-// Coverage returns the fraction of reconvergence entries whose span fits
-// in the candidate's FHB: a span of n instructions occupies
-// ceil(n/fetchWidth) fetch-block entries. Workloads without branches
-// contribute nothing; a span-free program set covers trivially (1.0).
-func (f *StaticFilter) Coverage(o *sim.ConfigOverride) float64 {
-	total := 0
-	for i := range f.apps {
-		total += len(f.apps[i].spans)
-	}
-	if total == 0 {
-		return 1.0
-	}
-	fhb, width := o.FHBSize, o.FetchWidth
-	if fhb == 0 {
-		fhb = 32 // Table 4 default when the dimension is not swept
-	}
-	if width == 0 {
-		width = 8
-	}
-	covered := 0
-	for i := range f.apps {
-		for _, span := range f.apps[i].spans {
-			blocks := (span + int64(width) - 1) / int64(width)
-			if blocks <= int64(fhb) {
-				covered++
-			}
-		}
-	}
-	return float64(covered) / float64(total)
-}
-
-// Reject returns a non-empty reason when the point fails the filter.
-func (f *StaticFilter) Reject(o *sim.ConfigOverride) string {
-	if f == nil || f.min <= 0 {
-		return ""
-	}
-	if cov := f.Coverage(o); cov < f.min {
-		return fmt.Sprintf("static reconvergence coverage %.3f below %.3f", cov, f.min)
-	}
-	return ""
-}
-
-// Score ranks a candidate: the mean predicted throughput score across
-// the workloads minus a small energy-rank penalty, higher is better.
-// Scores only order candidates within one study — they are not IPC.
-func (f *StaticFilter) Score(o *sim.ConfigOverride) float64 {
-	if f == nil || !f.rank || len(f.apps) == 0 {
-		return 0
-	}
+// Score ranks a candidate's resolved configuration: the mean predicted
+// throughput score across the workloads minus a small energy-rank
+// penalty, higher is better. Scores only order candidates within one
+// study — they are not IPC.
+func (f *StaticFilter) Score(c *core.Config) float64 {
 	var tp, en float64
-	for i := range f.apps {
-		t, e := f.apps[i].est.Score(o.FHBSize, o.FetchWidth, o.LVIPSize)
+	for _, est := range f.ests {
+		t, e := est.Score(c.FHBSize, c.FetchWidth, c.LVIPSize)
 		tp += t
 		en += e
 	}
-	n := float64(len(f.apps))
+	n := float64(len(f.ests))
 	// The throughput term dominates; the energy term only breaks ties
 	// between configurations the model predicts equal merging for.
 	return tp/n - 0.01*en/n
+}
+
+// rank orders the rung-0 cohort statically best first. A stable sort on
+// the pure cost-model score keeps ties in sampler order, so the attempted
+// order is a deterministic function of (spec, seed). Under a full budget
+// the evaluated SET is unchanged and promotion is content-based, so the
+// frontier is byte-identical to an unranked run.
+func rank(spec *Spec, apps []string, cohort []Point, progress io.Writer) ([]Point, error) {
+	f, err := NewStaticFilter(apps)
+	if err != nil {
+		return nil, err
+	}
+	scores := make([]float64, len(cohort))
+	for i := range cohort {
+		cfg, err := spec.resolve(&cohort[i].Override)
+		if err != nil {
+			return nil, err
+		}
+		scores[i] = f.Score(&cfg)
+	}
+	idx := make([]int, len(cohort))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool { return scores[idx[a]] > scores[idx[b]] })
+	ranked := make([]Point, len(cohort))
+	for i, j := range idx {
+		ranked[i] = cohort[j]
+		fmt.Fprintf(progress, "dse: rank %d: %s (score %.4f)\n", i, cohort[j].ID, scores[j])
+	}
+	return ranked, nil
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"sort"
 	"sync"
 
 	"mmt/internal/obs"
@@ -21,11 +20,10 @@ type Options struct {
 	// Seed drives the sampler; the same (spec, seed, budget, workloads)
 	// always evaluates the same points in the same order.
 	Seed uint64
-	// Budget caps (point, rung) evaluations; 0 means unbounded. Static
-	// rejects and resumed results both count the same as fresh
-	// evaluations would — the budget describes the study's size, not
-	// this process's spend — so resuming cannot change which points a
-	// study covers.
+	// Budget caps (point, rung) evaluations; 0 means unbounded. Resumed
+	// results count the same as fresh evaluations would — the budget
+	// describes the study's size, not this process's spend — so resuming
+	// cannot change which points a study covers.
 	Budget int
 	// Workloads overrides the spec's workload list (nil keeps it; an
 	// empty spec list means all sixteen paper kernels).
@@ -55,8 +53,8 @@ type Options struct {
 
 // metrics is the engine's instrumentation.
 type metrics struct {
-	points, sims, rejects, insts *obs.Counter
-	frontier, rung               *obs.Gauge
+	points, sims, insts *obs.Counter
+	frontier, rung      *obs.Gauge
 }
 
 // newMetrics registers the engine's instruments in r, or in a private
@@ -68,7 +66,6 @@ func newMetrics(r *obs.Registry) metrics {
 	return metrics{
 		points:   r.Counter("mmt_dse_points_evaluated_total", "design points evaluated (point,rung pairs)"),
 		sims:     r.Counter("mmt_dse_simulations_total", "individual workload simulations requested"),
-		rejects:  r.Counter("mmt_dse_static_rejects_total", "candidates discarded by the static filter"),
 		insts:    r.Counter("mmt_dse_committed_insts_total", "committed instructions across all simulations"),
 		frontier: r.Gauge("mmt_dse_frontier_size", "current Pareto frontier size"),
 		rung:     r.Gauge("mmt_dse_rung", "successive-halving rung in progress"),
@@ -110,15 +107,6 @@ func Search(ctx context.Context, opts Options) (*Study, error) {
 		logg = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 
-	var filter *StaticFilter
-	if spec.Filter != nil && (spec.Filter.MinReconvCoverage > 0 || spec.Filter.Rank) {
-		var err error
-		filter, err = NewStaticFilter(apps, spec.Filter.MinReconvCoverage, spec.Filter.Rank)
-		if err != nil {
-			return nil, err
-		}
-	}
-
 	var reuse map[string]*PointResult
 	if opts.Resume != nil {
 		if opts.Resume.Space.Name != spec.Name {
@@ -136,47 +124,20 @@ func Search(ctx context.Context, opts Options) (*Study, error) {
 		Budget:    BudgetReport{Limit: opts.Budget},
 	}
 
-	// The rung-0 cohort: every space point in sampler order, minus the
-	// static rejects (recorded in place, free of budget).
+	// The rung-0 cohort: every space point in sampler order, statically
+	// best first when the spec ranks.
 	var cohort []Point
 	for _, idx := range sampleOrder(spec, opts.Seed) {
-		p := spec.PointAt(idx)
-		if filter != nil {
-			if reason := filter.Reject(&p.Override); reason != "" {
-				st.Points = append(st.Points, PointResult{
-					ID: p.ID, Config: p.Override, Rejected: true, Reason: reason,
-				})
-				st.Budget.StaticRejects++
-				m.rejects.Inc()
-				fmt.Fprintf(progress, "dse: reject %s: %s\n", p.ID, reason)
-				continue
-			}
+		p, err := spec.PointAt(idx)
+		if err != nil {
+			return nil, err
 		}
 		cohort = append(cohort, p)
 	}
-
-	// The static ranker: order rung 0 statically best first. A stable
-	// sort on the pure cost-model score keeps ties in sampler order, so
-	// the attempted order is a deterministic function of (spec, seed).
-	// Under a full budget the evaluated SET is unchanged and promotion is
-	// content-based, so the frontier is byte-identical to an unranked run.
-	if filter.Ranking() {
-		scores := make([]float64, len(cohort))
-		for i := range cohort {
-			scores[i] = filter.Score(&cohort[i].Override)
-		}
-		idx := make([]int, len(cohort))
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.SliceStable(idx, func(a, b int) bool { return scores[idx[a]] > scores[idx[b]] })
-		ranked := make([]Point, len(cohort))
-		for i, j := range idx {
-			ranked[i] = cohort[j]
-		}
-		cohort = ranked
-		for i := range cohort {
-			fmt.Fprintf(progress, "dse: rank %d: %s (score %.4f)\n", i, cohort[i].ID, scores[idx[i]])
+	if spec.Rank {
+		var err error
+		if cohort, err = rank(spec, apps, cohort, progress); err != nil {
+			return nil, err
 		}
 	}
 
@@ -260,7 +221,7 @@ func evaluateCohort(ctx context.Context, be Backend, spec *Spec, apps []string,
 	sem := make(chan struct{}, concurrency)
 	var wg sync.WaitGroup
 	for i := range cohort {
-		if prev, ok := reuse[fmt.Sprintf("%s@%d", cohort[i].ID, rung)]; ok && !prev.Rejected {
+		if prev, ok := reuse[fmt.Sprintf("%s@%d", cohort[i].ID, rung)]; ok {
 			results[i] = *prev
 			m.points.Inc()
 			m.sims.Add(uint64(len(prev.PerApp)))

@@ -3,69 +3,31 @@
 // core configuration dimensions to search (FHB size, fetch width, LVIP
 // size, queue depths, sync policy, cache geometry — every knob
 // sim.ConfigOverride can express), deterministic seeded samplers (grid,
-// random, successive halving) enumerate candidate points, a cheap static
-// first-stage filter built on internal/static's reconvergence predictions
-// discards points whose FHB window cannot capture the workloads' remerge
-// spans, and a two-objective evaluator (IPC up, energy per job down, from
-// internal/power) maintains the Pareto frontier. Evaluation runs through a
-// pluggable Backend — the local runner.Pool or a live mmtserved/mmtrouter
-// fleet — inheriting content-addressed dedup, caching, retries and tracing
-// for free. The product is a canonical, byte-stable study artifact
-// (internal/dse/study.go) that cmd/mmtdse writes, resumes and renders.
+// random, successive halving) enumerate candidate points, an optional
+// static ranker built on absint's cost model orders the first rung
+// statically best first, and a two-objective evaluator (IPC up, energy per
+// job down, from internal/power) maintains the Pareto frontier. Evaluation
+// runs through a pluggable Backend — the local runner.Pool or a live
+// mmtserved/mmtrouter fleet — inheriting content-addressed dedup, caching,
+// retries and tracing for free. The product is a canonical, byte-stable
+// study artifact (internal/dse/study.go) that cmd/mmtdse writes, resumes
+// and renders.
 package dse
 
 import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
-	"strconv"
 	"strings"
 
+	"mmt/internal/core"
 	"mmt/internal/sim"
 	"mmt/internal/workloads"
 )
 
-// knob maps one dimension name onto a ConfigOverride field. paper is the
-// Table 4 value of the knob — the paper's design point in that dimension.
-type knob struct {
-	set   func(*sim.ConfigOverride, int)
-	setS  func(*sim.ConfigOverride, string)
-	paper string
-}
-
-// knobs is the dimension registry: every searchable knob, keyed by the
-// wire name it shares with sim.ConfigOverride. Values are validated by
-// building an override and running its Validate, so a space can never
-// express a point a submission could not.
-var knobs = map[string]knob{
-	"fhb_size":        {set: func(o *sim.ConfigOverride, v int) { o.FHBSize = v }, paper: "32"},
-	"fetch_width":     {set: func(o *sim.ConfigOverride, v int) { o.FetchWidth = v }, paper: "8"},
-	"ls_ports":        {set: func(o *sim.ConfigOverride, v int) { o.LSPorts = v }, paper: "2"},
-	"lvip_size":       {set: func(o *sim.ConfigOverride, v int) { o.LVIPSize = v }, paper: "4096"},
-	"fetch_queue":     {set: func(o *sim.ConfigOverride, v int) { o.FetchQueue = v }, paper: "32"},
-	"iq_size":         {set: func(o *sim.ConfigOverride, v int) { o.IQSize = v }, paper: "64"},
-	"rob_size":        {set: func(o *sim.ConfigOverride, v int) { o.ROBSize = v }, paper: "256"},
-	"lsq_size":        {set: func(o *sim.ConfigOverride, v int) { o.LSQSize = v }, paper: "64"},
-	"reg_merge_ports": {set: func(o *sim.ConfigOverride, v int) { o.RegMergePorts = v }, paper: "2"},
-	"sync_policy":     {setS: func(o *sim.ConfigOverride, v string) { o.SyncPolicy = v }, paper: "fhb"},
-	"l1_kb":           {set: func(o *sim.ConfigOverride, v int) { o.L1KB = v }, paper: "64"},
-	"l2_kb":           {set: func(o *sim.ConfigOverride, v int) { o.L2KB = v }, paper: "4096"},
-}
-
-// KnobNames lists the searchable dimensions, sorted.
-func KnobNames() []string {
-	out := make([]string, 0, len(knobs))
-	for name := range knobs { // mmtvet:ok — sorted immediately below
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Dimension is one axis of the search space: a knob name plus the
-// candidate values to try. Integer knobs list Values, enum knobs
-// (sync_policy) list Strings; exactly one must be set.
+// Dimension is one axis of the search space: a sim.ConfigOverride knob,
+// by its wire name, plus the candidate values to try. Integer knobs list
+// Values, string knobs (sync_policy) list Strings; exactly one must be set.
 type Dimension struct {
 	Name    string   `json:"name"`
 	Values  []int    `json:"values,omitempty"`
@@ -80,27 +42,29 @@ func (d *Dimension) n() int {
 	return len(d.Strings)
 }
 
-// render returns candidate i as its canonical string form.
-func (d *Dimension) render(i int) string {
+// value returns candidate i as its JSON value.
+func (d *Dimension) value(i int) any {
 	if len(d.Values) > 0 {
-		return strconv.Itoa(d.Values[i])
+		return d.Values[i]
 	}
 	return d.Strings[i]
 }
 
-// FilterSpec configures the static first-stage filter (see filter.go).
-type FilterSpec struct {
-	// MinReconvCoverage rejects a point (without simulating it) when its
-	// FHB window covers less than this fraction of the statically
-	// predicted reconvergence spans across the selected workloads.
-	// 0 disables the filter.
-	MinReconvCoverage float64 `json:"min_reconv_coverage"`
-	// Rank orders the rung-0 cohort by the abstract-interpretation cost
-	// model (absint.Estimate), statically best first. Ranking never
-	// changes which points are evaluated under a full budget — only the
-	// order they are attempted in — so frontiers are unchanged; under a
-	// truncating budget the surviving prefix is the statically best one.
-	Rank bool `json:"rank,omitempty"`
+// render returns candidate i as its canonical string form.
+func (d *Dimension) render(i int) string { return fmt.Sprint(d.value(i)) }
+
+// decodeOverride turns an assignment {knob: value} into an override
+// through sim's strict ConfigOverride decoder — the one every job
+// submission goes through — so a space can name exactly the knobs, value
+// types and ranges a submission can.
+func decodeOverride(assign map[string]any) (sim.ConfigOverride, error) {
+	var o sim.ConfigOverride
+	b, err := json.Marshal(assign)
+	if err != nil {
+		return o, err
+	}
+	err = json.Unmarshal(b, &o)
+	return o, err
 }
 
 // Spec declares one search space: the machine presets held fixed, the
@@ -134,13 +98,19 @@ type Spec struct {
 	Workloads []string `json:"workloads,omitempty"`
 	// Dimensions are the swept axes.
 	Dimensions []Dimension `json:"dimensions"`
-	// Filter enables the static first-stage filter.
-	Filter *FilterSpec `json:"filter,omitempty"`
+	// Rank orders the rung-0 cohort by absint's static cost model,
+	// statically best first (see filter.go). Ranking never changes which
+	// points are evaluated under a full budget — only the order they are
+	// attempted in — so frontiers are unchanged; under a truncating budget
+	// the surviving prefix is the statically best one.
+	Rank bool `json:"rank,omitempty"`
 }
 
-// Validate checks the spec: known sampler and dimensions, in-range values
-// (via the override codec, so space files and job submissions share one
-// notion of validity), ascending rungs.
+// Validate checks the spec: known sampler, ascending rungs, and
+// dimensions whose every value decodes through the override codec and
+// resolves, with the spec's preset and threads, to a machine the core
+// accepts — so space files and job submissions share one notion of
+// validity.
 func (s *Spec) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("dse: space has no name")
@@ -168,38 +138,31 @@ func (s *Spec) Validate() error {
 	if len(s.Dimensions) == 0 {
 		return fmt.Errorf("dse: space %s: no dimensions", s.Name)
 	}
+	// The preset and thread count must resolve.
+	if _, err := s.resolve(nil); err != nil {
+		return fmt.Errorf("dse: space %s: %w", s.Name, err)
+	}
 	seen := map[string]bool{}
 	for di := range s.Dimensions {
 		d := &s.Dimensions[di]
-		k, ok := knobs[d.Name]
-		if !ok {
-			return fmt.Errorf("dse: space %s: unknown dimension %q (known: %s)",
-				s.Name, d.Name, strings.Join(KnobNames(), ", "))
-		}
 		if seen[d.Name] {
 			return fmt.Errorf("dse: space %s: duplicate dimension %q", s.Name, d.Name)
 		}
 		seen[d.Name] = true
+		if d.Name == "max_insts" {
+			return fmt.Errorf("dse: space %s: max_insts is not a dimension: the rungs set each evaluation's budget", s.Name)
+		}
 		if (len(d.Values) > 0) == (len(d.Strings) > 0) {
 			return fmt.Errorf("dse: space %s: dimension %q must set exactly one of values or strings", s.Name, d.Name)
 		}
-		if len(d.Values) > 0 && k.set == nil {
-			return fmt.Errorf("dse: space %s: dimension %q takes strings, not values", s.Name, d.Name)
-		}
-		if len(d.Strings) > 0 && k.setS == nil {
-			return fmt.Errorf("dse: space %s: dimension %q takes values, not strings", s.Name, d.Name)
-		}
-		// Every candidate value must be expressible as a valid override.
 		// Zero (and the empty string) mean "keep the preset value" in the
-		// override codec, so they are not legal sweep values either.
+		// override codec, so they are not legal sweep values.
 		for i := 0; i < d.n(); i++ {
-			if d.render(i) == "0" || d.render(i) == "" {
+			if v := d.value(i); v == 0 || v == "" {
 				return fmt.Errorf("dse: space %s: dimension %q value %q is not a sweepable value",
 					s.Name, d.Name, d.render(i))
 			}
-			var o sim.ConfigOverride
-			d.apply(&o, i)
-			if err := o.Validate(); err != nil {
+			if _, err := s.valueConfig(d, i); err != nil {
 				return fmt.Errorf("dse: space %s: dimension %q value %s: %w", s.Name, d.Name, d.render(i), err)
 			}
 		}
@@ -209,26 +172,28 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("dse: space %s: unknown workload %q", s.Name, name)
 		}
 	}
-	if s.Filter != nil && (s.Filter.MinReconvCoverage < 0 || s.Filter.MinReconvCoverage > 1) {
-		return fmt.Errorf("dse: space %s: min_reconv_coverage %v outside [0,1]", s.Name, s.Filter.MinReconvCoverage)
-	}
-	// The preset and thread count must resolve (reuse the task machinery
-	// so an invalid combination fails at spec-load time).
-	probe := sim.TaskSpec{App: workloads.Names()[0], Preset: s.Preset, Threads: s.Threads}
-	if _, err := probe.Task(); err != nil {
-		return fmt.Errorf("dse: space %s: %w", s.Name, err)
-	}
 	return nil
 }
 
-// apply sets candidate i of the dimension on an override.
-func (d *Dimension) apply(o *sim.ConfigOverride, i int) {
-	k := knobs[d.Name]
-	if len(d.Values) > 0 {
-		k.set(o, d.Values[i])
-		return
+// resolve returns the machine an override simulates under the spec's
+// preset and thread count, resolved and validated exactly as a job
+// submission of it is; nil resolves the unmodified preset. The workload
+// only names the probe task: the machine does not depend on it.
+func (s *Spec) resolve(o *sim.ConfigOverride) (core.Config, error) {
+	t, err := sim.TaskSpec{App: workloads.Names()[0], Preset: s.Preset, Threads: s.Threads, Config: o}.Task()
+	if err != nil {
+		return core.Config{}, err
 	}
-	k.setS(o, d.Strings[i])
+	return t.ResolvedConfig()
+}
+
+// valueConfig resolves candidate i of dimension d set on its own.
+func (s *Spec) valueConfig(d *Dimension, i int) (core.Config, error) {
+	o, err := decodeOverride(map[string]any{d.Name: d.value(i)})
+	if err != nil {
+		return core.Config{}, err
+	}
+	return s.resolve(&o)
 }
 
 // Size returns the number of points in the space (the product of the
@@ -279,37 +244,44 @@ type Point struct {
 // PointAt decodes flat index idx (0 <= idx < Size) into a point. The
 // first dimension is the most significant digit, so grid order sweeps the
 // last dimension fastest.
-func (s *Spec) PointAt(idx int) Point {
-	var o sim.ConfigOverride
+func (s *Spec) PointAt(idx int) (Point, error) {
+	assign := make(map[string]any, len(s.Dimensions))
 	parts := make([]string, len(s.Dimensions))
 	rem := idx
 	for di := len(s.Dimensions) - 1; di >= 0; di-- {
 		d := &s.Dimensions[di]
 		vi := rem % d.n()
 		rem /= d.n()
-		d.apply(&o, vi)
+		assign[d.Name] = d.value(vi)
 		parts[di] = d.Name + "=" + d.render(vi)
 	}
-	return Point{ID: strings.Join(parts, ","), Override: o}
+	id := strings.Join(parts, ",")
+	o, err := decodeOverride(assign)
+	if err != nil {
+		return Point{}, fmt.Errorf("dse: space %s: point %s: %w", s.Name, id, err)
+	}
+	return Point{ID: id, Override: o}, nil
 }
 
-// PaperPointID returns the ID of the paper's Table 4 design point within
-// this space — the assignment picking every dimension's Table 4 value —
-// or "" when some dimension does not offer that value (the space cannot
-// express the paper's machine).
+// PaperPointID returns the ID of the space's design point: the
+// assignment picking, in every dimension, the value that resolves to the
+// unmodified preset's configuration — the paper's Table 4 machine for the
+// default MMT-FXR preset. It returns "" when some dimension does not
+// offer that value (the space cannot express the preset's machine).
 func (s *Spec) PaperPointID() string {
+	base, err := s.resolve(nil)
+	if err != nil {
+		return ""
+	}
 	parts := make([]string, len(s.Dimensions))
 	for di := range s.Dimensions {
 		d := &s.Dimensions[di]
-		found := false
-		for i := 0; i < d.n(); i++ {
-			if d.render(i) == knobs[d.Name].paper {
-				parts[di] = d.Name + "=" + knobs[d.Name].paper
-				found = true
-				break
+		for i := 0; i < d.n() && parts[di] == ""; i++ {
+			if c, err := s.valueConfig(d, i); err == nil && c == base {
+				parts[di] = d.Name + "=" + d.render(i)
 			}
 		}
-		if !found {
+		if parts[di] == "" {
 			return ""
 		}
 	}
@@ -340,7 +312,6 @@ func Builtin(name string) (*Spec, bool) {
 				{Name: "sync_policy", Strings: []string{"hints", "fhb"}},
 				{Name: "iq_size", Values: []int{32, 64}},
 			},
-			Filter: &FilterSpec{MinReconvCoverage: 0.25},
 		}, true
 	case "smoke":
 		// Tiny, fast, deterministic: CI's byte-identity check and quick
@@ -368,7 +339,7 @@ func Builtin(name string) (*Spec, bool) {
 				{Name: "lvip_size", Values: []int{256, 1024, 4096}},
 				{Name: "rob_size", Values: []int{128, 256}},
 			},
-			Filter: &FilterSpec{MinReconvCoverage: 0.25, Rank: true},
+			Rank: true,
 		}, true
 	}
 	return nil, false

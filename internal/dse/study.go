@@ -14,7 +14,7 @@ import (
 )
 
 // StudySchema versions the study artifact; bump on incompatible change.
-const StudySchema = 1
+const StudySchema = 2
 
 // AppResult is one workload's contribution to a point evaluation.
 type AppResult struct {
@@ -25,7 +25,7 @@ type AppResult struct {
 	Insts        uint64  `json:"insts"`
 }
 
-// PointResult is one evaluated (point, rung) pair — or a static reject.
+// PointResult is one evaluated (point, rung) pair.
 type PointResult struct {
 	// ID is the point's canonical identity within the space
 	// (Point.ID); Rung the evaluation budget level it ran at.
@@ -34,10 +34,6 @@ type PointResult struct {
 	// Config is the exact override evaluated, including the rung's
 	// MaxInsts — enough to re-run the point by hand.
 	Config sim.ConfigOverride `json:"config"`
-	// Rejected marks a point the static filter discarded; Reason says
-	// why. Rejected points carry no objectives and cost no budget.
-	Rejected bool   `json:"rejected,omitempty"`
-	Reason   string `json:"reason,omitempty"`
 	// Objectives aggregates across the study's workloads (IPC geomean,
 	// energy/job mean).
 	Objectives Objectives  `json:"objectives"`
@@ -60,8 +56,6 @@ type BudgetReport struct {
 	// CommittedInsts sums committed instructions over all simulations —
 	// the study's total simulated work.
 	CommittedInsts uint64 `json:"committed_insts"`
-	// StaticRejects counts points the filter discarded for free.
-	StaticRejects int `json:"static_rejects"`
 	// Truncated reports that the budget ran out before the sampler
 	// finished (the frontier is over the evaluated subset only).
 	Truncated bool `json:"truncated,omitempty"`
@@ -81,8 +75,8 @@ type Study struct {
 	// Workloads are the applications evaluated (after any -workloads
 	// override), in evaluation order.
 	Workloads []string `json:"workloads"`
-	// Points holds every candidate scanned, in scan order (rung by rung,
-	// sampler order within a rung; rejects in place).
+	// Points holds every evaluated (point, rung) pair, rung by rung, in
+	// the order each rung attempted them.
 	Points []PointResult `json:"points"`
 	// Frontier is the Pareto frontier over the highest rung's evaluated
 	// points, as sorted point IDs.
@@ -156,7 +150,7 @@ func WriteStudy(path string, st *Study) error {
 func (st *Study) maxRung() int {
 	max := 0
 	for i := range st.Points {
-		if !st.Points[i].Rejected && st.Points[i].Rung > max {
+		if st.Points[i].Rung > max {
 			max = st.Points[i].Rung
 		}
 	}
@@ -168,7 +162,7 @@ func (st *Study) topRungObjectives() (ids []string, objs []Objectives) {
 	top := st.maxRung()
 	for i := range st.Points {
 		p := &st.Points[i]
-		if !p.Rejected && p.Rung == top {
+		if p.Rung == top {
 			ids = append(ids, p.ID)
 			objs = append(objs, p.Objectives)
 		}
@@ -208,9 +202,6 @@ func (st *Study) Validate() error {
 			return fmt.Errorf("dse: study evaluates %s twice", key)
 		}
 		seen[key] = true
-		if p.Rejected && p.Reason == "" {
-			return fmt.Errorf("dse: rejected point %s has no reason", p.ID)
-		}
 	}
 	want := st.computeFrontier()
 	if len(want) != len(st.Frontier) {
@@ -263,8 +254,8 @@ func (st *Study) WriteFrontier(w io.Writer) {
 		}
 		return rows[i].id < rows[j].id
 	})
-	fmt.Fprintf(w, "study %s: %d points evaluated, %d rejected statically, frontier %d\n",
-		st.Space.Name, st.Budget.Evaluations, st.Budget.StaticRejects, len(st.Frontier))
+	fmt.Fprintf(w, "study %s: %d points evaluated, frontier %d\n",
+		st.Space.Name, st.Budget.Evaluations, len(st.Frontier))
 	if st.Budget.Truncated {
 		fmt.Fprintf(w, "  (budget of %d exhausted before the sampler finished)\n", st.Budget.Limit)
 	}

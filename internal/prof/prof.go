@@ -24,10 +24,10 @@ import (
 // divergence->reconvergence edges for static cross-validation).
 const SchemaVersion = 2
 
-// DefaultMaxSites bounds the per-PC map, mirroring core.MaxDivergencePCs:
-// attribution beyond the first DefaultMaxSites distinct PCs (in
-// deterministic simulation order) pools into the overflow site, so
-// pathological programs cannot grow a profile without bound.
+// DefaultMaxSites bounds the per-PC map: attribution beyond the first
+// DefaultMaxSites distinct PCs (in deterministic simulation order) pools
+// into the overflow site, so pathological programs cannot grow a profile
+// without bound.
 const DefaultMaxSites = 4096
 
 // SiteStats is everything attributed to one static PC.

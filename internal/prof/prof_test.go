@@ -6,6 +6,7 @@ import (
 
 	"mmt/internal/asm"
 	"mmt/internal/core"
+	"mmt/internal/obs"
 	"mmt/internal/prog"
 )
 
@@ -32,8 +33,9 @@ input:  .word 0
 `
 
 // runProfiled simulates divergeSrc on two divergent ME instances with a
-// profiler attached and returns the run's stats and profile snapshot.
-func runProfiled(t *testing.T) (*core.Stats, *Profile) {
+// profiler and an event collector attached, and returns the run's stats,
+// profile snapshot and event stream.
+func runProfiled(t *testing.T) (*core.Stats, *Profile, *obs.Collector) {
 	t.Helper()
 	p, err := asm.Assemble("test", divergeSrc)
 	if err != nil {
@@ -53,17 +55,19 @@ func runProfiled(t *testing.T) (*core.Stats, *Profile) {
 	}
 	pr := New()
 	c.AttachProbe(pr)
+	events := obs.NewCollector()
+	c.Attach(events, 0)
 	st, err := c.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return st, pr.Snapshot()
+	return st, pr.Snapshot(), events
 }
 
 // TestCPIStackSumsToCycles is the accounting invariant: every simulated
 // cycle is charged to exactly one CPI-stack component.
 func TestCPIStackSumsToCycles(t *testing.T) {
-	st, p := runProfiled(t)
+	st, p, _ := runProfiled(t)
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -78,18 +82,33 @@ func TestCPIStackSumsToCycles(t *testing.T) {
 	}
 }
 
-// TestTopSiteMatchesDivergenceHistogram: the profile's hottest divergence
-// site must agree with the core's own DivergencePCs histogram.
+// TestTopSiteMatchesDivergenceHistogram: the profile must charge every
+// divergence site exactly the divergences the core's event stream
+// records there (each obs.EvDiverge carries its PC).
 func TestTopSiteMatchesDivergenceHistogram(t *testing.T) {
-	st, p := runProfiled(t)
+	st, p, events := runProfiled(t)
 	if st.Divergences == 0 {
 		t.Fatal("workload did not diverge")
 	}
-	var hotPC, hotN uint64
-	for pc, n := range st.DivergencePCs {
-		if n > hotN || (n == hotN && pc < hotPC) {
-			hotPC, hotN = pc, n
+	want := map[uint64]uint64{}
+	for _, e := range events.Events {
+		if e.Kind == obs.EvDiverge {
+			want[e.PC]++
 		}
+	}
+	got := map[uint64]uint64{}
+	var total uint64
+	for _, site := range p.Sites {
+		if site.Divergences > 0 {
+			got[site.PC] = site.Divergences
+			total += site.Divergences
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("profile charges divergences %v, event stream records %v", got, want)
+	}
+	if total != st.Divergences {
+		t.Errorf("profile charges %d divergences, core counted %d", total, st.Divergences)
 	}
 	top := p.TopSites(0)
 	if len(top) == 0 {
@@ -105,12 +124,6 @@ func TestTopSiteMatchesDivergenceHistogram(t *testing.T) {
 	if topDiverge == nil {
 		t.Fatal("no site with divergences in the profile")
 	}
-	if topDiverge.PC != hotPC {
-		t.Errorf("profile's hot divergence site %#x, core histogram says %#x", topDiverge.PC, hotPC)
-	}
-	if topDiverge.Divergences != hotN {
-		t.Errorf("profile charges %d divergences to %#x, histogram has %d", topDiverge.Divergences, hotPC, hotN)
-	}
 	if topDiverge.Remerges == 0 {
 		t.Error("hot divergence site never remerged")
 	}
@@ -118,7 +131,7 @@ func TestTopSiteMatchesDivergenceHistogram(t *testing.T) {
 
 // TestProfileJSONRoundTrip: Marshal → ParseProfile is lossless.
 func TestProfileJSONRoundTrip(t *testing.T) {
-	_, p := runProfiled(t)
+	_, p, _ := runProfiled(t)
 	b, err := p.Marshal()
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +148,7 @@ func TestProfileJSONRoundTrip(t *testing.T) {
 // TestParseProfileRejectsOtherSchemas: a version bump must fail loudly,
 // not decode garbage.
 func TestParseProfileRejectsOtherSchemas(t *testing.T) {
-	_, p := runProfiled(t)
+	_, p, _ := runProfiled(t)
 	p.Schema = SchemaVersion + 1
 	if _, err := p.Marshal(); err == nil {
 		t.Error("Marshal accepted a foreign schema")
@@ -157,7 +170,7 @@ func TestParseProfileRejectsOtherSchemas(t *testing.T) {
 // TestMergeDoubles: merging a profile into a fresh one twice doubles
 // every additive quantity.
 func TestMergeDoubles(t *testing.T) {
-	_, p := runProfiled(t)
+	_, p, _ := runProfiled(t)
 	m := &Profile{Schema: SchemaVersion}
 	m.Merge(p)
 	m.Merge(p)
@@ -235,7 +248,7 @@ func TestRemergeEdges(t *testing.T) {
 // TestRemergeEdgesObserved: a real divergent run records edges, and every
 // edge's divergence endpoint is a site the profiler saw diverge.
 func TestRemergeEdgesObserved(t *testing.T) {
-	_, profile := runProfiled(t)
+	_, profile, _ := runProfiled(t)
 	if len(profile.RemergeEdges) == 0 {
 		t.Fatal("divergent run recorded no remerge edges")
 	}

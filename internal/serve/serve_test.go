@@ -642,6 +642,11 @@ func TestBadSubmissions(t *testing.T) {
 	if _, resp := postJob(t, hs.URL, SubmitRequest{Task: sim.TaskSpec{App: "no-such-app"}}); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown app: %s, want 400", resp.Status)
 	}
+	// A window smaller than the thread count would livelock the core.
+	tiny := sim.TaskSpec{App: "libsvm", Threads: 2, Config: &sim.ConfigOverride{ROBSize: 1}}
+	if _, resp := postJob(t, hs.URL, SubmitRequest{Task: tiny}); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("1-entry ROB at 2 threads: %s, want 400", resp.Status)
+	}
 
 	r2, err := http.Get(hs.URL + "/v1/jobs/j999999-missing")
 	if err != nil {

@@ -233,8 +233,13 @@ func (s TaskSpec) Task() (Task, error) {
 		t.Mutate = o.apply
 	}
 	if !s.Profile {
-		// Validates the preset and the override's interaction with it.
-		if _, err := t.ResolvedConfig(); err != nil {
+		// Validates the preset and the machine the override makes of it,
+		// so a configuration the core refuses fails at admission.
+		cfg, err := t.ResolvedConfig()
+		if err != nil {
+			return Task{}, err
+		}
+		if err := cfg.Validate(); err != nil {
 			return Task{}, err
 		}
 	}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"mmt/internal/core"
@@ -98,6 +99,24 @@ func TestTaskSpecRejectsBadInput(t *testing.T) {
 	}
 	if _, err := (TaskSpec{App: "ammp", Preset: Preset("Bogus")}).Task(); err == nil {
 		t.Error("unknown preset accepted")
+	}
+	// A shared fetch splits into up to Threads pieces that dispatch
+	// together, so a smaller window would livelock the core: resolution
+	// refuses it and names the window.
+	for window, ov := range map[string]ConfigOverride{
+		"ROB": {ROBSize: 1},
+		"IQ":  {IQSize: 1},
+		"LSQ": {LSQSize: 1},
+	} {
+		_, err := (TaskSpec{App: "libsvm", Threads: 2, Config: &ov}).Task()
+		if err == nil || !strings.Contains(err.Error(), window) {
+			t.Errorf("%s of 1 entry at 2 threads: got %v, want an error naming the %s", window, err, window)
+		}
+	}
+	// Base has no shared fetch and runs with a 1-entry window.
+	if _, err := (TaskSpec{App: "libsvm", Preset: PresetBase, Threads: 2,
+		Config: &ConfigOverride{ROBSize: 1, IQSize: 1, LSQSize: 1}}).Task(); err != nil {
+		t.Errorf("Base with 1-entry windows refused: %v", err)
 	}
 }
 

@@ -361,17 +361,8 @@ func blockFreqs(r *Result) []float64 {
 // saturate on short-span kernels and the energy tiebreak would rank
 // narrow-fetch machines first — backwards, since real IPC rises with
 // width. These are ordering signals for the DSE ranker, not absolute
-// IPC or joules.
+// IPC or joules. The sizes are a resolved configuration's, all positive.
 func (e *Estimate) Score(fhbSize, fetchWidth, lvipSize int) (throughput, energy float64) {
-	if fhbSize <= 0 {
-		fhbSize = 32 // Table 4 defaults when the dimension is not swept
-	}
-	if fetchWidth <= 0 {
-		fetchWidth = 8
-	}
-	if lvipSize <= 0 {
-		lvipSize = 4096
-	}
 	cover := 1.0
 	var totalF, coveredF float64
 	for _, d := range e.Divergence {
