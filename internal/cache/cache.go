@@ -81,9 +81,6 @@ func (c *Cache) set(i int) []line {
 	return c.lines[i*w : (i+1)*w]
 }
 
-// LineBytes returns the block size.
-func (c *Cache) LineBytes() int { return c.cfg.LineBytes }
-
 // lineAddr reduces an address to its line-aligned form.
 func (c *Cache) lineAddr(addr uint64) uint64 {
 	return addr &^ uint64(c.cfg.LineBytes-1)

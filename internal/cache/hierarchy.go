@@ -111,10 +111,5 @@ func (h *Hierarchy) AccessData(space uint8, addr uint64, write bool, now uint64)
 	return h.mshr.Allocate(h.l1d.lineAddr(a), now, h.cfg.L1Latency+fill)
 }
 
-// L1I, L1D, L2 expose per-level statistics.
-func (h *Hierarchy) L1I() *Stats { return &h.l1i.Stats }
-func (h *Hierarchy) L1D() *Stats { return &h.l1d.Stats }
-func (h *Hierarchy) L2() *Stats  { return &h.l2.Stats }
-
 // MSHRStats exposes the miss-register file counters.
 func (h *Hierarchy) MSHRStats() *MSHR { return h.mshr }

@@ -31,8 +31,6 @@ func runDoctor(args []string, stdout, progress io.Writer) error {
 		sources = fs.String("sources", "", "extra comma-separated base URLs to also collect from (e.g. an mmtcached)")
 		out     = fs.String("out", "", "write the diagnosis bundle to this directory (empty = triage report only)")
 		slowest = fs.Int("slowest", 3, "how many of the slowest recent traces to stitch into the bundle")
-		top     = fs.Int("top", 10, "frames per merged profile report")
-		last    = fs.Int("profile-last", 4, "merge only the newest N CPU captures per node")
 		timeout = fs.Duration("timeout", 30*time.Second, "overall collection timeout (per round in -watch mode)")
 
 		watch     = fs.Bool("watch", false, "poll health thresholds instead of collecting; exits non-zero on the first breach")
@@ -56,13 +54,11 @@ func runDoctor(args []string, stdout, progress io.Writer) error {
 	}
 
 	opts := doctor.Options{
-		Server:      *server,
-		Sources:     strings.Split(*sources, ","),
-		SlowTraces:  *slowest,
-		TopFrames:   *top,
-		ProfileLast: *last,
-		Version:     Version(),
-		Progress:    progress,
+		Server:     *server,
+		Sources:    strings.Split(*sources, ","),
+		SlowTraces: *slowest,
+		Version:    Version(),
+		Progress:   progress,
 	}
 
 	if *watch {

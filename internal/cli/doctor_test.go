@@ -14,7 +14,7 @@ import (
 // TestDoctorEndToEnd boots a real fleet — mmtcached, two mmtserved nodes,
 // mmtrouter — drives load through it, and proves the mmtdoctor acceptance
 // scenario: one invocation produces a bundle holding every process's
-// flight ring, metrics history and at least one merged CPU profile, with
+// flight ring, metrics history and at least one raw CPU capture, with
 // a triage report naming the slowest trace; the bundled flight rings stay
 // renderable via -from-dump; and -watch holds or breaches thresholds with
 // the right exit behavior.
@@ -71,7 +71,7 @@ func TestDoctorEndToEnd(t *testing.T) {
 	if len(nodes) != 4 {
 		t.Fatalf("bundle nodes = %d, want 4 (have %v)", len(nodes), names(nodes))
 	}
-	var merged, flights int
+	var cpu, flights int
 	for _, n := range nodes {
 		nd := filepath.Join(bundleDir, "nodes", n.Name())
 		for _, p := range []string{"flight.json", "metrics.json", "config.json"} {
@@ -82,15 +82,14 @@ func TestDoctorEndToEnd(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(nd, "flight.json")); err == nil {
 			flights++
 		}
-		if _, err := os.Stat(filepath.Join(nd, "cpu-merged.json")); err == nil {
-			merged++
-		}
+		caps, _ := filepath.Glob(filepath.Join(nd, "cpu-*.pprof"))
+		cpu += len(caps)
 	}
 	if flights != 4 {
 		t.Errorf("flight rings in bundle = %d, want 4", flights)
 	}
-	if merged == 0 {
-		t.Error("no node holds a merged CPU profile")
+	if cpu == 0 {
+		t.Error("no node holds a CPU capture")
 	}
 	if _, err := os.Stat(filepath.Join(bundleDir, "cluster.json")); err != nil {
 		t.Error("bundle missing cluster.json")

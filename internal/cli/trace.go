@@ -56,7 +56,11 @@ func runTrace(args []string, stdout, progress io.Writer) error {
 		return listTraces(ctx, stdout, eps, *slowest > 0, n)
 	}
 
-	tree, err := fetchStitched(ctx, eps, *traceID, progress)
+	tree, err := doctor.FetchStitched(ctx, eps, *traceID, func(ep string, err error) {
+		if progress != nil {
+			fmt.Fprintf(progress, "mmttrace: %s: %v (skipping)\n", ep, err)
+		}
+	})
 	if err != nil {
 		return err
 	}
@@ -70,57 +74,6 @@ func runTrace(args []string, stdout, progress io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// fetchStitched gathers one trace's spans from every endpoint and
-// stitches them. Dedup joiner spans link to the creator's trace; those
-// linked traces are fetched too (bounded depth), so a joined submission
-// renders alongside the execution that actually served it.
-func fetchStitched(ctx context.Context, eps []string, traceID string, progress io.Writer) (*span.Tree, error) {
-	var (
-		records []span.Record
-		fetched = make(map[string]bool)
-		failed  = make(map[string]bool)
-		reached = 0
-	)
-	queue := []string{traceID}
-	for depth := 0; len(queue) > 0 && depth < 4; depth++ {
-		ids := queue
-		queue = nil
-		for _, id := range ids {
-			if fetched[id] {
-				continue
-			}
-			fetched[id] = true
-			for _, ep := range eps {
-				if failed[ep] {
-					continue
-				}
-				sr, err := span.FetchSpans(ctx, nil, ep, id)
-				if err != nil {
-					failed[ep] = true
-					if progress != nil {
-						fmt.Fprintf(progress, "mmttrace: %s: %v (skipping)\n", ep, err)
-					}
-					continue
-				}
-				reached++
-				records = append(records, sr.Spans...)
-			}
-		}
-		for _, link := range span.Stitch(records).Links() {
-			if !fetched[link.TraceID] {
-				queue = append(queue, link.TraceID)
-			}
-		}
-	}
-	if reached == 0 {
-		return nil, fmt.Errorf("no span endpoint reachable (tried %s)", strings.Join(eps, ", "))
-	}
-	if len(records) == 0 {
-		return nil, fmt.Errorf("no spans for trace %q on %d endpoints — traces live in a bounded in-memory ring, so old ones age out", traceID, reached)
-	}
-	return span.Stitch(records), nil
 }
 
 // listTraces merges every process's recent-trace summaries and prints

@@ -184,9 +184,6 @@ func (c *Core) Stats() *Stats { return &c.stats }
 // MemEvents exposes the memory-hierarchy event counters.
 func (c *Core) MemEvents() cache.Events { return c.mem.Events }
 
-// Mem exposes the hierarchy for inspection.
-func (c *Core) Mem() *cache.Hierarchy { return c.mem }
-
 // LVIPStats exposes the load-value predictor.
 func (c *Core) LVIPStats() *LVIP { return c.lvip }
 

@@ -17,11 +17,12 @@ import (
 //	nodes/<service>/
 //	    flight.json          the node's flight dump (mmtdoctor -from-dump renders it)
 //	    metrics.json         the node's in-process metrics time series
-//	    profiles.json        continuous-profiler capture index
-//	    cpu-merged.json      merged top-frames report over recent CPU captures
-//	    cpu.pprof            newest raw CPU capture (feed to `go tool pprof`)
+//	    profiles.json        continuous-profiler capture index (id -> start time)
+//	    cpu-<id>.pprof       every raw CPU capture in the node's ring; merge
+//	                         any window with `go tool pprof -top cpu-*.pprof`
 //	    config.json          the node's resolved flags
-//	traces/<id>.json         each stitched slow trace's spans
+//	traces/<id>.json         each stitched slow trace's spans, with the
+//	                         traces its dedup links lead to
 //
 // Everything is plain JSON (plus raw pprof bytes), so a bundle stays
 // diffable and greppable years later.
@@ -50,7 +51,6 @@ func (b *Bundle) Write(dir string) error {
 			{"flight.json", n.Flight},
 			{"metrics.json", n.Metrics},
 			{"profiles.json", n.Profiles},
-			{"cpu-merged.json", n.CPUMerged},
 			{"config.json", n.Config},
 		}
 		for _, p := range parts {
@@ -61,8 +61,8 @@ func (b *Bundle) Write(dir string) error {
 				return err
 			}
 		}
-		if len(n.CPURaw) > 0 {
-			if err := os.WriteFile(filepath.Join(nd, "cpu.pprof"), n.CPURaw, 0o644); err != nil {
+		for _, c := range n.CPU {
+			if err := os.WriteFile(filepath.Join(nd, fmt.Sprintf("cpu-%d.pprof", c.ID)), c.Raw, 0o644); err != nil {
 				return err
 			}
 		}

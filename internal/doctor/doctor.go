@@ -3,9 +3,10 @@
 // span ring, metrics history, continuous-profiler captures and resolved
 // configuration into a single reproducible bundle, and distills a triage
 // report — which metrics moved, which traces were slowest and where their
-// time went, what was hot on-CPU, and whether any process recorded a
-// panic. The collector is read-only: it only issues GETs against the
-// debug surface every daemon already serves.
+// time went, how many CPU captures the bundle holds for `go tool pprof`,
+// and whether any process recorded a panic. The collector is read-only:
+// it only issues GETs against the debug surface every daemon already
+// serves.
 package doctor
 
 import (
@@ -26,7 +27,7 @@ import (
 )
 
 // BundleSchema versions the on-disk bundle manifest.
-const BundleSchema = 1
+const BundleSchema = 2
 
 // Options configures one collection sweep.
 type Options struct {
@@ -39,10 +40,6 @@ type Options struct {
 	// SlowTraces is how many of the slowest recent traces to stitch into
 	// the bundle (<= 0 means 3).
 	SlowTraces int
-	// TopFrames bounds each merged profile report (<= 0 means 10).
-	TopFrames int
-	// ProfileLast merges only the newest N CPU captures (<= 0 means 4).
-	ProfileLast int
 	// Version labels the manifest with the collecting tool's version.
 	Version string
 	// Progress, when non-nil, receives one line per endpoint and warning.
@@ -52,12 +49,6 @@ type Options struct {
 func (o *Options) defaults() {
 	if o.SlowTraces <= 0 {
 		o.SlowTraces = 3
-	}
-	if o.TopFrames <= 0 {
-		o.TopFrames = 10
-	}
-	if o.ProfileLast <= 0 {
-		o.ProfileLast = 4
 	}
 	if o.Progress == nil {
 		o.Progress = io.Discard
@@ -69,16 +60,22 @@ type NodeDiag struct {
 	Base    string `json:"base"`
 	Service string `json:"service"` // the process's own label, e.g. "mmtserved@127.0.0.1:8377"
 
-	Flight    *flight.Dump            `json:"-"` // written as nodes/<node>/flight.json
-	Metrics   *history.Response       `json:"-"` // nodes/<node>/metrics.json
-	Profiles  *profiled.IndexResponse `json:"-"` // nodes/<node>/profiles.json
-	CPUMerged *profiled.TopReport     `json:"-"` // nodes/<node>/cpu-merged.json
-	CPURaw    []byte                  `json:"-"` // nodes/<node>/cpu.pprof (newest capture)
-	Config    json.RawMessage         `json:"-"` // nodes/<node>/config.json
+	Flight   *flight.Dump            `json:"-"` // written as nodes/<node>/flight.json
+	Metrics  *history.Response       `json:"-"` // nodes/<node>/metrics.json
+	Profiles *profiled.IndexResponse `json:"-"` // nodes/<node>/profiles.json
+	CPU      []CPUCapture            `json:"-"` // nodes/<node>/cpu-<id>.pprof
+	Config   json.RawMessage         `json:"-"` // nodes/<node>/config.json
 
 	// Errors lists per-endpoint fetch failures; a node with no flight
 	// ring at all is dropped instead.
 	Errors []string `json:"errors,omitempty"`
+}
+
+// CPUCapture is one raw CPU profile from a node's profiler ring; its id
+// keys the start time in profiles.json.
+type CPUCapture struct {
+	ID  int
+	Raw []byte
 }
 
 // TraceDiag is one stitched slow trace.
@@ -136,7 +133,7 @@ func Collect(ctx context.Context, opts Options) (*Bundle, error) {
 	}
 
 	collectTraces(ctx, &opts, b, eps)
-	b.Triage = triage(b, opts.TopFrames)
+	b.Triage = triage(b)
 	return b, nil
 }
 
@@ -195,29 +192,16 @@ func collectNode(ctx context.Context, opts *Options, base string) *NodeDiag {
 		record("profile index", err)
 	} else {
 		n.Profiles = &idx
-		cpu := 0
-		newest := 0
 		for _, c := range idx.Captures {
-			if c.Kind == "cpu" {
-				cpu++
-				newest = c.ID
+			if c.Kind != "cpu" {
+				continue
 			}
-		}
-		if cpu > 0 {
-			var rep profiled.TopReport
-			url := fmt.Sprintf("%s/v1/debug/profiles?merge=cpu&last=%d&top=%d",
-				base, opts.ProfileLast, opts.TopFrames)
-			if err := fetchJSON(ctx, url, &rep); err != nil {
-				record("cpu merge", err)
-			} else {
-				n.CPUMerged = &rep
-			}
-			raw, err := fetchBytes(ctx, fmt.Sprintf("%s/v1/debug/profiles?id=%d", base, newest))
+			raw, err := fetchBytes(ctx, fmt.Sprintf("%s/v1/debug/profiles?id=%d", base, c.ID))
 			if err != nil {
-				record("cpu capture", err)
-			} else {
-				n.CPURaw = raw
+				record(fmt.Sprintf("cpu capture %d", c.ID), err)
+				continue
 			}
+			n.CPU = append(n.CPU, CPUCapture{ID: c.ID, Raw: raw})
 		}
 	}
 
@@ -286,7 +270,9 @@ func MergeTraces(ctx context.Context, eps []string) (traces []*FleetTrace, reach
 }
 
 // collectTraces ranks the fleet's recent traces by duration and stitches
-// the slowest into the bundle.
+// the slowest into the bundle, each through FetchStitched — the tree
+// mmttrace renders, so a dedup joiner's trace carries the execution that
+// served it.
 func collectTraces(ctx context.Context, opts *Options, b *Bundle, eps []string) {
 	list, _ := MergeTraces(ctx, eps)
 	sort.SliceStable(list, func(i, j int) bool { return list[i].DurNS() > list[j].DurNS() })
@@ -294,18 +280,12 @@ func collectTraces(ctx context.Context, opts *Options, b *Bundle, eps []string) 
 		list = list[:opts.SlowTraces]
 	}
 	for _, m := range list {
-		var records []span.Record
-		for _, ep := range eps {
-			sr, err := span.FetchSpans(ctx, nil, ep, m.ID)
-			if err != nil {
-				continue
-			}
-			records = append(records, sr.Spans...)
-		}
-		tree := span.Stitch(records)
-		if tree.Count == 0 {
+		tree, err := FetchStitched(ctx, eps, m.ID, nil)
+		if err != nil {
 			continue
 		}
+		var records []span.Record
+		tree.Walk(func(n *span.Node, _ int) { records = append(records, n.Record) })
 		start, end := tree.Window()
 		b.Traces = append(b.Traces, TraceDiag{
 			ID:      m.ID,
@@ -316,6 +296,58 @@ func collectTraces(ctx context.Context, opts *Options, b *Bundle, eps []string) 
 			Records: records,
 		})
 	}
+}
+
+// FetchStitched gathers one trace's spans from every endpoint and
+// stitches them. Dedup joiner spans link to the creator's trace; those
+// linked traces are fetched too (bounded depth), so a joined submission
+// stitches alongside the execution that actually served it. warn, when
+// non-nil, hears about each endpoint that failed and was skipped.
+func FetchStitched(ctx context.Context, eps []string, traceID string, warn func(ep string, err error)) (*span.Tree, error) {
+	var (
+		records []span.Record
+		fetched = make(map[string]bool)
+		failed  = make(map[string]bool)
+		reached = 0
+	)
+	queue := []string{traceID}
+	for depth := 0; len(queue) > 0 && depth < 4; depth++ {
+		ids := queue
+		queue = nil
+		for _, id := range ids {
+			if fetched[id] {
+				continue
+			}
+			fetched[id] = true
+			for _, ep := range eps {
+				if failed[ep] {
+					continue
+				}
+				sr, err := span.FetchSpans(ctx, nil, ep, id)
+				if err != nil {
+					failed[ep] = true
+					if warn != nil {
+						warn(ep, err)
+					}
+					continue
+				}
+				reached++
+				records = append(records, sr.Spans...)
+			}
+		}
+		for _, link := range span.Stitch(records).Links() {
+			if !fetched[link.TraceID] {
+				queue = append(queue, link.TraceID)
+			}
+		}
+	}
+	if reached == 0 {
+		return nil, fmt.Errorf("no span endpoint reachable (tried %s)", strings.Join(eps, ", "))
+	}
+	if len(records) == 0 {
+		return nil, fmt.Errorf("no spans for trace %q on %d endpoints — traces live in a bounded in-memory ring, so old ones age out", traceID, reached)
+	}
+	return span.Stitch(records), nil
 }
 
 func fetchJSON(ctx context.Context, url string, out any) error {

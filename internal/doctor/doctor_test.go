@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -18,6 +19,11 @@ import (
 	"mmt/internal/obs/span"
 	"mmt/internal/serve"
 )
+
+// fakeCPU is what every fake node's profiler ring holds: raw bytes per
+// CPU capture id. Capture 5 is listed in the index but has aged out of
+// the ring by the time it is fetched.
+var fakeCPU = map[int]string{1: "cpu-capture-one", 3: "cpu-capture-three"}
 
 // fakeNode serves one synthetic debug surface: a real flight ring over a
 // real span ring, plus hand-rolled history, profile, config and span
@@ -54,21 +60,25 @@ func fakeNode(t *testing.T, service string, withPanic bool) *httptest.Server {
 		json.NewEncoder(w).Encode(hist) //nolint:errcheck
 	})
 	mux.HandleFunc("GET /v1/debug/profiles", func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query()
-		switch {
-		case q.Get("id") != "":
-			w.Write([]byte("pprof-bytes")) //nolint:errcheck
-		case q.Get("merge") == "cpu":
-			json.NewEncoder(w).Encode(profiled.TopReport{ //nolint:errcheck
-				Kind: "cpu", Unit: "nanoseconds", Captures: 2, Total: 100,
-				Frames: []profiled.Frame{{Function: "mmt/internal/sim.run", Flat: 80, Cum: 90}},
-			})
-		default:
-			json.NewEncoder(w).Encode(profiled.IndexResponse{ //nolint:errcheck
-				Service: service, EveryMS: 1000,
-				Captures: []profiled.Capture{{ID: 1, Kind: "cpu", Size: 11}, {ID: 2, Kind: "heap"}},
-			})
+		if id := r.URL.Query().Get("id"); id != "" {
+			n, _ := strconv.Atoi(id)
+			raw, ok := fakeCPU[n]
+			if !ok {
+				http.Error(w, "no such capture", http.StatusNotFound)
+				return
+			}
+			w.Write([]byte(raw)) //nolint:errcheck
+			return
 		}
+		json.NewEncoder(w).Encode(profiled.IndexResponse{ //nolint:errcheck
+			Service: service, EveryMS: 1000,
+			Captures: []profiled.Capture{
+				{ID: 1, Kind: "cpu", StartUNS: base},
+				{ID: 2, Kind: "heap", StartUNS: base},
+				{ID: 3, Kind: "cpu", StartUNS: base + 1e9},
+				{ID: 5, Kind: "cpu", StartUNS: base + 2e9},
+			},
+		})
 	})
 	mux.HandleFunc("GET /v1/debug/config", func(w http.ResponseWriter, _ *http.Request) {
 		json.NewEncoder(w).Encode(map[string]string{"service": service}) //nolint:errcheck
@@ -162,14 +172,19 @@ func TestCollectAndWriteBundle(t *testing.T) {
 	if !regressed {
 		t.Errorf("job latency regression not flagged: %+v", tr.Latency)
 	}
-	var hot bool
-	for _, f := range tr.HotFrames {
-		if f.Function == "mmt/internal/sim.run" {
-			hot = true
+	// Every CPU capture still in each node's ring is collected; the
+	// aged-out one is a per-node note, not a failure.
+	if tr.CPUCaptures != 6 {
+		t.Errorf("cpu captures = %d, want 2 per node", tr.CPUCaptures)
+	}
+	var agedOut bool
+	for _, n := range tr.Notes {
+		if strings.Contains(n, "cpu capture 5") {
+			agedOut = true
 		}
 	}
-	if !hot {
-		t.Errorf("hot frames = %+v", tr.HotFrames)
+	if !agedOut {
+		t.Errorf("aged-out capture 5 not noted: %v", tr.Notes)
 	}
 
 	dir := filepath.Join(t.TempDir(), "bundle")
@@ -180,8 +195,7 @@ func TestCollectAndWriteBundle(t *testing.T) {
 		"MANIFEST.json", "cluster.json", "triage.txt", "triage.json",
 		"nodes/mmtserved@127.0.0.1_1/flight.json",
 		"nodes/mmtserved@127.0.0.1_1/metrics.json",
-		"nodes/mmtserved@127.0.0.1_1/cpu-merged.json",
-		"nodes/mmtserved@127.0.0.1_1/cpu.pprof",
+		"nodes/mmtserved@127.0.0.1_1/profiles.json",
 		"nodes/mmtserved@127.0.0.1_1/config.json",
 		"nodes/mmtcached@127.0.0.1_2/flight.json",
 		"traces/t-slow.json",
@@ -190,11 +204,25 @@ func TestCollectAndWriteBundle(t *testing.T) {
 			t.Errorf("bundle missing %s: %v", p, err)
 		}
 	}
+	// Each capture is bundled byte for byte under its ring id, which
+	// profiles.json maps to a start time.
+	for _, node := range []string{"mmtserved@127.0.0.1_1", "mmtcached@127.0.0.1_2", "mmtrouter@127.0.0.1_3"} {
+		for id, want := range fakeCPU {
+			got, err := os.ReadFile(filepath.Join(dir, "nodes", node, "cpu-"+strconv.Itoa(id)+".pprof"))
+			if err != nil || string(got) != want {
+				t.Errorf("%s capture %d = %q, %v; want %q", node, id, got, err, want)
+			}
+		}
+		if _, err := os.Stat(filepath.Join(dir, "nodes", node, "cpu-5.pprof")); err == nil {
+			t.Errorf("%s: aged-out capture 5 bundled", node)
+		}
+	}
 	txt, err := os.ReadFile(filepath.Join(dir, "triage.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"slowest trace: t-slow", "PANICS", "mmt/internal/sim.run", "latency regressions"} {
+	for _, want := range []string{"slowest trace: t-slow", "PANICS", "latency regressions",
+		"6 CPU captures; in the bundle, merge them with `go tool pprof -top nodes/*/cpu-*.pprof`"} {
 		if !strings.Contains(string(txt), want) {
 			t.Errorf("triage.txt missing %q:\n%s", want, txt)
 		}
@@ -215,6 +243,76 @@ func TestCollectAndWriteBundle(t *testing.T) {
 	}
 	if !job {
 		t.Errorf("bundled dump lost the span ring's serve.flight row: %+v", d.Entries)
+	}
+}
+
+// TestBundledTraceFollowsDedupLink: a dedup joiner's trace holds only
+// its admission and a link to the creator's trace, where the simulation
+// ran. The bundle must carry the stitched tree mmttrace renders — both
+// traces — and the triage hotspot must come from it.
+func TestBundledTraceFollowsDedupLink(t *testing.T) {
+	const svc = "mmtserved@127.0.0.1:4"
+	tr := span.NewTracer(svc, 16)
+	base := time.Now().Add(-time.Second).UnixNano()
+	spans := map[string][]span.Record{
+		"t-joiner": {
+			{TraceID: "t-joiner", SpanID: "a1", Name: "serve.submit", Service: svc,
+				StartUNS: base + 10e6, DurNS: 2e6},
+			{TraceID: "t-joiner", SpanID: "a2", ParentID: "a1", Name: "serve.join", Service: svc,
+				StartUNS: base + 11e6, DurNS: 1e6, LinkTrace: "t-creator", LinkSpan: "b1"},
+		},
+		"t-creator": {
+			{TraceID: "t-creator", SpanID: "b1", Name: "serve.flight", Service: svc,
+				StartUNS: base, DurNS: 90e6},
+			{TraceID: "t-creator", SpanID: "b2", ParentID: "b1", Name: "serve.exec", Service: svc,
+				StartUNS: base + 5e6, DurNS: 80e6},
+		},
+	}
+	mux := http.NewServeMux()
+	mux.Handle("GET /v1/debug/flight", flight.New(svc, 8, tr))
+	mux.HandleFunc("GET /v1/spans", func(w http.ResponseWriter, r *http.Request) {
+		if id := r.URL.Query().Get("trace"); id != "" {
+			json.NewEncoder(w).Encode(span.SpansResponse{Service: svc, Spans: spans[id]}) //nolint:errcheck
+			return
+		}
+		// Only the joiner is among the recent slow traces.
+		json.NewEncoder(w).Encode(span.TracesResponse{Service: svc, Traces: []span.TraceSummary{ //nolint:errcheck
+			{TraceID: "t-joiner", Root: "serve.submit", Spans: 2, StartUNS: base + 10e6, DurMS: 2},
+		}})
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	b, err := Collect(ctx, Options{Server: srv.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := b.Write(dir); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, "traces", "t-joiner.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got TraceDiag
+	if err := json.Unmarshal(raw, &got); err != nil {
+		t.Fatal(err)
+	}
+	var creator int
+	for _, r := range got.Records {
+		if r.TraceID == "t-creator" {
+			creator++
+		}
+	}
+	if creator != 2 || got.Spans != 4 {
+		t.Errorf("traces/t-joiner.json holds %d creator spans of %d, want 2 of 4: %+v",
+			creator, got.Spans, got.Records)
+	}
+	if n := b.Triage.SlowTraces; len(n) != 1 || n[0].Hotspot != "serve.flight" {
+		t.Errorf("slow trace notes = %+v, want the creator's serve.flight as hotspot", n)
 	}
 }
 

@@ -39,14 +39,6 @@ type SlowTraceNote struct {
 	HotOwner string  `json:"hot_owner"`
 }
 
-// HotFrame is one merged-CPU frame on one node.
-type HotFrame struct {
-	Node     string `json:"node"`
-	Function string `json:"function"`
-	Flat     int64  `json:"flat"`
-	Unit     string `json:"unit"`
-}
-
 // PanicNote is one captured worker panic.
 type PanicNote struct {
 	Node  string `json:"node"`
@@ -61,17 +53,19 @@ type Triage struct {
 	Latency      []LatencyShift  `json:"latency,omitempty"`
 	Movers       []CounterMover  `json:"movers,omitempty"`
 	SlowTraces   []SlowTraceNote `json:"slow_traces,omitempty"`
-	HotFrames    []HotFrame      `json:"hot_frames,omitempty"`
-	Panics       []PanicNote     `json:"panics,omitempty"`
-	Notes        []string        `json:"notes,omitempty"`
+	// CPUCaptures counts the raw CPU profiles collected fleet-wide; the
+	// bundle holds them as nodes/<node>/cpu-<id>.pprof.
+	CPUCaptures int         `json:"cpu_captures,omitempty"`
+	Panics      []PanicNote `json:"panics,omitempty"`
+	Notes       []string    `json:"notes,omitempty"`
 }
 
 // triage distills the collected bundle.
-func triage(b *Bundle, topFrames int) *Triage {
+func triage(b *Bundle) *Triage {
 	t := &Triage{}
 	for _, n := range b.Nodes {
 		t.nodeMetrics(n)
-		t.nodeFrames(n, topFrames)
+		t.CPUCaptures += len(n.CPU)
 		t.nodePanics(n)
 		if n.Flight != nil && n.Flight.Dropped > 0 {
 			t.Notes = append(t.Notes, fmt.Sprintf("%s: flight and span rings overwrote %d older entries",
@@ -179,21 +173,6 @@ func window(sum0, sum1, cnt0, cnt1 float64) float64 {
 	return (sum1 - sum0) / (cnt1 - cnt0)
 }
 
-func (t *Triage) nodeFrames(n *NodeDiag, limit int) {
-	if n.CPUMerged == nil {
-		return
-	}
-	frames := n.CPUMerged.Frames
-	if limit > 0 && len(frames) > limit {
-		frames = frames[:limit]
-	}
-	for _, f := range frames {
-		t.HotFrames = append(t.HotFrames, HotFrame{
-			Node: n.Service, Function: f.Function, Flat: f.Flat, Unit: n.CPUMerged.Unit,
-		})
-	}
-}
-
 func (t *Triage) nodePanics(n *NodeDiag) {
 	if n.Flight == nil {
 		return
@@ -253,11 +232,9 @@ func (t *Triage) WriteReport(w io.Writer) {
 	} else {
 		fmt.Fprintln(w, "\nno recent traces (the span rings are bounded; drive some load first)")
 	}
-	if len(t.HotFrames) > 0 {
-		fmt.Fprintf(w, "\nhottest frames (merged continuous-profiler CPU captures):\n")
-		for _, f := range t.HotFrames {
-			fmt.Fprintf(w, "  %-40s %12d %-12s %s\n", f.Node, f.Flat, f.Unit, f.Function)
-		}
+	if t.CPUCaptures > 0 {
+		fmt.Fprintf(w, "\n%d CPU captures; in the bundle, merge them with `go tool pprof -top nodes/*/cpu-*.pprof` (one process: nodes/<node>/cpu-*.pprof)\n",
+			t.CPUCaptures)
 	}
 	if len(t.Notes) > 0 {
 		fmt.Fprintf(w, "\nnotes:\n")

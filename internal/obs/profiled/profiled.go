@@ -2,8 +2,9 @@
 // CPU, heap and goroutine pprof profiles into a bounded in-memory ring,
 // so "what was hot during the 14:02 p99 spike" is answerable after the
 // fact without having had pprof attached. The ring is served at
-// GET /v1/debug/profiles (JSON index, raw pprof bytes by id, and merged
-// top-frames reports), and mmtdoctor pulls it into diagnosis bundles.
+// GET /v1/debug/profiles (JSON index and raw pprof bytes by id), and
+// mmtdoctor pulls every capture into diagnosis bundles, where
+// `go tool pprof` reads and merges them.
 //
 // The profiler is deliberately duty-cycled: each round it runs the CPU
 // profiler for CPUDuration out of Every, so steady-state overhead stays
@@ -46,11 +47,8 @@ type Capture struct {
 	DurNS    int64  `json:"dur_ns"` // CPU window; 0 for snapshots
 	Size     int    `json:"size"`
 
-	bytes []byte
+	bytes []byte // raw (gzipped protobuf) pprof profile
 }
-
-// Bytes returns the raw (gzipped protobuf) pprof profile.
-func (c Capture) Bytes() []byte { return c.bytes }
 
 // IndexResponse is the GET /v1/debug/profiles body.
 type IndexResponse struct {
@@ -231,29 +229,10 @@ func (p *Profiler) Get(id int) (Capture, bool) {
 	return Capture{}, false
 }
 
-// Merge parses the newest `last` captures of one kind (0 = all stored)
-// and merges them into a top-frames report.
-func (p *Profiler) Merge(kind string, last, limit int) (TopReport, error) {
-	caps := p.Captures(kind)
-	if last > 0 && len(caps) > last {
-		caps = caps[len(caps)-last:]
-	}
-	var parsed []*Parsed
-	for _, c := range caps {
-		pr, err := Parse(c.bytes, "")
-		if err != nil {
-			return TopReport{}, fmt.Errorf("capture %d: %w", c.ID, err)
-		}
-		parsed = append(parsed, pr)
-	}
-	return Top(kind, parsed, limit), nil
-}
-
 // ServeHTTP serves the ring (GET /v1/debug/profiles):
 //
 //	?             JSON index of stored captures
 //	?id=N         one capture's raw pprof bytes (feed to `go tool pprof`)
-//	?merge=KIND   merged top-frames JSON (&last=N newest only, &top=N rows)
 func (p *Profiler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	if ids := q.Get("id"); ids != "" {
@@ -273,27 +252,12 @@ func (p *Profiler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		w.Write(c.bytes) //nolint:errcheck // client went away
 		return
 	}
-	if kind := q.Get("merge"); kind != "" {
-		last, _ := strconv.Atoi(q.Get("last"))
-		limit, _ := strconv.Atoi(q.Get("top"))
-		rep, err := p.Merge(kind, last, limit)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		writeJSON(w, rep)
-		return
-	}
-	writeJSON(w, IndexResponse{
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", " ")
+	enc.Encode(IndexResponse{ //nolint:errcheck // client went away
 		Service:  p.Service(),
 		EveryMS:  p.opts.Every.Milliseconds(),
 		Captures: p.Captures(q.Get("kind")),
 	})
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	enc.Encode(v) //nolint:errcheck // client went away
 }

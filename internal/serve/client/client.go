@@ -216,21 +216,6 @@ func (c *Client) Submit(ctx context.Context, req serve.SubmitRequest) (serve.Job
 	return st, err
 }
 
-// Job polls one job's status.
-func (c *Client) Job(ctx context.Context, id string) (serve.JobStatus, error) {
-	var st serve.JobStatus
-	err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil, &st)
-	return st, err
-}
-
-// Health fetches /v1/healthz. A draining server reports an error (503)
-// with the body still decoded when possible.
-func (c *Client) Health(ctx context.Context) (serve.Health, error) {
-	var h serve.Health
-	err := c.do(ctx, http.MethodGet, "/v1/healthz", nil, &h)
-	return h, err
-}
-
 // Stats fetches /v1/stats.
 func (c *Client) Stats(ctx context.Context) (serve.Stats, error) {
 	var st serve.Stats
