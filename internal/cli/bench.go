@@ -11,7 +11,6 @@ import (
 	"strings"
 	"syscall"
 
-	"mmt/internal/core"
 	"mmt/internal/obs"
 	"mmt/internal/obs/span"
 	"mmt/internal/runner"
@@ -170,151 +169,25 @@ func writeReport(ex sim.Exec, stdout io.Writer, want map[string]bool, outFile st
 		}()
 		w = io.MultiWriter(stdout, f)
 	}
-	apps := workloads.All()
-	for _, a := range Artifacts {
+	for _, a := range sim.Artifacts {
 		if !want[a.Name] {
 			continue
 		}
-		s, err := a.render(ex, apps)
+		tables, err := a.Tables(ex, workloads.All())
 		if err != nil {
 			return err
 		}
-		fmt.Fprintln(w, s)
+		for _, t := range tables {
+			fmt.Fprintln(w, t)
+		}
 	}
 	return nil
 }
 
-// Artifact is one section of the mmtbench report: its -only name, and
-// the function that simulates and formats it.
-type Artifact struct {
-	Name   string
-	render renderFunc
-}
-
-// renderFunc simulates one artifact's points through ex and formats them.
-type renderFunc func(ex sim.Exec, apps []workloads.App) (string, error)
-
-// Artifacts is the mmtbench report, in output order.
-var Artifacts = []Artifact{
-	{"table3", func(sim.Exec, []workloads.App) (string, error) {
-		h := core.EstimateHWCost(core.DefaultConfig(4))
-		return fmt.Sprintf("Table 3: MMT hardware cost estimate\n------------------------------------\n%s\n", h), nil
-	}},
-	{"fig1", func(ex sim.Exec, apps []workloads.App) (string, error) {
-		return show(sim.FormatFig1)(sim.Figure1(ex, apps, 1_000_000))
-	}},
-	{"fig2", func(ex sim.Exec, apps []workloads.App) (string, error) {
-		return show(sim.FormatFig2)(sim.Figure2(ex, apps, 1_000_000))
-	}},
-	{"fig5a", fig5(2)},
-	{"fig5b", func(ex sim.Exec, apps []workloads.App) (string, error) {
-		return show(sim.FormatFig5b)(sim.Figure5b(ex, apps, 2))
-	}},
-	{"fig5c", fig5(4)},
-	{"fig5d", func(ex sim.Exec, apps []workloads.App) (string, error) {
-		return show(sim.FormatFig5d)(sim.Figure5d(ex, apps, 2))
-	}},
-	{"fig6", func(ex sim.Exec, apps []workloads.App) (string, error) {
-		return show(sim.FormatFig6)(sim.Figure6(ex, apps))
-	}},
-	{"fig7a", func(ex sim.Exec, apps []workloads.App) (string, error) {
-		return show(sim.FormatFig7a)(sim.Figure7a(ex, apps, 2))
-	}},
-	{"fig7b", sweep("Figure 7(b): geomean speedup vs load/store ports", sim.LSPortCounts, sim.Figure7b)},
-	{"fig7c", func(ex sim.Exec, apps []workloads.App) (string, error) {
-		return show(sim.FormatFig7c)(sim.Figure7c(ex, apps, 2))
-	}},
-	{"fig7d", sweep("Figure 7(d): geomean speedup vs fetch width", sim.FetchWidths, sim.Figure7d)},
-	{"mp", func(ex sim.Exec, _ []workloads.App) (string, error) {
-		return show(sim.FormatMP)(sim.ExtensionMP(ex))
-	}},
-	{"cosched", func(ex sim.Exec, _ []workloads.App) (string, error) {
-		return show(sim.FormatCoschedule)(sim.ExtensionCoschedule(ex))
-	}},
-	{"diversity", func(ex sim.Exec, _ []workloads.App) (string, error) {
-		return show(sim.FormatDiversity)(sim.ExtensionDiversity(ex))
-	}},
-	{"scaling", func(ex sim.Exec, apps []workloads.App) (string, error) {
-		return show(sim.FormatScaling)(sim.ExtensionScaling(ex, apps))
-	}},
-	{"ablations", func(ex sim.Exec, apps []workloads.App) (string, error) {
-		var parts []string
-		for _, s := range []struct {
-			title string
-			names []string
-			run   func(sim.Exec, []workloads.App, int) ([]sim.AblationRow, []float64, error)
-		}{
-			{"Ablation: remerge mechanism (MMT-FXR, 2T)", sim.SyncPolicyNames, sim.AblationSyncPolicy},
-			{"Ablation: load-value-identical policy (MMT-FXR, 2T)", sim.LVIPModeNames, sim.AblationLVIP},
-			{"Ablation: CATCHUP ahead-thread duty cycle (MMT-FXR, 2T)", dutyNames(), sim.AblationAheadDuty},
-			{"Ablation: register-merge read ports (MMT-FXR, 2T)", portNames(), sim.AblationRegMergePorts},
-			{"Ablation (§5 claim): machine scale — gains grow as the core shrinks", sim.MachineScaleNames, sim.AblationMachineScale},
-			{"Ablation (§5 claim): trace cache on/off — near-identical results", sim.TraceCacheNames, sim.AblationTraceCache},
-		} {
-			rows, gms, err := s.run(ex, apps, 2)
-			if err != nil {
-				return "", err
-			}
-			parts = append(parts, sim.FormatAblation(s.title, s.names, rows, gms))
-		}
-		return strings.Join(parts, "\n"), nil
-	}},
-	{"sec63", func(ex sim.Exec, apps []workloads.App) (string, error) {
-		m, err := sim.RemergeWithin512(ex, apps, 2)
-		if err != nil {
-			return "", err
-		}
-		var b strings.Builder
-		b.WriteString("Section 6.3: remerges found within 512 taken branches\n")
-		b.WriteString("-----------------------------------------------------")
-		var total float64
-		n := 0
-		for _, a := range apps {
-			if v, ok := m[a.Name]; ok {
-				fmt.Fprintf(&b, "\n%-14s %6.1f%%", a.Name, 100*v)
-				total += v
-				n++
-			}
-		}
-		if n > 0 {
-			fmt.Fprintf(&b, "\n%-14s %6.1f%%\n", "average", 100*total/float64(n))
-		}
-		return b.String(), nil
-	}},
-}
-
-// show formats an experiment's rows, or passes its error through.
-func show[R any](format func(R) string) func(R, error) (string, error) {
-	return func(rows R, err error) (string, error) {
-		if err != nil {
-			return "", err
-		}
-		return format(rows), nil
-	}
-}
-
-// fig5 renders Fig. 5(a) or 5(c): speedups over Base at threads.
-func fig5(threads int) renderFunc {
-	return func(ex sim.Exec, apps []workloads.App) (string, error) {
-		rows, gm, err := sim.Figure5Speedups(ex, apps, threads)
-		if err != nil {
-			return "", err
-		}
-		return sim.FormatFig5(rows, gm, threads), nil
-	}
-}
-
-// sweep renders one Fig. 7 configuration sweep at 2 threads.
-func sweep(title string, points []int, run func(sim.Exec, []workloads.App, int) ([]float64, error)) renderFunc {
-	return func(ex sim.Exec, apps []workloads.App) (string, error) {
-		return show(func(sp []float64) string { return sim.FormatSweep(title, points, sp) })(run(ex, apps, 2))
-	}
-}
-
 // artifactNames lists the artifacts' -only names in output order.
 func artifactNames() []string {
-	names := make([]string, len(Artifacts))
-	for i, a := range Artifacts {
+	names := make([]string, len(sim.Artifacts))
+	for i, a := range sim.Artifacts {
 		names[i] = a.Name
 	}
 	return names
@@ -335,24 +208,4 @@ func pickArtifacts(only string) (map[string]bool, error) {
 		want[s] = true
 	}
 	return want, nil
-}
-
-func dutyNames() []string {
-	var out []string
-	for _, d := range sim.AheadDuties {
-		if d == 0 {
-			out = append(out, "gated")
-		} else {
-			out = append(out, fmt.Sprintf("1/%d", d))
-		}
-	}
-	return out
-}
-
-func portNames() []string {
-	var out []string
-	for _, p := range sim.RegMergePortCounts {
-		out = append(out, fmt.Sprintf("%d ports", p))
-	}
-	return out
 }

@@ -6,6 +6,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"mmt/internal/sim"
 )
 
 func TestRunSimBasic(t *testing.T) {
@@ -89,6 +91,12 @@ func TestRunProfileSingleApp(t *testing.T) {
 	if err := RunProfile([]string{"-app", "nosuch"}, &out); err == nil {
 		t.Error("unknown app accepted")
 	}
+	// An uncapped profile used to print an all-zero Figure 1 and succeed.
+	for _, n := range []string{"0", "-3"} {
+		if err := RunProfile([]string{"-app", "libsvm", "-maxinsts", n}, &out); err == nil || !strings.Contains(err.Error(), "-maxinsts") {
+			t.Errorf("-maxinsts %s: got %v, want an error naming -maxinsts", n, err)
+		}
+	}
 }
 
 func TestRunBenchSingleArtifact(t *testing.T) {
@@ -153,8 +161,8 @@ func TestArtifactsListMatchesBench(t *testing.T) {
 			t.Errorf("artifact %s: %v", a, err)
 		}
 	}
-	if len(Artifacts) != 18 {
-		t.Errorf("artifact count = %d", len(Artifacts))
+	if len(sim.Artifacts) != 18 {
+		t.Errorf("artifact count = %d", len(sim.Artifacts))
 	}
 }
 

@@ -44,6 +44,9 @@ func RunProfile(args []string, out io.Writer) error {
 		return prof.WriteDiff(out, before, after, *topN)
 	}
 
+	if *maxInsts < 1 {
+		return fmt.Errorf("-maxinsts must be at least 1")
+	}
 	apps := workloads.All()
 	if *appName != "" {
 		a, ok := workloads.ByName(*appName)
@@ -54,17 +57,13 @@ func RunProfile(args []string, out io.Writer) error {
 	}
 
 	ex := sim.NewSerial()
-	rows1, err := sim.Figure1(ex, apps, *maxInsts)
-	if err != nil {
-		return err
+	for _, figure := range []func(sim.Exec, []workloads.App, int) (*sim.Table, error){sim.Figure1, sim.Figure2} {
+		t, err := figure(ex, apps, *maxInsts)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(out, t)
 	}
-	fmt.Fprintln(out, sim.FormatFig1(rows1))
-
-	rows2, err := sim.Figure2(ex, apps, *maxInsts)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(out, sim.FormatFig2(rows2))
 	return nil
 }
 

@@ -1,7 +1,5 @@
 package core
 
-import "fmt"
-
 // HWCost reports the storage added by the MMT mechanisms, mirroring
 // Table 3 of the paper ("Conservative Estimate of Hardware Requirements").
 // Sizes are in bits unless noted.
@@ -48,12 +46,4 @@ func EstimateHWCost(cfg Config) HWCost {
 func (h HWCost) TotalBits() int {
 	return h.InstWinITIDBits + h.FHBBits + h.RSTBits + h.RegStateBits +
 		h.LVIPBytes*8 + h.TrackRegBits
-}
-
-// String renders the estimate as a Table 3-style listing.
-func (h HWCost) String() string {
-	return fmt.Sprintf(
-		"Inst Win ITID: %d b\nFHB CAM: %d b\nRST: %d b\nReg State: %d b\nLVIP: %d B\nTrack Reg: %d b\nInst Split: %d um^2\nTotal storage: %d bits",
-		h.InstWinITIDBits, h.FHBBits, h.RSTBits, h.RegStateBits,
-		h.LVIPBytes, h.TrackRegBits, h.SplitLogicUM2, h.TotalBits())
 }

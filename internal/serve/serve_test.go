@@ -647,6 +647,20 @@ func TestBadSubmissions(t *testing.T) {
 	if _, resp := postJob(t, hs.URL, SubmitRequest{Task: tiny}); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("1-entry ROB at 2 threads: %s, want 400", resp.Status)
 	}
+	// A profile without an instruction cap, or with too few contexts, and
+	// a timing job capped outside its config fail at admission, not on a
+	// worker (nor as an empty success).
+	for name, spec := range map[string]sim.TaskSpec{
+		"uncapped profile":      {App: "libsvm", Profile: true},
+		"1-context profile":     {App: "libsvm", Profile: true, MaxInsts: 5000, Threads: 1},
+		"top-level timing cap":  {App: "libsvm", MaxInsts: 5000},
+		"negative profile cap":  {App: "libsvm", Profile: true, MaxInsts: -1},
+		"negative profile size": {App: "libsvm", Profile: true, MaxInsts: 5000, Threads: -2},
+	} {
+		if _, resp := postJob(t, hs.URL, SubmitRequest{Task: spec}); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: %s, want 400", name, resp.Status)
+		}
+	}
 
 	r2, err := http.Get(hs.URL + "/v1/jobs/j999999-missing")
 	if err != nil {

@@ -1,211 +1,106 @@
 package sim
 
 import (
-	"fmt"
-	"strings"
-
 	"mmt/internal/core"
 	"mmt/internal/workloads"
 )
 
-// Ablation studies for the design choices DESIGN.md calls out. Each run
-// compares MMT-FXR variants against the same Base, so rows are directly
-// comparable with Fig. 5.
+// Ablation studies for the design choices DESIGN.md calls out. Each runs
+// MMT-FXR variants at 2 threads against Base, so its rows are directly
+// comparable with Fig. 5(a).
 
-// AblationRow is one application's speedup over Base for each variant.
-type AblationRow struct {
-	App      string
-	Speedups []float64 // parallel to the study's variant list
+// study is one ablation: one column per variant, each MMT-FXR under the
+// variant's configuration hook. When hookBase is set the Base run takes
+// the hook too, for studies whose baseline must change with the MMT
+// machine.
+type study struct {
+	name, title string
+	hookBase    bool
+	variants    []variant
 }
 
-// ablate runs every app at the given thread count once per variant.
-func ablate(ex Exec, apps []workloads.App, threads int, variants []func(*core.Config)) ([]AblationRow, []float64, error) {
-	var tasks []Task
-	for _, a := range apps {
-		tasks = append(tasks, Task{App: a, Preset: PresetBase, Threads: threads})
-		for _, v := range variants {
-			tasks = append(tasks, Task{App: a, Preset: PresetMMTFXR, Threads: threads, Mutate: v})
+// variant is one column of a study.
+type variant struct {
+	name, head string // quantity name; heading, when it differs
+	hook       func(*core.Config)
+}
+
+// table runs the study over apps.
+func (s study) table(ex Exec, apps []workloads.App) (*Table, error) {
+	pairs := make([]pair, len(s.variants))
+	for i, v := range s.variants {
+		pairs[i] = pair{name: v.name, head: v.head, base: point{PresetBase, 2, nil}, mmt: point{PresetMMTFXR, 2, v.hook}}
+		if s.hookBase {
+			pairs[i].base.mutate = v.hook
 		}
 	}
-	ex.Schedule(tasks...)
-
-	rows := make([]AblationRow, 0, len(apps))
-	per := make([][]float64, len(variants))
-	for _, a := range apps {
-		base, err := runPoint(ex, a, PresetBase, threads, nil)
-		if err != nil {
-			return nil, nil, err
-		}
-		row := AblationRow{App: a.Name}
-		for vi, v := range variants {
-			r, err := runPoint(ex, a, PresetMMTFXR, threads, v)
-			if err != nil {
-				return nil, nil, err
-			}
-			s := Speedup(base, r)
-			row.Speedups = append(row.Speedups, s)
-			per[vi] = append(per[vi], s)
-		}
-		rows = append(rows, row)
-	}
-	gms := make([]float64, len(variants))
-	for vi := range variants {
-		gms[vi] = Geomean(per[vi])
-	}
-	return rows, gms, nil
+	return speedupRows(ex, apps, appTable(s.name, s.title), pairs, 12, true)
 }
 
-// SyncPolicyNames labels the synchronization ablation variants.
-var SyncPolicyNames = []string{"FHB+CATCHUP", "hints (TF)", "none"}
+func syncPolicy(p core.SyncPolicy) func(*core.Config) { return func(c *core.Config) { c.Sync = p } }
+func lvipMode(m core.LVIPMode) func(*core.Config)     { return func(c *core.Config) { c.LVIP = m } }
+func aheadDuty(d uint64) func(*core.Config)           { return func(c *core.Config) { c.AheadDuty = d } }
+func regMergePorts(n int) func(*core.Config)          { return func(c *core.Config) { c.RegMergePorts = n } }
 
-// AblationSyncPolicy compares the paper's hardware remerge detector
-// against the Thread Fusion software-hints baseline [36] and against no
-// remerge detection at all.
-func AblationSyncPolicy(ex Exec, apps []workloads.App, threads int) ([]AblationRow, []float64, error) {
-	return ablate(ex, apps, threads, []func(*core.Config){
-		func(c *core.Config) { c.Sync = core.SyncFHB },
-		func(c *core.Config) { c.Sync = core.SyncHints },
-		func(c *core.Config) { c.Sync = core.SyncNone },
-	})
-}
-
-// LVIPModeNames labels the LVIP ablation variants.
-var LVIPModeNames = []string{"predict", "off", "oracle"}
-
-// AblationLVIP compares the paper's load-value-identical predictor against
-// no prediction (always split) and a value oracle (the upper bound).
-func AblationLVIP(ex Exec, apps []workloads.App, threads int) ([]AblationRow, []float64, error) {
-	return ablate(ex, apps, threads, []func(*core.Config){
-		func(c *core.Config) { c.LVIP = core.LVIPPredict },
-		func(c *core.Config) { c.LVIP = core.LVIPOff },
-		func(c *core.Config) { c.LVIP = core.LVIPOracle },
-	})
-}
-
-// AheadDuties is the CATCHUP ahead-thread duty-cycle sweep (0 = fully
-// gated; N = the ahead thread fetches every Nth cycle).
-var AheadDuties = []uint64{0, 2, 4, 8}
-
-// AblationAheadDuty sweeps the catchup priority policy.
-func AblationAheadDuty(ex Exec, apps []workloads.App, threads int) ([]AblationRow, []float64, error) {
-	var variants []func(*core.Config)
-	for _, d := range AheadDuties {
-		d := d
-		variants = append(variants, func(c *core.Config) { c.AheadDuty = d })
-	}
-	return ablate(ex, apps, threads, variants)
-}
-
-// RegMergePortCounts is the register-merge read-port sweep (0 disables the
-// value comparisons entirely while keeping the rest of MMT-FXR).
-var RegMergePortCounts = []int{0, 1, 2, 4}
-
-// AblationRegMergePorts sweeps the commit-time comparison bandwidth.
-func AblationRegMergePorts(ex Exec, apps []workloads.App, threads int) ([]AblationRow, []float64, error) {
-	var variants []func(*core.Config)
-	for _, p := range RegMergePortCounts {
-		p := p
-		variants = append(variants, func(c *core.Config) { c.RegMergePorts = p })
-	}
-	return ablate(ex, apps, threads, variants)
-}
-
-// FormatAblation renders one ablation study.
-func FormatAblation(title string, names []string, rows []AblationRow, gms []float64) string {
-	var b strings.Builder
-	header(&b, title)
-	fmt.Fprintf(&b, "%-14s", "app")
-	for _, n := range names {
-		fmt.Fprintf(&b, " %12s", n)
-	}
-	b.WriteByte('\n')
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-14s", r.App)
-		for _, s := range r.Speedups {
-			fmt.Fprintf(&b, " %12.3f", s)
-		}
-		b.WriteByte('\n')
-	}
-	fmt.Fprintf(&b, "%-14s", "geomean")
-	for _, g := range gms {
-		fmt.Fprintf(&b, " %12.3f", g)
-	}
-	b.WriteByte('\n')
-	return b.String()
-}
-
-// ablatePaired runs Base and MMT-FXR under the same mutation per variant
-// (machine-scale and trace-cache studies, where the baseline must shrink
-// with the MMT machine).
-func ablatePaired(ex Exec, apps []workloads.App, threads int, variants []func(*core.Config)) ([]AblationRow, []float64, error) {
-	var tasks []Task
-	for _, a := range apps {
-		for _, v := range variants {
-			for _, p := range []Preset{PresetBase, PresetMMTFXR} {
-				tasks = append(tasks, Task{App: a, Preset: p, Threads: threads, Mutate: v})
-			}
-		}
-	}
-	ex.Schedule(tasks...)
-
-	rows := make([]AblationRow, 0, len(apps))
-	per := make([][]float64, len(variants))
-	for _, a := range apps {
-		row := AblationRow{App: a.Name}
-		for vi, v := range variants {
-			base, err := runPoint(ex, a, PresetBase, threads, v)
-			if err != nil {
-				return nil, nil, err
-			}
-			r, err := runPoint(ex, a, PresetMMTFXR, threads, v)
-			if err != nil {
-				return nil, nil, err
-			}
-			s := Speedup(base, r)
-			row.Speedups = append(row.Speedups, s)
-			per[vi] = append(per[vi], s)
-		}
-		rows = append(rows, row)
-	}
-	gms := make([]float64, len(variants))
-	for vi := range variants {
-		gms[vi] = Geomean(per[vi])
-	}
-	return rows, gms, nil
-}
-
-// MachineScales are the §5 machine-scale variants ("the speedups of our
-// system increase as the system is scaled down, so we chose an aggressive
-// baseline").
-var MachineScaleNames = []string{"8-wide (Table 4)", "4-wide", "2-wide"}
-
-func machineScaleVariants() []func(*core.Config) {
-	shrink := func(c *core.Config, width, alus, fpus, ports int) {
+// shrink narrows every stage of the machine to width and cuts its units.
+func shrink(width, alus, fpus, ports int) func(*core.Config) {
+	return func(c *core.Config) {
 		c.FetchWidth, c.IssueWidth, c.CommitWidth, c.RenameWidth = width, width, width, width
 		c.IntALUs, c.FPUs, c.LSPorts = alus, fpus, ports
 	}
-	return []func(*core.Config){
-		func(c *core.Config) {},
-		func(c *core.Config) { shrink(c, 4, 3, 2, 2) },
-		func(c *core.Config) { shrink(c, 2, 2, 1, 1) },
+}
+
+// studies is the ablations artifact, in report order.
+var studies = []study{
+	// The paper's hardware remerge detector against the Thread Fusion
+	// software-hints baseline [36] and against no remerge detection.
+	{name: "abl-sync", title: "Ablation: remerge mechanism (MMT-FXR, 2T)", variants: []variant{
+		{"fhb", "FHB+CATCHUP", syncPolicy(core.SyncFHB)},
+		{"hints", "hints (TF)", syncPolicy(core.SyncHints)},
+		{"none", "", syncPolicy(core.SyncNone)},
+	}},
+	// The load-value-identical predictor against no prediction (always
+	// split) and a value oracle (the upper bound).
+	{name: "abl-lvip", title: "Ablation: load-value-identical policy (MMT-FXR, 2T)", variants: []variant{
+		{"predict", "", lvipMode(core.LVIPPredict)},
+		{"off", "", lvipMode(core.LVIPOff)},
+		{"oracle", "", lvipMode(core.LVIPOracle)},
+	}},
+	// CATCHUP's ahead thread fully gated, or fetching every Nth cycle.
+	{name: "abl-duty", title: "Ablation: CATCHUP ahead-thread duty cycle (MMT-FXR, 2T)", variants: []variant{
+		{"gated", "", aheadDuty(0)},
+		{"duty2", "1/2", aheadDuty(2)},
+		{"duty4", "1/4", aheadDuty(4)},
+		{"duty8", "1/8", aheadDuty(8)},
+	}},
+	// Register-merge comparisons per cycle; 0 disables them while keeping
+	// the rest of MMT-FXR.
+	{name: "abl-ports", title: "Ablation: register-merge read ports (MMT-FXR, 2T)", variants: []variant{
+		{"ports0", "0 ports", regMergePorts(0)},
+		{"ports1", "1 ports", regMergePorts(1)},
+		{"ports2", "2 ports", regMergePorts(2)},
+		{"ports4", "4 ports", regMergePorts(4)},
+	}},
+	// §5: "the speedups of our system increase as the system is scaled
+	// down, so we chose an aggressive baseline".
+	{name: "abl-scale", title: "Ablation (§5 claim): machine scale — gains grow as the core shrinks", hookBase: true, variants: []variant{
+		{"8-wide", "8-wide (Table 4)", func(*core.Config) {}},
+		{"4-wide", "", shrink(4, 3, 2, 2)},
+		{"2-wide", "", shrink(2, 2, 1, 1)},
+	}},
+	// §5: "we found that the trace cache actually had a negligible effect
+	// on the results".
+	{name: "abl-tc", title: "Ablation (§5 claim): trace cache on/off — near-identical results", hookBase: true, variants: []variant{
+		{"with-tc", "with TC", func(*core.Config) {}},
+		{"without-tc", "without TC", func(c *core.Config) { c.TraceCacheBytes = 0 }},
+	}},
+}
+
+// studyDrivers returns one driver per study, in report order.
+func studyDrivers() []driver {
+	ds := make([]driver, len(studies))
+	for i, s := range studies {
+		ds[i] = s.table
 	}
-}
-
-// AblationMachineScale verifies the §5 claim by shrinking the machine.
-// Base and MMT use the same shrunken machine per column.
-func AblationMachineScale(ex Exec, apps []workloads.App, threads int) ([]AblationRow, []float64, error) {
-	return ablatePaired(ex, apps, threads, machineScaleVariants())
-}
-
-// TraceCacheNames labels the §5 trace-cache check ("we found that the
-// trace cache actually had a negligible effect on the results").
-var TraceCacheNames = []string{"with TC", "without TC"}
-
-// AblationTraceCache compares MMT-FXR speedups with and without the trace
-// cache (Base and MMT matched per column).
-func AblationTraceCache(ex Exec, apps []workloads.App, threads int) ([]AblationRow, []float64, error) {
-	return ablatePaired(ex, apps, threads, []func(*core.Config){
-		func(c *core.Config) {},
-		func(c *core.Config) { c.TraceCacheBytes = 0 },
-	})
+	return ds
 }

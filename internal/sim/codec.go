@@ -196,8 +196,10 @@ type TaskSpec struct {
 	Preset Preset `json:"preset,omitempty"`
 	// Threads is the hardware thread count; 0 means 2.
 	Threads int `json:"threads,omitempty"`
-	// Profile switches to the §3 trace-alignment study; MaxInsts bounds
-	// per-context dynamic instructions for it.
+	// Profile switches to the §3 trace-alignment study of 2–4 contexts;
+	// MaxInsts (at least 1) bounds per-context dynamic instructions for
+	// it. A timing simulation leaves MaxInsts unset and bounds its run
+	// with Config.MaxInsts.
 	Profile  bool `json:"profile,omitempty"`
 	MaxInsts int  `json:"max_insts,omitempty"`
 	// Attribution requests a per-PC attribution profile embedded in the
@@ -222,6 +224,14 @@ func (s TaskSpec) Task() (Task, error) {
 		return Task{}, fmt.Errorf("sim: attribution requires a timing simulation, not a trace-alignment profile")
 	}
 	t := s.named()
+	switch {
+	case s.Profile && s.MaxInsts < 1:
+		return Task{}, fmt.Errorf("sim: a trace-alignment profile needs max_insts of at least 1 (got %d)", s.MaxInsts)
+	case s.Profile && (t.Threads < 2 || t.Threads > 4):
+		return Task{}, fmt.Errorf("sim: a trace-alignment profile aligns 2–4 contexts (got threads %d)", t.Threads)
+	case !s.Profile && s.MaxInsts != 0:
+		return Task{}, fmt.Errorf("sim: max_insts bounds trace-alignment profiles only; bound a timing simulation with config.max_insts")
+	}
 	t.App, t.MaxInsts, t.Attribution = app, s.MaxInsts, s.Attribution
 	if ov := s.Config; !ov.zero() {
 		// Validate here too: specs built in-process never pass through the

@@ -113,6 +113,29 @@ func TestTaskSpecRejectsBadInput(t *testing.T) {
 			t.Errorf("%s of 1 entry at 2 threads: got %v, want an error naming the %s", window, err, window)
 		}
 	}
+	// A profile needs an instruction cap and 2–4 contexts; a timing task
+	// is capped through its config, so a top-level cap would only change
+	// its key.
+	for _, c := range []struct {
+		spec TaskSpec
+		want string
+	}{
+		{TaskSpec{App: "libsvm", Profile: true}, "max_insts"},
+		{TaskSpec{App: "libsvm", Profile: true, MaxInsts: -5}, "max_insts"},
+		{TaskSpec{App: "libsvm", Profile: true, MaxInsts: 5000, Threads: 1}, "threads 1"},
+		{TaskSpec{App: "libsvm", Profile: true, MaxInsts: 5000, Threads: -2}, "threads -2"},
+		{TaskSpec{App: "libsvm", Profile: true, MaxInsts: 5000, Threads: 5}, "threads 5"},
+		{TaskSpec{App: "libsvm", MaxInsts: 5000}, "config.max_insts"},
+	} {
+		if _, err := c.spec.Task(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%+v: got %v, want an error naming %s", c.spec, err, c.want)
+		}
+	}
+	for _, n := range []int{0, 2, 4} {
+		if _, err := (TaskSpec{App: "libsvm", Profile: true, MaxInsts: 5000, Threads: n}).Task(); err != nil {
+			t.Errorf("profile at threads %d refused: %v", n, err)
+		}
+	}
 	// Base has no shared fetch and runs with a 1-entry window.
 	if _, err := (TaskSpec{App: "libsvm", Preset: PresetBase, Threads: 2,
 		Config: &ConfigOverride{ROBSize: 1, IQSize: 1, LSQSize: 1}}).Task(); err != nil {

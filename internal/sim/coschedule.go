@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"strings"
 
 	"mmt/internal/asm"
 	"mmt/internal/prog"
@@ -21,14 +20,6 @@ const (
 	altCodeBase = 0x0008_0000
 	altDataBase = 0x0030_0000
 )
-
-// CoschedRow is one pair's result.
-type CoschedRow struct {
-	Pair      string
-	Speedup   float64 // MMT-FXR over Base, both co-scheduled
-	Merge     float64 // MERGE residency under MMT-FXR
-	ExecIdent float64
-}
 
 // CoschedulePairs is the mixed-workload set: one high-sharing and one
 // low-sharing application per pair.
@@ -75,9 +66,12 @@ func coschedTask(a, b workloads.App, p Preset) Task {
 	}
 }
 
-// ExtensionCoschedule runs the mixed-workload study.
-func ExtensionCoschedule(ex Exec) ([]CoschedRow, error) {
-	pairs := make([][2]workloads.App, 0, len(CoschedulePairs))
+// extensionCoschedule runs the mixed-workload study: per pair, MMT-FXR's
+// speedup over Base (both co-scheduled), its MERGE residency and its
+// execute-identical share.
+func extensionCoschedule(ex Exec, _ []workloads.App) (*Table, error) {
+	t := &Table{Name: "cosched", Title: "Extension (paper §4.4): gang-scheduled mixed workloads, 4 threads",
+		Label: "%-16s", Head: "pair (2+2)", Cols: []Column{num("speedup", 9), pct("MERGE", 8), pct("exec-ident", 12)}}
 	var tasks []Task
 	for _, pair := range CoschedulePairs {
 		a, ok := workloads.ByName(pair[0])
@@ -88,43 +82,17 @@ func ExtensionCoschedule(ex Exec) ([]CoschedRow, error) {
 		if !ok {
 			return nil, fmt.Errorf("sim: unknown app %q", pair[1])
 		}
-		pairs = append(pairs, [2]workloads.App{a, b})
 		tasks = append(tasks, coschedTask(a, b, PresetBase), coschedTask(a, b, PresetMMTFXR))
 	}
-	ex.Schedule(tasks...)
-
-	var rows []CoschedRow
-	for _, pair := range pairs {
-		a, b := pair[0], pair[1]
-		baseOut, err := ex.Do(coschedTask(a, b, PresetBase))
-		if err != nil {
-			return nil, err
-		}
-		fxrOut, err := ex.Do(coschedTask(a, b, PresetMMTFXR))
-		if err != nil {
-			return nil, err
-		}
-		base, fxr := baseOut.Result, fxrOut.Result
+	rs, err := collect(ex, tasks)
+	if err != nil {
+		return nil, err
+	}
+	for i, pair := range CoschedulePairs {
+		base, fxr := rs[2*i], rs[2*i+1]
 		m, _, _ := fxr.Stats.FetchModeFractions()
 		x, xr, _, _ := fxr.Stats.IdenticalFractions()
-		rows = append(rows, CoschedRow{
-			Pair:      a.Name + "+" + b.Name,
-			Speedup:   Speedup(base, fxr),
-			Merge:     m,
-			ExecIdent: x + xr,
-		})
+		t.add(pair[0]+"+"+pair[1], Speedup(base, fxr), m, x+xr)
 	}
-	return rows, nil
-}
-
-// FormatCoschedule renders the mixed-workload study.
-func FormatCoschedule(rows []CoschedRow) string {
-	var b strings.Builder
-	header(&b, "Extension (paper §4.4): gang-scheduled mixed workloads, 4 threads")
-	fmt.Fprintf(&b, "%-16s %9s %8s %12s\n", "pair (2+2)", "speedup", "MERGE", "exec-ident")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-16s %9.3f %7.1f%% %11.1f%%\n",
-			r.Pair, r.Speedup, 100*r.Merge, 100*r.ExecIdent)
-	}
-	return b.String()
+	return t, nil
 }

@@ -14,11 +14,9 @@ func TestDiagFigure5(t *testing.T) {
 	if !testing.Verbose() {
 		t.Skip("diagnostic; run with -v")
 	}
-	for _, n := range []int{2, 4} {
-		rows, gm, err := Figure5Speedups(NewSerial(), workloads.All(), n)
-		if err != nil {
-			t.Fatal(err)
+	for _, name := range []string{"fig5a", "fig5c"} {
+		for _, tb := range artifactTables(t, name, workloads.All()) {
+			t.Logf("\n%s", tb)
 		}
-		t.Logf("\n%s", FormatFig5(rows, gm, n))
 	}
 }

@@ -68,14 +68,6 @@ func isWordByte(c byte) bool {
 	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '_'
 }
 
-// DiversityRow compares one application run as four uniform instances
-// against two instances each of two diversified builds.
-type DiversityRow struct {
-	App     string
-	Uniform float64 // MMT-FXR speedup, 4 identical binaries
-	Diverse float64 // MMT-FXR speedup, 2+2 diversified binaries
-}
-
 // DiversityApps is the study's application set.
 var DiversityApps = []string{"ammp", "mcf", "equake"}
 
@@ -89,46 +81,34 @@ func diversityTask(a workloads.App, kind string, build sysBuilder, p Preset) Tas
 	}
 }
 
-// ExtensionDiversity runs the software-diversity study.
-func ExtensionDiversity(ex Exec) ([]DiversityRow, error) {
-	type study struct {
-		app    workloads.App
-		builds [2]sysBuilder // uniform, diverse
-	}
-	var studies []study
+// extensionDiversity runs the software-diversity study: per app, MMT-FXR's
+// speedup over Base with four uniform instances and with 2+2 diversified
+// builds.
+func extensionDiversity(ex Exec, _ []workloads.App) (*Table, error) {
 	var tasks []Task
 	for _, name := range DiversityApps {
 		a, ok := workloads.ByName(name)
 		if !ok {
 			return nil, fmt.Errorf("sim: unknown app %q", name)
 		}
-		s := study{app: a, builds: [2]sysBuilder{buildUniform(a), buildDiverse(a)}}
-		studies = append(studies, s)
+		builds := [2]sysBuilder{buildUniform(a), buildDiverse(a)}
 		for ki, kind := range diversityKinds {
 			for _, p := range []Preset{PresetBase, PresetMMTFXR} {
-				tasks = append(tasks, diversityTask(a, kind, s.builds[ki], p))
+				tasks = append(tasks, diversityTask(a, kind, builds[ki], p))
 			}
 		}
 	}
-	ex.Schedule(tasks...)
-
-	var rows []DiversityRow
-	for _, s := range studies {
-		var speedups [2]float64
-		for ki, kind := range diversityKinds {
-			base, err := ex.Do(diversityTask(s.app, kind, s.builds[ki], PresetBase))
-			if err != nil {
-				return nil, fmt.Errorf("diversity %s %s: %w", s.app.Name, kind, err)
-			}
-			fxr, err := ex.Do(diversityTask(s.app, kind, s.builds[ki], PresetMMTFXR))
-			if err != nil {
-				return nil, fmt.Errorf("diversity %s %s: %w", s.app.Name, kind, err)
-			}
-			speedups[ki] = Speedup(base.Result, fxr.Result)
-		}
-		rows = append(rows, DiversityRow{App: s.app.Name, Uniform: speedups[0], Diverse: speedups[1]})
+	rs, err := collect(ex, tasks)
+	if err != nil {
+		return nil, err
 	}
-	return rows, nil
+	t := appTable("diversity", "Extension (paper §7): software diversity — 4 uniform vs 2+2 diversified builds",
+		num("uniform", 12), num("diversified", 12))
+	for i, name := range DiversityApps {
+		r := rs[4*i:]
+		t.add(name, Speedup(r[0], r[1]), Speedup(r[2], r[3]))
+	}
+	return t, nil
 }
 
 // diversityKinds labels the two builds; the strings enter the task keys.
@@ -164,15 +144,4 @@ func buildDiverse(a workloads.App) sysBuilder {
 		}
 		return prog.NewMultiSystem([]*prog.Program{pa, pa, pb, pb}, init)
 	}
-}
-
-// FormatDiversity renders the study.
-func FormatDiversity(rows []DiversityRow) string {
-	var b strings.Builder
-	header(&b, "Extension (paper §7): software diversity — 4 uniform vs 2+2 diversified builds")
-	fmt.Fprintf(&b, "%-14s %12s %12s\n", "app", "uniform", "diversified")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-14s %12.3f %12.3f\n", r.App, r.Uniform, r.Diverse)
-	}
-	return b.String()
 }

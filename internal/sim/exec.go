@@ -297,21 +297,3 @@ func (s *Serial) Schedule(tasks ...Task) error { return nil }
 
 // Do executes the task inline, serving repeats from the memo.
 func (s *Serial) Do(t Task) (*Outcome, error) { return s.memo.Do(t) }
-
-// runPoint collects one standard timing point through an executor.
-func runPoint(ex Exec, a workloads.App, p Preset, threads int, mutate func(*core.Config)) (*Result, error) {
-	out, err := ex.Do(Task{App: a, Preset: p, Threads: threads, Mutate: mutate})
-	if err != nil {
-		return nil, err
-	}
-	return out.Result, nil
-}
-
-// profilePoint collects one trace-alignment profile through an executor.
-func profilePoint(ex Exec, a workloads.App, maxInsts int) (*trace.Profile, error) {
-	out, err := ex.Do(Task{App: a, Threads: 2, Profile: true, MaxInsts: maxInsts})
-	if err != nil {
-		return nil, err
-	}
-	return out.Profile, nil
-}

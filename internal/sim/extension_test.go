@@ -11,64 +11,48 @@ import (
 )
 
 func TestExtensionMP(t *testing.T) {
-	rows, err := ExtensionMP(NewSerial())
-	if err != nil {
-		t.Fatal(err)
+	ts := artifactTables(t, "mp", nil)
+	if len(ts[0].Rows) != 3 {
+		t.Fatalf("rows = %d", len(ts[0].Rows))
 	}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.Speedup <= 0 {
-			t.Errorf("%s: speedup %f", r.App, r.Speedup)
+	for _, r := range ts[0].Rows {
+		if s := quantity(t, ts, "mp/"+r.Name+"/speedup"); s <= 0 {
+			t.Errorf("%s: speedup %f", r.Name, s)
 		}
-		if r.Merge < 0.5 {
-			t.Errorf("%s: MERGE %f — SPMD ranks should mostly merge", r.App, r.Merge)
+		if m := quantity(t, ts, "mp/"+r.Name+"/MERGE"); m < 0.5 {
+			t.Errorf("%s: MERGE %f — SPMD ranks should mostly merge", r.Name, m)
 		}
 	}
 	// The all-reduce's gather is rank-independent: it must be the most
 	// mergeable and the biggest winner.
-	var all MPRow
-	for _, r := range rows {
-		if r.App == "allreduce-mp" {
-			all = r
-		}
+	if s := quantity(t, ts, "mp/allreduce-mp/speedup"); s < 1.3 {
+		t.Errorf("allreduce speedup = %f", s)
 	}
-	if all.Speedup < 1.3 {
-		t.Errorf("allreduce speedup = %f", all.Speedup)
-	}
-	if !strings.Contains(FormatMP(rows), "allreduce-mp") {
+	if !strings.Contains(ts[0].String(), "allreduce-mp") {
 		t.Error("format output incomplete")
 	}
 }
 
 func TestExtensionCoschedule(t *testing.T) {
-	rows, err := ExtensionCoschedule(NewSerial())
-	if err != nil {
-		t.Fatal(err)
+	ts := artifactTables(t, "cosched", nil)
+	if len(ts[0].Rows) != len(CoschedulePairs) {
+		t.Fatalf("rows = %d", len(ts[0].Rows))
 	}
-	if len(rows) != len(CoschedulePairs) {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.Speedup <= 0 {
-			t.Errorf("%s: speedup %f", r.Pair, r.Speedup)
+	for _, p := range CoschedulePairs {
+		pair := p[0] + "+" + p[1]
+		if s := quantity(t, ts, "cosched/"+pair+"/speedup"); s <= 0 {
+			t.Errorf("%s: speedup %f", pair, s)
 		}
 		// Gangs of two can merge at most pairwise; some merged
 		// execution must survive the mixed workload.
-		if r.ExecIdent == 0 {
-			t.Errorf("%s: no merged execution", r.Pair)
+		if quantity(t, ts, "cosched/"+pair+"/exec-ident") == 0 {
+			t.Errorf("%s: no merged execution", pair)
 		}
 	}
 	// The high-sharing pair outruns the annealing pair.
-	byPair := map[string]CoschedRow{}
-	for _, r := range rows {
-		byPair[r.Pair] = r
+	if quantity(t, ts, "cosched/equake+mcf/speedup") < quantity(t, ts, "cosched/libsvm+vpr/speedup") {
+		t.Errorf("pair ordering unexpected:\n%s", ts[0])
 	}
-	if byPair["equake+mcf"].Speedup < byPair["libsvm+vpr"].Speedup {
-		t.Errorf("pair ordering unexpected: %+v", rows)
-	}
-	_ = FormatCoschedule(rows)
 }
 
 func TestCoscheduleRejectsMTApps(t *testing.T) {
@@ -81,40 +65,28 @@ func TestCoscheduleRejectsMTApps(t *testing.T) {
 
 func TestAblationSyncPolicy(t *testing.T) {
 	apps := pick(t, "water-ns", "twolf")
-	rows, gms, err := AblationSyncPolicy(NewSerial(), apps, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 || len(gms) != len(SyncPolicyNames) {
-		t.Fatalf("shape: %d rows, %d gms", len(rows), len(gms))
+	ts := studyTables(t, "abl-sync", apps)
+	if len(ts[0].Rows) != len(apps)+1 || len(ts[0].Cols) != 3 {
+		t.Fatalf("shape: %d rows, %d columns", len(ts[0].Rows), len(ts[0].Cols))
 	}
 	// water-ns depends on the FHB mechanism: the hardware detector must
 	// beat both the hints baseline and no detection.
-	var wn AblationRow
-	for _, r := range rows {
-		if r.App == "water-ns" {
-			wn = r
-		}
+	fhb, hints := quantity(t, ts, "abl-sync/water-ns/fhb"), quantity(t, ts, "abl-sync/water-ns/hints")
+	if fhb <= hints {
+		t.Errorf("water-ns: FHB %.3f vs hints %.3f — hardware detection should win", fhb, hints)
 	}
-	if wn.Speedups[0] <= wn.Speedups[1] {
-		t.Errorf("water-ns: FHB %.3f vs hints %.3f — hardware detection should win", wn.Speedups[0], wn.Speedups[1])
-	}
-	out := FormatAblation("t", SyncPolicyNames, rows, gms)
-	if !strings.Contains(out, "geomean") {
+	if !strings.Contains(ts[0].String(), "geomean") {
 		t.Error("format output incomplete")
 	}
 }
 
 func TestAblationLVIP(t *testing.T) {
-	apps := pick(t, "libsvm", "ammp")
-	rows, gms, err := AblationLVIP(NewSerial(), apps, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = rows
+	ts := studyTables(t, "abl-lvip", pick(t, "libsvm", "ammp"))
 	// predict ≈ oracle >= off: the predictor recovers nearly all the
 	// oracle's value, and both beat always-splitting.
-	predict, off, oracle := gms[0], gms[1], gms[2]
+	predict := quantity(t, ts, "abl-lvip/geomean/predict")
+	off := quantity(t, ts, "abl-lvip/geomean/off")
+	oracle := quantity(t, ts, "abl-lvip/geomean/oracle")
 	if predict < off {
 		t.Errorf("predictor (%.3f) below always-split (%.3f)", predict, off)
 	}
@@ -128,20 +100,33 @@ func TestAblationLVIP(t *testing.T) {
 
 func TestAblationSweepShapes(t *testing.T) {
 	apps := pick(t, "equake")
-	rows, gms, err := AblationAheadDuty(NewSerial(), apps, 2)
-	if err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"abl-duty", "abl-ports"} {
+		tb := studyTables(t, name, apps)[0]
+		if len(tb.Cols) != 4 || len(tb.Rows) != len(apps)+1 {
+			t.Errorf("%s shape: %d columns, %d rows", name, len(tb.Cols), len(tb.Rows))
+		}
+		for _, r := range tb.Rows {
+			if len(r.Vals) != len(tb.Cols) {
+				t.Errorf("%s/%s: %d values for %d columns", name, r.Name, len(r.Vals), len(tb.Cols))
+			}
+		}
 	}
-	if len(rows[0].Speedups) != len(AheadDuties) || len(gms) != len(AheadDuties) {
-		t.Error("duty sweep shape")
+}
+
+// studyTables runs one ablation study over apps.
+func studyTables(t *testing.T, name string, apps []workloads.App) []*Table {
+	t.Helper()
+	for _, s := range studies {
+		if s.name == name {
+			tb, err := s.table(NewSerial(), apps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return []*Table{tb}
+		}
 	}
-	rows, gms, err = AblationRegMergePorts(NewSerial(), apps, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows[0].Speedups) != len(RegMergePortCounts) || len(gms) != len(RegMergePortCounts) {
-		t.Error("port sweep shape")
-	}
+	t.Fatalf("no study %s", name)
+	return nil
 }
 
 func TestSyncPolicyConfigs(t *testing.T) {
@@ -217,77 +202,60 @@ func TestPermuteRegistersPreservesSemantics(t *testing.T) {
 }
 
 func TestExtensionDiversity(t *testing.T) {
-	rows, err := ExtensionDiversity(NewSerial())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != len(DiversityApps) {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.Uniform <= 0 || r.Diverse <= 0 {
-			t.Errorf("%s: non-positive speedups %+v", r.App, r)
-		}
+	ts := artifactTables(t, "diversity", nil)
+	if len(ts[0].Rows) != len(DiversityApps) {
+		t.Fatalf("rows = %d", len(ts[0].Rows))
 	}
 	// In aggregate, diversity reduces what MMT can merge: the uniform
 	// geomean exceeds the diversified one.
 	var u, d []float64
-	for _, r := range rows {
-		u = append(u, r.Uniform)
-		d = append(d, r.Diverse)
+	for _, a := range DiversityApps {
+		uv, dv := quantity(t, ts, "diversity/"+a+"/uniform"), quantity(t, ts, "diversity/"+a+"/diversified")
+		if uv <= 0 || dv <= 0 {
+			t.Errorf("%s: non-positive speedups %f, %f", a, uv, dv)
+		}
+		u = append(u, uv)
+		d = append(d, dv)
 	}
 	if Geomean(u) <= Geomean(d) {
 		t.Errorf("diversity did not reduce gains: uniform %.3f vs diverse %.3f", Geomean(u), Geomean(d))
 	}
-	_ = FormatDiversity(rows)
 }
 
 func TestExtensionScaling(t *testing.T) {
-	rows, err := ExtensionScaling(NewSerial(), pick(t, "water-ns", "swaptions", "twolf"))
-	if err != nil {
-		t.Fatal(err)
+	ts := artifactTables(t, "scaling", pick(t, "water-ns", "swaptions", "twolf"))
+	if len(ts[0].Rows) != 4 {
+		t.Fatalf("rows = %d", len(ts[0].Rows))
 	}
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	if rows[0].Threads != 1 || rows[0].Geomean < 0.99 || rows[0].Geomean > 1.01 {
-		t.Errorf("1-thread speedup = %f, want ~1.0", rows[0].Geomean)
+	if one := quantity(t, ts, "scaling/1/geomean"); one < 0.99 || one > 1.01 {
+		t.Errorf("1-thread speedup = %f, want ~1.0", one)
 	}
 	// The advantage grows with threads on this sharing-heavy subset.
-	if rows[3].Geomean <= rows[1].Geomean {
-		t.Errorf("no scaling: %+v", rows)
+	if quantity(t, ts, "scaling/4/geomean") <= quantity(t, ts, "scaling/2/geomean") {
+		t.Errorf("no scaling:\n%s", ts[0])
 	}
-	_ = FormatScaling(rows)
 }
 
 func TestAblationMachineScaleShapes(t *testing.T) {
-	apps := pick(t, "swaptions", "ammp")
-	rows, gms, err := AblationMachineScale(NewSerial(), apps, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gms) != len(MachineScaleNames) || len(rows) != 2 {
+	ts := studyTables(t, "abl-scale", pick(t, "swaptions", "ammp"))
+	if len(ts[0].Cols) != 3 || len(ts[0].Rows) != 3 {
 		t.Fatal("shape")
 	}
-	for i, g := range gms {
-		if g <= 0.5 {
-			t.Errorf("variant %d geomean %f", i, g)
+	for _, c := range ts[0].Cols {
+		if g := quantity(t, ts, "abl-scale/geomean/"+c.Name); g <= 0.5 {
+			t.Errorf("variant %s geomean %f", c.Name, g)
 		}
 	}
 }
 
 func TestAblationTraceCacheShapes(t *testing.T) {
-	apps := pick(t, "ammp")
-	rows, gms, err := AblationTraceCache(NewSerial(), apps, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gms) != 2 || len(rows[0].Speedups) != 2 {
+	ts := studyTables(t, "abl-tc", pick(t, "ammp"))
+	if len(ts[0].Cols) != 2 || len(ts[0].Rows[0].Vals) != 2 {
 		t.Fatal("shape")
 	}
 	// MMT still wins on the high-sharing app without a trace cache.
-	if gms[1] < 1.0 {
-		t.Errorf("without-TC geomean %f on ammp", gms[1])
+	if g := quantity(t, ts, "abl-tc/geomean/without-tc"); g < 1.0 {
+		t.Errorf("without-TC geomean %f on ammp", g)
 	}
 }
 

@@ -1,8 +1,10 @@
 // Package sim wires the substrates together: it builds the paper's
 // configurations (Table 5) around the Table 4 machine, runs workloads on
 // the core, attaches the energy model, and implements one driver per
-// table/figure of the evaluation (§6), which cmd/mmtbench and the
-// benchmark suite reuse.
+// table/figure of the evaluation (§6). Each driver returns a Table of
+// named quantities ("<table>/<row>/<column>"); Artifacts lists them in
+// report order for cmd/mmtbench and the benchmark suite, and one renderer,
+// Table.String, prints them.
 package sim
 
 import (
@@ -118,4 +120,16 @@ func Geomean(xs []float64) float64 {
 		sum += math.Log(x)
 	}
 	return math.Exp(sum / float64(len(xs)))
+}
+
+// mean is the arithmetic mean of xs (0 when empty).
+func mean(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	s := 0.0
+	for _, x := range xs {
+		s += x
+	}
+	return s / float64(len(xs))
 }

@@ -1,11 +1,13 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
 	"mmt/internal/core"
+	"mmt/internal/trace"
 	"mmt/internal/workloads"
 )
 
@@ -106,8 +108,16 @@ func TestTable3HardwareEstimates(t *testing.T) {
 	if h.TotalBits() <= 0 {
 		t.Error("total bits")
 	}
-	if s := h.String(); !strings.Contains(s, "FHB CAM") {
-		t.Errorf("String output %q", s)
+	// The report's Table 3 reads the same estimate.
+	ts := artifactTables(t, "table3", nil)
+	if got := quantity(t, ts, "table3/fhb-cam/bits"); got != float64(h.FHBBits) {
+		t.Errorf("table3/fhb-cam/bits = %v, want %d", got, h.FHBBits)
+	}
+	if got := quantity(t, ts, "table3/total/bits"); got != float64(h.TotalBits()) {
+		t.Errorf("table3/total/bits = %v, want %d", got, h.TotalBits())
+	}
+	if s := ts[0].String(); !strings.Contains(s, "FHB CAM: 4096 b") {
+		t.Errorf("Table 3 output %q", s)
 	}
 }
 
@@ -189,24 +199,28 @@ func TestSpeedupAndLimitOrdering(t *testing.T) {
 
 func TestFigure1SmokeTest(t *testing.T) {
 	apps := pick(t, "ammp", "twolf")
-	rows, err := Figure1(NewSerial(), apps, 200_000)
+	tb, err := Figure1(NewSerial(), apps, 200_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
+	if len(tb.Rows) != 3 {
+		t.Fatalf("rows = %d, want 2 apps and the average", len(tb.Rows))
 	}
-	for _, r := range rows {
-		sum := r.ExecIdent + r.FetchIdent + r.NotIdent
+	ts := []*Table{tb}
+	for _, a := range apps {
+		var sum float64
+		for _, c := range []string{"exec-ident", "fetch-ident", "not-ident"} {
+			sum += quantity(t, ts, "fig1/"+a.Name+"/"+c)
+		}
 		if math.Abs(sum-1) > 1e-9 {
-			t.Errorf("%s fractions sum to %f", r.App, sum)
+			t.Errorf("%s fractions sum to %f", a.Name, sum)
 		}
 	}
 	// ammp's redundancy far exceeds twolf's divergent remainder.
-	if rows[0].ExecIdent < rows[1].NotIdent {
-		t.Logf("fig1 rows: %+v", rows)
+	if quantity(t, ts, "fig1/ammp/exec-ident") < quantity(t, ts, "fig1/twolf/not-ident") {
+		t.Logf("fig1:\n%s", tb)
 	}
-	out := FormatFig1(rows)
+	out := tb.String()
 	if !strings.Contains(out, "ammp") || !strings.Contains(out, "average") {
 		t.Errorf("format output missing rows:\n%s", out)
 	}
@@ -214,38 +228,34 @@ func TestFigure1SmokeTest(t *testing.T) {
 
 func TestFigure2SmokeTest(t *testing.T) {
 	apps := pick(t, "equake", "twolf")
-	rows, err := Figure2(NewSerial(), apps, 200_000)
+	tb, err := Figure2(NewSerial(), apps, 200_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range rows {
-		if r.Divergences == 0 {
-			t.Errorf("%s: no divergences found", r.App)
+	ts := []*Table{tb}
+	for _, a := range apps {
+		if quantity(t, ts, "fig2/"+a.Name+"/divs") == 0 {
+			t.Errorf("%s: no divergences found", a.Name)
 		}
 		// Cumulative fractions are monotonic.
-		for i := 1; i < len(r.Cumulative); i++ {
-			if r.Cumulative[i] < r.Cumulative[i-1] {
-				t.Errorf("%s: cumulative not monotonic %v", r.App, r.Cumulative)
+		prev := 0.0
+		for _, b := range trace.DistBuckets {
+			v := quantity(t, ts, fmt.Sprintf("fig2/%s/within%d", a.Name, b))
+			if v < prev {
+				t.Errorf("%s: cumulative not monotonic at <=%d: %f after %f", a.Name, b, v, prev)
 			}
+			prev = v
 		}
 	}
 	// twolf's divergences are short; equake has long ones (paper Fig. 2).
-	var eq, tw Fig2Row
-	for _, r := range rows {
-		if r.App == "equake" {
-			eq = r
-		} else {
-			tw = r
-		}
+	tw, eq := quantity(t, ts, "fig2/twolf/within16"), quantity(t, ts, "fig2/equake/within16")
+	if tw < 0.85 {
+		t.Errorf("twolf within-16 = %f, want > 0.85", tw)
 	}
-	if tw.Cumulative[0] < 0.85 {
-		t.Errorf("twolf within-16 = %f, want > 0.85", tw.Cumulative[0])
+	if eq > tw {
+		t.Errorf("equake (%f) should have longer divergences than twolf (%f)", eq, tw)
 	}
-	if eq.Cumulative[0] > tw.Cumulative[0] {
-		t.Errorf("equake (%f) should have longer divergences than twolf (%f)",
-			eq.Cumulative[0], tw.Cumulative[0])
-	}
-	_ = FormatFig2(rows)
+	_ = tb.String()
 }
 
 func pick(t *testing.T, names ...string) []workloads.App {
@@ -263,60 +273,56 @@ func pick(t *testing.T, names ...string) []workloads.App {
 
 func TestFigure5SmokeTest(t *testing.T) {
 	apps := pick(t, "swaptions", "blackscholes")
-	rows, gm, err := Figure5Speedups(NewSerial(), apps, 2)
-	if err != nil {
-		t.Fatal(err)
+	ts := artifactTables(t, "fig5a", apps)
+	if len(ts[0].Rows) != 3 {
+		t.Fatalf("rows = %d, want 2 apps and the geomean", len(ts[0].Rows))
 	}
-	if len(rows) != 2 || gm.App != "geomean" {
-		t.Fatalf("rows %v gm %v", rows, gm)
-	}
-	for _, r := range rows {
-		if r.FXR <= 0 || r.Limit <= 0 {
-			t.Errorf("%s: non-positive speedups %+v", r.App, r)
+	var fxr []float64
+	for _, a := range apps {
+		for _, c := range []string{"MMT-FXR", "Limit"} {
+			if s := quantity(t, ts, "fig5a/"+a.Name+"/"+c); s <= 0 {
+				t.Errorf("%s: non-positive %s speedup %f", a.Name, c, s)
+			}
 		}
+		fxr = append(fxr, quantity(t, ts, "fig5a/"+a.Name+"/MMT-FXR"))
 	}
-	_ = FormatFig5(rows, gm, 2)
+	if gm := quantity(t, ts, "fig5a/geomean/MMT-FXR"); gm != Geomean(fxr) {
+		t.Errorf("fig5a/geomean/MMT-FXR = %f, want the geomean of %v", gm, fxr)
+	}
+	_ = ts[0].String()
 }
 
 func TestFigure5bAnd5dSmokeTest(t *testing.T) {
 	apps := pick(t, "water-ns")
-	b5, err := Figure5b(NewSerial(), apps, 2)
-	if err != nil {
-		t.Fatal(err)
+	ts := append(artifactTables(t, "fig5b", apps), artifactTables(t, "fig5d", apps)...)
+	if x := quantity(t, ts, "fig5b/water-ns/exec-ident"); x < 0.4 {
+		t.Errorf("water-ns exec-ident = %f", x)
 	}
-	if b5[0].ExecIdent < 0.4 {
-		t.Errorf("water-ns exec-ident = %f", b5[0].ExecIdent)
+	if m := quantity(t, ts, "fig5d/water-ns/MERGE"); m < 0.9 {
+		t.Errorf("water-ns MERGE = %f", m)
 	}
-	d5, err := Figure5d(NewSerial(), apps, 2)
-	if err != nil {
-		t.Fatal(err)
+	for _, tb := range ts {
+		_ = tb.String()
 	}
-	if d5[0].Merge < 0.9 {
-		t.Errorf("water-ns MERGE = %f", d5[0].Merge)
-	}
-	_ = FormatFig5b(b5)
-	_ = FormatFig5d(d5)
 }
 
 func TestFigure6SmokeTest(t *testing.T) {
-	apps := pick(t, "swaptions")
-	rows, err := Figure6(NewSerial(), apps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rows[0]
-	if r.SMT2 != 1.0 {
-		t.Errorf("normalization broken: %+v", r)
+	ts := artifactTables(t, "fig6", pick(t, "swaptions"))
+	v := func(col string) float64 { return quantity(t, ts, "fig6/swaptions/"+col) }
+	if v("SMT-2T") != 1.0 {
+		t.Errorf("normalization broken:\n%s", ts[0])
 	}
 	// MMT must not cost more energy per job than SMT at equal threads.
-	if r.MMT2 > r.SMT2*1.01 || r.MMT4 > r.SMT4*1.01 {
-		t.Errorf("MMT energy above SMT: %+v", r)
+	if v("MMT-2T") > v("SMT-2T")*1.01 || v("MMT-4T") > v("SMT-4T")*1.01 {
+		t.Errorf("MMT energy above SMT:\n%s", ts[0])
 	}
 	// Overhead is small (paper: < 2%).
-	if r.OverheadFrac > 0.02 {
-		t.Errorf("overhead fraction %f", r.OverheadFrac)
+	if o := v("overhead"); o > 0.02 {
+		t.Errorf("overhead fraction %f", o)
 	}
-	_ = FormatFig6(rows)
+	if got, want := quantity(t, ts, "fig6/summary/mmt4-vs-smt4"), v("MMT-4T")/v("SMT-4T"); math.Abs(got-want) > 1e-12 {
+		t.Errorf("summary = %f, want %f", got, want)
+	}
 }
 
 func TestFigure7SweepsSmokeTest(t *testing.T) {
@@ -324,47 +330,63 @@ func TestFigure7SweepsSmokeTest(t *testing.T) {
 		t.Skip("long")
 	}
 	apps := pick(t, "equake")
-	a7, err := Figure7a(NewSerial(), apps, 2)
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		artifact string
+		cols     int // per app, for a table of apps
+		rows     int // for a sweep
+		probe    string
+	}{
+		{"fig7a", len(FHBSizes), 0, "fig7a/equake/128"},
+		{"fig7c", 2 * len(FHBSizes), 0, "fig7c/equake/CATCHUP-8"},
+		{"fig7b", 0, len(LSPortCounts), "fig7b/12/geomean"},
+		{"fig7d", 0, len(FetchWidths), "fig7d/32/geomean"},
+	} {
+		ts := artifactTables(t, c.artifact, apps)
+		tb := ts[0]
+		if c.cols > 0 && len(tb.Cols) != c.cols {
+			t.Errorf("%s: %d columns, want %d", c.artifact, len(tb.Cols), c.cols)
+		}
+		if c.rows > 0 && len(tb.Rows) != c.rows {
+			t.Errorf("%s: %d points, want %d", c.artifact, len(tb.Rows), c.rows)
+		}
+		quantity(t, ts, c.probe)
+		_ = tb.String()
 	}
-	if len(a7[0].Speedups) != len(FHBSizes) {
-		t.Errorf("7a speedups %v", a7[0].Speedups)
-	}
-	c7, err := Figure7c(NewSerial(), apps, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(c7[0].Merge) != len(FHBSizes) {
-		t.Errorf("7c lengths")
-	}
-	b7, err := Figure7b(NewSerial(), apps, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b7) != len(LSPortCounts) {
-		t.Errorf("7b points %v", b7)
-	}
-	d7, err := Figure7d(NewSerial(), apps, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(d7) != len(FetchWidths) {
-		t.Errorf("7d points %v", d7)
-	}
-	_ = FormatFig7a(a7)
-	_ = FormatFig7c(c7)
-	_ = FormatSweep("7b", LSPortCounts, b7)
-	_ = FormatSweep("7d", FetchWidths, d7)
 }
 
 func TestRemergeWithin512(t *testing.T) {
-	apps := pick(t, "ammp")
-	m, err := RemergeWithin512(NewSerial(), apps, 2)
-	if err != nil {
-		t.Fatal(err)
+	ts := artifactTables(t, "sec63", pick(t, "ammp"))
+	v := quantity(t, ts, "sec63/ammp/within512")
+	if v < 0.5 {
+		t.Errorf("ammp remerge-within-512 = %f", v)
 	}
-	if m["ammp"] < 0.5 {
-		t.Errorf("ammp remerge-within-512 = %f", m["ammp"])
+	if avg := quantity(t, ts, "sec63/average/within512"); avg != v {
+		t.Errorf("average over one app = %f, want %f", avg, v)
 	}
+}
+
+// artifactTables runs one artifact of the report over apps.
+func artifactTables(t *testing.T, name string, apps []workloads.App) []*Table {
+	t.Helper()
+	for _, a := range Artifacts {
+		if a.Name == name {
+			ts, err := a.Tables(NewSerial(), apps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ts
+		}
+	}
+	t.Fatalf("no artifact %s", name)
+	return nil
+}
+
+// quantity reads one named cell, failing the test when there is none.
+func quantity(t *testing.T, ts []*Table, name string) float64 {
+	t.Helper()
+	v, ok := Lookup(ts, name)
+	if !ok {
+		t.Fatalf("no quantity %s", name)
+	}
+	return v
 }
