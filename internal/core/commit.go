@@ -58,9 +58,9 @@ func (c *Core) commit(u *uop, now uint64) {
 	// all its threads. Mapping identity plus LVIP verification guarantee
 	// it; a violation is a model bug, not a workload property.
 	if hasDest && u.execIdentical() {
-		lead := u.effs[u.leader()].DestVal
+		lead := c.eff(u, u.leader()).DestVal
 		for m := u.itid; m != 0; m &= m - 1 {
-			if u.effs[m.First()].DestVal != lead {
+			if c.eff(u, m.First()).DestVal != lead {
 				panic("core: execute-identical uop committed divergent values")
 			}
 		}
@@ -69,27 +69,25 @@ func (c *Core) commit(u *uop, now uint64) {
 		t := m.First()
 		c.stats.Committed[t]++
 		if hasDest {
-			c.committedReg[t][dest] = u.effs[t].DestVal
+			c.committedReg[t][dest] = c.eff(u, t).DestVal
 			c.activeWriters[t][dest]--
 			if c.lastWriter[t][dest] == u {
 				c.lastWriter[t][dest] = nil
 			}
 		}
-		c.streams[t].release(u.dynIdx[t] + 1)
 	}
 	c.retireTrace(u)
 
 	// Stores write the cache at commit (paper Table 2: ME stores are
 	// performed once per process).
 	if u.isStore {
+		c.memQStale = true
 		if u.memPerThread {
 			for m := u.itid; m != 0; m &= m - 1 {
-				t := m.First()
-				c.mem.AccessData(c.dataSpace(t, u.effs[t].Addr), u.effs[t].Addr, true, now)
+				c.storeData(u, m.First(), now)
 			}
 		} else {
-			t := u.leader()
-			c.mem.AccessData(c.dataSpace(t, u.effs[t].Addr), u.effs[t].Addr, true, now)
+			c.storeData(u, u.leader(), now)
 		}
 	}
 
@@ -111,6 +109,18 @@ func (c *Core) commit(u *uop, now uint64) {
 	if hasDest && c.cfg.RegMerge && u.mode != FetchMerge {
 		c.tryRegisterMerge(u, dest)
 	}
+
+	// The records go last: everything above reads u's effects.
+	for m := u.itid; m != 0; m &= m - 1 {
+		t := m.First()
+		c.streams[t].release(u.dynIdx[t] + 1)
+	}
+}
+
+// storeData performs member thread t's cache write for store u.
+func (c *Core) storeData(u *uop, t int, now uint64) {
+	addr := c.eff(u, t).Addr
+	c.mem.AccessData(c.dataSpace(t, addr), addr, true, now)
 }
 
 // tryRegisterMerge implements §4.2.7: when an instruction fetched in
@@ -146,10 +156,11 @@ func (c *Core) tryRegisterMerge(u *uop, dest uint8) {
 	}
 }
 
-// compactWindow filters the memory queue and drops committed and squashed
-// uops from the head of the window, recycling them (see uop.go).
+// compactWindow filters the store queue once a store in it has committed
+// or been squashed, and drops committed and squashed uops from the head of
+// the window, recycling them (see uop.go).
 func (c *Core) compactWindow() {
-	if len(c.memQ) > 0 {
+	if c.memQStale {
 		keep := c.memQ[:0]
 		for _, m := range c.memQ {
 			if m.state != uopCommitted && m.state != uopSquashed {
@@ -157,6 +168,7 @@ func (c *Core) compactWindow() {
 			}
 		}
 		c.memQ = keep
+		c.memQStale = false
 	}
 	i := 0
 	for _, u := range c.window.uops {

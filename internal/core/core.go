@@ -34,8 +34,16 @@ type Core struct {
 
 	fetchQ uopQueue
 	window uopQueue // renamed, in seq order (the ROB contents)
-	memQ   []*uop   // in-flight memory uops, seq order
 	robQ   [MaxThreads]uopQueue
+	// ready holds the renamed uops whose operands are available and
+	// executing the issued ones not yet done, both in seq order, so
+	// issue and complete walk them instead of the window. New sizes
+	// them to the IQ and the ROB.
+	ready, executing []*uop
+	// memQ holds the in-flight stores in seq order. memQStale says a
+	// store in it committed or was squashed since the last filter.
+	memQ      []*uop
+	memQStale bool
 
 	// freeUops and freeGroups hold retired uops and fetch groups for
 	// reuse (see uop.go and newGroup). deadGroups collects the groups
@@ -101,13 +109,15 @@ func New(cfg Config, sys *prog.System) (*Core, error) {
 		return nil, fmt.Errorf("core: config has %d threads, system has %d contexts", cfg.Threads, len(sys.Contexts))
 	}
 	c := &Core{
-		cfg:  cfg,
-		mode: sys.Mode,
-		sys:  sys,
-		rst:  NewRST(cfg.Threads, sys.Mode),
-		lvip: NewLVIP(cfg.LVIPSize),
-		bp:   branch.NewUnit(cfg.Branch),
-		mem:  cache.NewHierarchy(cfg.Mem),
+		cfg:       cfg,
+		mode:      sys.Mode,
+		sys:       sys,
+		rst:       NewRST(cfg.Threads, sys.Mode),
+		lvip:      NewLVIP(cfg.LVIPSize),
+		bp:        branch.NewUnit(cfg.Branch),
+		mem:       cache.NewHierarchy(cfg.Mem),
+		ready:     make([]*uop, 0, cfg.IQSize),
+		executing: make([]*uop, 0, cfg.ROBSize),
 	}
 	if cfg.TraceCacheBytes > 0 {
 		c.tc = tracecache.New(cfg.TraceCacheBytes)

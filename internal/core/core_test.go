@@ -36,12 +36,19 @@ func runCore(t *testing.T, cfg Config, src string, mode prog.Mode, init prog.Ini
 	if err != nil {
 		t.Fatal(err)
 	}
+	return runToOracle(t, c, src, mode, init), c
+}
+
+// runToOracle runs c, which simulates src, to the end and checks its
+// per-thread committed instruction counts and register values against a
+// pure functional run.
+func runToOracle(t *testing.T, c *Core, src string, mode prog.Mode, init prog.InitFunc) *Stats {
+	t.Helper()
 	st, err := c.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	ref := buildSys(t, src, mode, cfg.Threads, init)
+	ref := buildSys(t, src, mode, c.cfg.Threads, init)
 	if err := ref.RunFunctional(10_000_000); err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +62,7 @@ func runCore(t *testing.T, cfg Config, src string, mode prog.Mode, init prog.Ini
 			}
 		}
 	}
-	return st, c
+	return st
 }
 
 const loopSrc = `

@@ -421,7 +421,7 @@ func (c *Core) fetchGroup(g *group, width int, now uint64) int {
 			break
 		}
 		if u.inst.Op.IsControl() {
-			taken := u.effs[leader].Taken
+			taken := c.eff(u, leader).Taken
 			if g.waitBranch != nil {
 				break // mispredicted: stall until resolution
 			}
@@ -461,7 +461,6 @@ func (c *Core) buildUop(g *group, leadRec *dynRec, now uint64, traceHit bool) *u
 		if rec.pc != u.pc {
 			panic(fmt.Sprintf("core: group invariant violated: thread %d at %#x, leader at %#x", t, rec.pc, u.pc))
 		}
-		u.effs[t] = rec.eff
 		u.dynIdx[t] = rec.idx
 		c.streams[t].advance()
 	}
@@ -482,6 +481,7 @@ func (c *Core) buildUop(g *group, leadRec *dynRec, now uint64, traceHit bool) *u
 // the trace pay only a fixed front-end redirect.
 func (c *Core) handleControl(g *group, u *uop, now uint64, traceHit bool) *uop {
 	leader := g.members.First()
+	lead := c.eff(u, leader)
 	c.stats.BranchUops++
 
 	// Partition members by actual next PC (the oracle's outcomes).
@@ -490,7 +490,7 @@ func (c *Core) handleControl(g *group, u *uop, now uint64, traceHit bool) *uop {
 	nparts := 0
 	for m := g.members; m != 0; m &= m - 1 {
 		t := m.First()
-		np := u.effs[t].NextPC
+		np := c.eff(u, t).NextPC
 		i := 0
 		for i < nparts && partPC[i] != np {
 			i++
@@ -513,7 +513,7 @@ func (c *Core) handleControl(g *group, u *uop, now uint64, traceHit bool) *uop {
 		// history, as in an SMT front end).
 		for m := g.members; m != 0; m &= m - 1 {
 			t := m.First()
-			c.bp.Dir.Update(t, u.pc, u.effs[t].Taken)
+			c.bp.Dir.Update(t, u.pc, c.eff(u, t).Taken)
 		}
 	case u.inst.Op == isa.OpJal:
 		predictedNext = uint64(u.inst.Imm)
@@ -535,7 +535,7 @@ func (c *Core) handleControl(g *group, u *uop, now uint64, traceHit bool) *uop {
 			if tgt, ok := c.bp.BTB.Lookup(u.pc); ok {
 				predictedNext = tgt
 			}
-			c.bp.BTB.Insert(u.pc, u.effs[leader].NextPC)
+			c.bp.BTB.Insert(u.pc, lead.NextPC)
 		}
 	}
 
@@ -543,14 +543,14 @@ func (c *Core) handleControl(g *group, u *uop, now uint64, traceHit bool) *uop {
 	// happen whenever the machine is not globally merged.
 	takenAny := false
 	for m := g.members; m != 0; m &= m - 1 {
-		if u.effs[m.First()].Taken {
+		if c.eff(u, m.First()).Taken {
 			takenAny = true
 		}
 	}
 	if takenAny && c.cfg.SharedFetch && len(c.liveGroups()) > 1 {
 		g.takenSinceDiverge++
 		if c.cfg.Sync == SyncFHB {
-			target := u.effs[leader].NextPC
+			target := lead.NextPC
 			for m := g.members; m != 0; m &= m - 1 {
 				c.fhb[m.First()].Record(target)
 				c.stats.FHBInserts++
@@ -563,7 +563,7 @@ func (c *Core) handleControl(g *group, u *uop, now uint64, traceHit bool) *uop {
 	// under perfect trace prediction, the predictor's path otherwise.
 	followPath := predictedNext
 	if traceHit {
-		followPath = u.effs[leader].NextPC
+		followPath = lead.NextPC
 	}
 
 	if nparts > 1 {
@@ -594,7 +594,7 @@ func (c *Core) handleControl(g *group, u *uop, now uint64, traceHit bool) *uop {
 	}
 
 	// Unanimous outcome: a wrong front-end path stalls the whole group.
-	if u.effs[leader].NextPC != followPath {
+	if lead.NextPC != followPath {
 		c.stats.Mispredicts++
 		c.emit(obs.EvMispredict, int32(leader), u.pc, 0)
 		g.waitBranch = u
@@ -650,6 +650,6 @@ func (c *Core) retireTrace(u *uop) {
 	}
 	for m := u.itid; m != 0; m &= m - 1 {
 		t := m.First()
-		c.tb[t].Retire(u.pc, u.effs[t].Taken)
+		c.tb[t].Retire(u.pc, c.eff(u, t).Taken)
 	}
 }

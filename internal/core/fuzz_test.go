@@ -231,10 +231,26 @@ func runFuzzCase(t *testing.T, seed int64) {
 
 // checkNoFreeUopReachable asserts the uop recycle invariant (uop.go): no
 // uop on the free list is reachable from the fetch queue (or a queued
-// uop's split latch), the window, a ROB queue, the memory queue,
-// lastWriter, a live group's waitBranch or a live uop's consumers.
+// uop's split latch), the window, a ROB queue, the ready or executing
+// list, the memory queue, lastWriter, a live group's waitBranch or a live
+// uop's consumers. It also checks what issue, complete and Core.eff rest
+// on: the ready and executing lists hold exactly the window's ready and
+// issued uops in seq order, and every member of a live uop still has its
+// oracle record buffered.
 func checkNoFreeUopReachable(c *Core) error {
 	free := func(u *uop) bool { return u != nil && u.state == uopFree }
+	buffered := func(u *uop) error {
+		if u.state == uopCommitted || u.state == uopSquashed {
+			return nil
+		}
+		for m := u.itid; m != 0; m &= m - 1 {
+			t := m.First()
+			if s, i := c.streams[t], u.dynIdx[t]; i < s.base || i >= s.end {
+				return fmt.Errorf("uop %#x: thread %d's record %d is outside the buffered [%d, %d)", u.pc, t, i, s.base, s.end)
+			}
+		}
+		return nil
+	}
 	for _, u := range c.fetchQ.uops {
 		if free(u) {
 			return fmt.Errorf("free uop in fetchQ")
@@ -243,8 +259,15 @@ func checkNoFreeUopReachable(c *Core) error {
 			if free(p) {
 				return fmt.Errorf("free uop in the split latch of %#x", u.pc)
 			}
+			if err := buffered(p); err != nil {
+				return err
+			}
+		}
+		if err := buffered(u); err != nil {
+			return err
 		}
 	}
+	var nready, nissued int
 	for _, u := range c.window.uops {
 		if free(u) {
 			return fmt.Errorf("free uop in the window")
@@ -254,11 +277,41 @@ func checkNoFreeUopReachable(c *Core) error {
 				return fmt.Errorf("free uop among the consumers of seq %d", u.seq)
 			}
 		}
+		if err := buffered(u); err != nil {
+			return err
+		}
+		switch u.state {
+		case uopReady:
+			nready++
+		case uopIssued:
+			nissued++
+		}
+	}
+	for _, l := range []struct {
+		name  string
+		uops  []*uop
+		state uopState
+		n     int
+	}{{"ready", c.ready, uopReady, nready}, {"executing", c.executing, uopIssued, nissued}} {
+		if len(l.uops) != l.n {
+			return fmt.Errorf("%s list holds %d uops, the window %d", l.name, len(l.uops), l.n)
+		}
+		for i, u := range l.uops {
+			if free(u) || u.state != l.state {
+				return fmt.Errorf("%s list entry seq %d in state %d", l.name, u.seq, u.state)
+			}
+			if i > 0 && l.uops[i-1].seq >= u.seq {
+				return fmt.Errorf("%s list out of seq order at seq %d", l.name, u.seq)
+			}
+		}
 	}
 	for t := range c.robQ {
 		for _, u := range c.robQ[t].uops {
 			if free(u) {
 				return fmt.Errorf("free uop in robQ[%d]", t)
+			}
+			if err := buffered(u); err != nil {
+				return err
 			}
 		}
 	}

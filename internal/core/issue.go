@@ -38,65 +38,96 @@ func (c *Core) memPrivate(addr uint64) bool {
 }
 
 // issueStage selects ready uops oldest-first up to IssueWidth, subject to
-// functional-unit and load/store-port availability.
+// functional-unit and load/store-port availability. It walks the ready
+// list, which holds exactly the window's ready uops in seq order (plus
+// any squashed since they became ready, which it drops).
 func (c *Core) issueStage(now uint64) {
 	issued := 0
-	intFree := c.cfg.IntALUs
-	fpFree := c.cfg.FPUs
-	lsFree := c.cfg.LSPorts
-	for _, u := range c.window.uops {
-		if issued >= c.cfg.IssueWidth {
-			break
-		}
-		if u.state != uopReady {
-			continue
-		}
+	free := fuBudget{intALU: c.cfg.IntALUs, fp: c.cfg.FPUs, ls: c.cfg.LSPorts}
+	keep := c.ready[:0]
+	for _, u := range c.ready {
 		switch {
-		case u.isLoad:
-			if lsFree < 1 {
-				continue
-			}
-			ports := 1
-			if u.memPerThread {
-				// A merged multi-execution load expands to one access
-				// per process; the LSQ performs them "serially"
-				// (§4.2.5) across the ports available this cycle.
-				ports = u.itid.Count()
-				if ports > lsFree {
-					ports = lsFree
-				}
-			}
-			lsFree -= ports
-			u.doneAt = c.issueLoad(u, ports, now)
-		case u.isStore:
-			// Stores compute their address at issue; the cache write
-			// happens at commit.
-			if lsFree < 1 {
-				continue
-			}
-			lsFree--
-			u.doneAt = now + 1
+		case u.state != uopReady: // squashed
+		case issued < c.cfg.IssueWidth && c.issue(u, &free, now):
+			issued++
 		default:
-			switch fuOf(u.class) {
-			case fuInt:
-				if intFree < 1 {
-					continue
-				}
-				intFree--
-			case fuFP:
-				if fpFree < 1 {
-					continue
-				}
-				fpFree--
-			}
-			u.doneAt = now + execLatency(u.class)
+			keep = append(keep, u)
 		}
-		u.state = uopIssued
-		c.iqOcc--
-		issued++
-		c.stats.IssuedUops++
-		c.stats.FUOps++
 	}
+	c.ready = keep
+}
+
+// fuBudget counts the functional units and load/store ports still free
+// in this cycle's issue stage.
+type fuBudget struct{ intALU, fp, ls int }
+
+// issue starts u executing if a unit it needs is free, and reports
+// whether it did.
+func (c *Core) issue(u *uop, free *fuBudget, now uint64) bool {
+	switch {
+	case u.isLoad:
+		if free.ls < 1 {
+			return false
+		}
+		ports := 1
+		if u.memPerThread {
+			// A merged multi-execution load expands to one access
+			// per process; the LSQ performs them "serially"
+			// (§4.2.5) across the ports available this cycle.
+			ports = u.itid.Count()
+			if ports > free.ls {
+				ports = free.ls
+			}
+		}
+		free.ls -= ports
+		u.doneAt = c.issueLoad(u, ports, now)
+	case u.isStore:
+		// Stores compute their address at issue; the cache write
+		// happens at commit.
+		if free.ls < 1 {
+			return false
+		}
+		free.ls--
+		u.doneAt = now + 1
+	default:
+		switch fuOf(u.class) {
+		case fuInt:
+			if free.intALU < 1 {
+				return false
+			}
+			free.intALU--
+		case fuFP:
+			if free.fp < 1 {
+				return false
+			}
+			free.fp--
+		}
+		u.doneAt = now + execLatency(u.class)
+	}
+	u.state = uopIssued
+	c.executing = insertBySeq(c.executing, u)
+	c.iqOcc--
+	c.stats.IssuedUops++
+	c.stats.FUOps++
+	return true
+}
+
+// insertBySeq inserts u into q, which is in seq order, and returns q
+// still in seq order.
+func insertBySeq(q []*uop, u *uop) []*uop {
+	q = append(q, u)
+	i := len(q) - 1
+	for ; i > 0 && q[i-1].seq > u.seq; i-- {
+		q[i] = q[i-1]
+	}
+	q[i] = u
+	return q
+}
+
+// wake marks u ready and queues it for issue.
+func (c *Core) wake(u *uop) {
+	u.state = uopReady
+	c.ready = insertBySeq(c.ready, u)
 }
 
 // issueLoad performs the cache access(es) for a load. A merged
@@ -111,7 +142,8 @@ func (c *Core) issueLoad(u *uop, ports int, now uint64) uint64 {
 		for m := u.itid; m != 0; m &= m - 1 {
 			t := m.First()
 			start := now + uint64(i/ports)
-			d := c.mem.AccessData(c.dataSpace(t, u.effs[t].Addr), u.effs[t].Addr, false, start)
+			addr := c.eff(u, t).Addr
+			d := c.mem.AccessData(c.dataSpace(t, addr), addr, false, start)
 			if d > done {
 				done = d
 			}
@@ -120,21 +152,25 @@ func (c *Core) issueLoad(u *uop, ports int, now uint64) uint64 {
 		return done
 	}
 	t := u.leader()
-	return c.mem.AccessData(c.dataSpace(t, u.effs[t].Addr), u.effs[t].Addr, false, now)
+	addr := c.eff(u, t).Addr
+	return c.mem.AccessData(c.dataSpace(t, addr), addr, false, now)
 }
 
 // completeStage retires execution results: uops whose doneAt has arrived
 // become done, wake their consumers, release branch-stalled fetch groups,
 // and — for value-predicted merged loads — verify the LVIP prediction,
-// possibly triggering a rollback.
+// possibly triggering a rollback. It walks the executing list, which
+// holds the issued uops in seq order.
 func (c *Core) completeStage(now uint64) {
 	// Oldest-first so that an LVIP rollback squashes younger completions
-	// before they act.
-	for _, u := range c.window.uops {
-		if u.state != uopIssued || u.doneAt > now {
+	// before they act; the walk drops them when it reaches them.
+	keep := c.executing[:0]
+	for _, u := range c.executing {
+		if u.state == uopSquashed {
 			continue
 		}
-		if u.state == uopSquashed {
+		if u.doneAt > now {
+			keep = append(keep, u)
 			continue
 		}
 		u.state = uopDone
@@ -156,36 +192,45 @@ func (c *Core) completeStage(now uint64) {
 		} else if u.sharedVerify && c.loadValuesDiffer(u) {
 			c.lvipRollback(u, now, false)
 		}
-		if u.state == uopSquashed {
-			continue
-		}
-
-		for _, cons := range u.consumers {
-			if cons.state == uopWaiting {
-				cons.ndeps--
-				if cons.ndeps == 0 {
-					cons.state = uopReady
-				}
-			}
-		}
-		for _, g := range u.stalledGroups {
-			if g.waitBranch == u {
-				g.waitBranch = nil
-				if s := now + c.cfg.MispredictPenalty; s > g.stallUntil {
-					g.stallUntil = s
-				}
-			}
-		}
-		u.stalledGroups = u.stalledGroups[:0]
+		c.wakeConsumers(u)
+		c.releaseStalledGroups(u, now)
 	}
+	c.executing = keep
+}
+
+// wakeConsumers resolves one outstanding operand of each consumer still
+// waiting on u, queueing those left with none for issue.
+func (c *Core) wakeConsumers(u *uop) {
+	for _, cons := range u.consumers {
+		if cons.state == uopWaiting {
+			cons.ndeps--
+			if cons.ndeps == 0 {
+				c.wake(cons)
+			}
+		}
+	}
+}
+
+// releaseStalledGroups lets the fetch groups waiting on control uop u
+// resume after the redirect penalty, once u resolved or will never do so.
+func (c *Core) releaseStalledGroups(u *uop, now uint64) {
+	for _, g := range u.stalledGroups {
+		if g.waitBranch == u {
+			g.waitBranch = nil
+			if s := now + c.cfg.MispredictPenalty; s > g.stallUntil {
+				g.stallUntil = s
+			}
+		}
+	}
+	u.stalledGroups = u.stalledGroups[:0]
 }
 
 // loadValuesDiffer reports whether a merged ME load's per-process values
 // disagree.
 func (c *Core) loadValuesDiffer(u *uop) bool {
-	first := u.effs[u.itid.First()].LoadVal
+	first := c.eff(u, u.itid.First()).LoadVal
 	for m := u.itid & (u.itid - 1); m != 0; m &= m - 1 {
-		if u.effs[m.First()].LoadVal != first {
+		if c.eff(u, m.First()).LoadVal != first {
 			return true
 		}
 	}
@@ -249,22 +294,17 @@ func (c *Core) squashYounger(affected ITID, afterSeq uint64, now uint64) {
 	}
 	// Uops still in the fetch queue have no rename state to undo.
 	// Everything in the fetch queue is younger than any renamed uop.
+	// A split latch narrows a queued uop's itid to its first piece, so
+	// the test is on fetchITID, which still covers every piece.
 	keep := c.fetchQ.uops[:0]
 	for _, w := range c.fetchQ.uops {
-		if w.itid&affected != 0 {
-			w.itid &^= affected
-			w.fetchITID = w.itid
+		if w.fetchITID&affected != 0 {
 			c.dropSplitLatch(w)
+			w.itid = w.fetchITID &^ affected
+			w.fetchITID = w.itid
 			if w.itid == 0 {
 				c.stats.SquashedUops++
-				for _, g := range w.stalledGroups {
-					if g.waitBranch == w {
-						g.waitBranch = nil
-						if s := now + c.cfg.MispredictPenalty; s > g.stallUntil {
-							g.stallUntil = s
-						}
-					}
-				}
+				c.releaseStalledGroups(w, now)
 				c.freeUop(w) // never renamed: nothing else refers to it
 				continue
 			}
@@ -285,19 +325,19 @@ func (c *Core) squashYounger(affected ITID, afterSeq uint64, now uint64) {
 }
 
 // dropSplitLatch invalidates the split latch of a queued uop u whose
-// threads changed, recycling the pieces split off from u. A piece that a
-// fetch group still waits on is left to the garbage collector instead,
-// because the group keeps pointing at it.
+// threads changed and recycles the pieces split off from u. A fetch group
+// waiting on a piece goes back to waiting on u, so the next split hands
+// it to the piece that then executes for its threads.
 func (c *Core) dropSplitLatch(u *uop) {
 	for i := 1; i < u.npieces; i++ {
 		p := u.pieces[i]
-		waitedOn := false
 		for _, g := range p.stalledGroups {
-			waitedOn = waitedOn || g.waitBranch == p
+			if g.waitBranch == p {
+				g.waitBranch = u
+				u.stalledGroups = append(u.stalledGroups, g)
+			}
 		}
-		if !waitedOn {
-			c.freeUop(p)
-		}
+		c.freeUop(p)
 	}
 	u.npieces = 0
 }
@@ -331,30 +371,18 @@ func (c *Core) squashFrom(w *uop, affected ITID, now uint64) {
 		if w.isMem() {
 			c.lsqOcc -= w.lsqSlots
 		}
+		if w.isStore {
+			c.memQStale = true
+		}
 		c.stats.SquashedUops++
 		// Release any surviving consumers waiting on this producer
 		// (possible when a merged consumer kept threads outside the
 		// squash set).
-		for _, cons := range w.consumers {
-			if cons.state == uopWaiting {
-				cons.ndeps--
-				if cons.ndeps == 0 {
-					cons.state = uopReady
-				}
-			}
-		}
+		c.wakeConsumers(w)
 		// Release fetch groups stalled on this (now defunct) control
 		// uop: the branch will never resolve, so the group must not
 		// wait on it forever.
-		for _, g := range w.stalledGroups {
-			if g.waitBranch == w {
-				g.waitBranch = nil
-				if s := now + c.cfg.MispredictPenalty; s > g.stallUntil {
-					g.stallUntil = s
-				}
-			}
-		}
-		w.stalledGroups = w.stalledGroups[:0]
+		c.releaseStalledGroups(w, now)
 		return
 	}
 	// Partial squash: the uop survives (and keeps its single LSQ entry)

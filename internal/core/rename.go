@@ -81,8 +81,7 @@ func (c *Core) windowSpace(pieces []*uop) bool {
 // every fetch-identical uop splits into singletons at decode.
 func (c *Core) splitUop(u *uop) {
 	if u.fetchITID.Count() == 1 {
-		u.lsqSlots = c.lsqSlotsFor(u, u.itid)
-		u.memPerThread = false
+		c.soloPiece(u, u.itid)
 		u.pieces[0], u.npieces = u, 1
 		return
 	}
@@ -113,7 +112,7 @@ func (c *Core) splitUop(u *uop) {
 	if u.isLoad {
 		expanded, expandedRM := c.scratch.classes[:0], c.scratch.regMerge[:0]
 		for i, cl := range classes {
-			if cl.Count() >= 2 && c.memPrivate(u.effs[cl.First()].Addr) {
+			if cl.Count() >= 2 && c.memPrivate(c.eff(u, cl.First()).Addr) {
 				split := false
 				switch c.cfg.LVIP {
 				case LVIPOff:
@@ -121,9 +120,9 @@ func (c *Core) splitUop(u *uop) {
 				case LVIPOracle:
 					// The upper bound: merge exactly the classes whose
 					// values actually match; never roll back.
-					first := u.effs[cl.First()].LoadVal
+					first := c.eff(u, cl.First()).LoadVal
 					for m := cl; m != 0; m &= m - 1 {
-						if u.effs[m.First()].LoadVal != first {
+						if c.eff(u, m.First()).LoadVal != first {
 							split = true
 							break
 						}
@@ -150,11 +149,10 @@ func (c *Core) splitUop(u *uop) {
 		p := u
 		if i > 0 {
 			p = c.cloneUop(u)
-			p.splitOff = true
 		}
 		p.itid = cl
 		p.regMergeAssisted = cl.Count() >= 2 && rmAssist[i]
-		private := u.isMem() && c.memPrivate(u.effs[cl.First()].Addr)
+		private := u.isMem() && c.memPrivate(c.eff(u, cl.First()).Addr)
 		// Verification (and rollback exposure) only exists under the
 		// real predictor; the oracle mode merges exactly-correct classes.
 		p.lvipPredIdent = u.isLoad && private && cl.Count() >= 2 && c.cfg.LVIP == LVIPPredict
@@ -209,16 +207,22 @@ func (c *Core) splitIntoSingletons(u *uop) {
 		p := u
 		if i > 0 {
 			p = c.cloneUop(u)
-			p.splitOff = true
 		}
-		p.itid = ITIDOf(m.First())
-		p.memPerThread = false
-		p.lsqSlots = c.lsqSlotsFor(p, p.itid)
+		c.soloPiece(p, ITIDOf(m.First()))
 		u.pieces[i] = p
 		i++
 	}
 	u.npieces = i
 	distributeStalledGroups(u)
+}
+
+// soloPiece makes p a piece that executes for the one thread in itid.
+// Like splitUop's class loop, it writes every field the split stage
+// decides, so a re-split after a dropped latch leaves none stale.
+func (c *Core) soloPiece(p *uop, itid ITID) {
+	p.itid = itid
+	p.regMergeAssisted, p.lvipPredIdent, p.sharedVerify, p.memPerThread = false, false, false, false
+	p.lsqSlots = c.lsqSlotsFor(p, itid)
 }
 
 // lsqSlotsFor returns LSQ occupancy. A merged multi-execution memory op
@@ -262,7 +266,7 @@ func (c *Core) rename(u *uop, now uint64) {
 	if u.isLoad {
 		for m := u.itid; m != 0; m &= m - 1 {
 			t := m.First()
-			dependOn(u, c.youngestStore(t, u.effs[t].Addr, u.seq))
+			dependOn(u, c.youngestStore(t, c.eff(u, t).Addr, u.seq))
 		}
 	}
 
@@ -300,13 +304,15 @@ func (c *Core) rename(u *uop, now uint64) {
 	// Dispatch.
 	u.state = uopWaiting
 	if u.ndeps == 0 {
-		u.state = uopReady
+		c.wake(u)
 	}
 	c.window.push(u)
 	c.robOcc++
 	c.iqOcc++
 	if u.isMem() {
 		c.lsqOcc += u.lsqSlots
+	}
+	if u.isStore {
 		c.memQ = append(c.memQ, u)
 	}
 	for m := u.itid; m != 0; m &= m - 1 {
@@ -334,10 +340,10 @@ func dependOn(u, w *uop) {
 func (c *Core) youngestStore(t int, addr uint64, seq uint64) *uop {
 	for i := len(c.memQ) - 1; i >= 0; i-- {
 		s := c.memQ[i]
-		if !s.isStore || s.seq >= seq || s.state == uopSquashed || !s.itid.Has(t) {
+		if s.seq >= seq || s.state == uopSquashed || !s.itid.Has(t) {
 			continue
 		}
-		if s.effs[t].Addr == addr {
+		if c.eff(s, t).Addr == addr {
 			return s
 		}
 	}

@@ -208,3 +208,69 @@ func TestActiveWriterAccountingStaysConsistent(t *testing.T) {
 		}
 	}
 }
+
+// TestSquashRefoldsLatchedSplit: a merged branch waits in the fetch queue
+// with its split latched (the uop itself for thread 0, piece 1 for thread
+// 1), and thread 1's group, which mispredicted, waits on piece 1. A squash
+// of thread 0 alone, as an LVIP rollback of a load merged for thread 0
+// and another context performs, invalidates the latch. Piece 1 must be
+// recycled, the queued uop must go on for thread 1 and thread 1's group
+// must wait on it again, so that the run still ends with the oracle's
+// results.
+func TestSquashRefoldsLatchedSplit(t *testing.T) {
+	const src = `
+        tid   r5
+        bnez  r5, one            ; thread 1 taken, mispredicted
+        addi  r6, r6, 1
+one:    addi  r7, r7, 1
+        halt
+`
+	cfg := DefaultConfig(2)
+	// The tid's two pieces fill the ROB, so the branch splits but waits.
+	cfg.ROBSize, cfg.IQSize = 2, 2
+	cfg.MaxCycles = 100_000
+	c, err := New(cfg, buildSys(t, src, prog.ModeME, 2, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var u *uop
+	for u == nil || u.npieces != 2 {
+		if c.now > 1000 {
+			t.Fatal("the branch never waited in the fetch queue with a latched split")
+		}
+		c.Cycle()
+		u = nil
+		if q := c.fetchQ.uops; len(q) > 0 && q[0].inst.Op == isa.OpBne {
+			u = q[0]
+		}
+	}
+	piece := u.pieces[1]
+	if u.itid != ITIDOf(0) || piece.itid != ITIDOf(1) {
+		t.Fatalf("latched split %s + %s, want {0} + {1}", u.itid, piece.itid)
+	}
+	var waiter *group
+	for _, g := range c.groups {
+		if !g.dead && g.waitBranch == piece {
+			waiter = g
+		}
+	}
+	if waiter == nil || waiter.members != ITIDOf(1) {
+		t.Fatal("thread 1's group does not wait on piece 1")
+	}
+
+	c.squashYounger(ITIDOf(0), c.seq, c.now)
+
+	if piece.state != uopFree {
+		t.Error("the dropped piece was not recycled")
+	}
+	if waiter.waitBranch != u {
+		t.Error("thread 1's group does not wait on the queued uop")
+	}
+	if len(c.fetchQ.uops) == 0 || c.fetchQ.uops[0] != u || u.itid != ITIDOf(1) || u.fetchITID != ITIDOf(1) || u.npieces != 0 {
+		t.Fatalf("the queued branch did not stay on for thread 1 with no latch (itid %s)", u.itid)
+	}
+	if err := checkNoFreeUopReachable(c); err != nil {
+		t.Fatal(err)
+	}
+	runToOracle(t, c, src, prog.ModeME, nil)
+}

@@ -8,7 +8,8 @@ import (
 // dynRec is one committed-path dynamic instruction of one thread, produced
 // by the functional oracle (prog.Context.Step) and consumed by the timing
 // model. Records are buffered so that squashes (branch-like rollbacks such
-// as LVIP mispredicts) can re-fetch without re-executing.
+// as LVIP mispredicts) can re-fetch without re-executing, and a uop reads
+// its members' effects from here until it commits (Core.eff).
 type dynRec struct {
 	idx  uint64 // position in the thread's dynamic instruction order
 	pc   uint64
@@ -51,20 +52,25 @@ func (s *stream) peek() (*dynRec, bool) {
 		if s.ctx.Halted() {
 			return nil, false
 		}
-		pc := s.ctx.State.PC
-		inst, eff, err := s.ctx.Step()
+		if s.end-s.base == uint64(len(s.recs)) {
+			s.grow()
+		}
+		r := s.at(s.end)
+		r.idx, r.pc = s.end, s.ctx.State.PC
+		inst, err := s.ctx.Step(&r.eff)
 		if err != nil {
 			s.err = err
 			return nil, false
 		}
-		if s.end-s.base == uint64(len(s.recs)) {
-			s.grow()
-		}
-		s.recs[s.end&uint64(len(s.recs)-1)] = dynRec{idx: s.end, pc: pc, inst: inst, eff: eff}
+		r.inst = inst
 		s.end++
 	}
-	return &s.recs[s.cursor&uint64(len(s.recs)-1)], true
+	return s.at(s.cursor), true
 }
+
+// at returns the record of dynamic index idx, which must be buffered
+// (base <= idx < end).
+func (s *stream) at(idx uint64) *dynRec { return &s.recs[idx&uint64(len(s.recs)-1)] }
 
 // grow doubles the ring, moving each buffered record to its new slot.
 func (s *stream) grow() {

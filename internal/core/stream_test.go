@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"mmt/internal/asm"
+	"mmt/internal/isa"
 	"mmt/internal/prog"
 )
 
@@ -171,4 +172,65 @@ func TestStreamRandomWalkProperty(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestStreamRingWrapKeepsRecords buffers more records than the first ring
+// holds, so it grows, releases records past the wrap point and refills
+// their slots: reading any buffered record by its index must still return
+// that record's own pc and effect, as a plain functional run produces
+// them.
+func TestStreamRingWrapKeepsRecords(t *testing.T) {
+	p := asm.MustAssemble("wrap", `
+        li    r5, 1000
+loop:   addi  r5, r5, -1
+        bnez  r5, loop
+        halt
+`)
+	newCtx := func() *prog.Context {
+		sys, err := prog.NewSystem(p, prog.ModeME, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys.Contexts[0]
+	}
+	type rec struct {
+		pc  uint64
+		eff isa.Effect
+	}
+	var want []rec
+	for ref := newCtx(); len(want) < 1200; {
+		r := rec{pc: ref.State.PC}
+		if _, err := ref.Step(&r.eff); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, r)
+	}
+
+	s := newStream(newCtx(), 0)
+	fetchTo := func(idx uint64) {
+		for s.cursor < idx {
+			if _, ok := s.peek(); !ok {
+				t.Fatalf("stream ended at %d", s.cursor)
+			}
+			s.advance()
+		}
+	}
+	check := func(stage string, ringLen int) {
+		if len(s.recs) != ringLen {
+			t.Fatalf("%s: ring has %d slots, want %d", stage, len(s.recs), ringLen)
+		}
+		for idx := s.base; idx < s.end; idx++ {
+			if r := s.at(idx); r.idx != idx || r.pc != want[idx].pc || r.eff != want[idx].eff {
+				t.Fatalf("%s: record %d reads idx %d pc %#x %+v, want pc %#x %+v",
+					stage, idx, r.idx, r.pc, r.eff, want[idx].pc, want[idx].eff)
+			}
+		}
+	}
+	fetchTo(300)
+	check("grown past 256", 512)
+	s.release(280)
+	fetchTo(280 + 512) // records 512.. wrap into the slots 0..279 freed
+	check("wrapped", 512)
+	fetchTo(280 + 513)
+	check("grown while wrapped", 1024)
 }

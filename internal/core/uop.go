@@ -63,11 +63,9 @@ type uop struct {
 	fetchITID ITID // threads it was fetched for
 	mode      FetchMode
 
-	// Per-thread oracle results, indexed by thread id (valid for members
-	// of fetchITID).
-	effs [MaxThreads]isa.Effect
-	// dynIdx is each member thread's dynamic-instruction index, for
-	// stream rewind on rollback.
+	// dynIdx is each member thread's dynamic-instruction index: it
+	// locates the member's oracle record (Core.eff) and the stream
+	// rewind point on rollback.
 	dynIdx [MaxThreads]uint64
 
 	state     uopState
@@ -76,7 +74,6 @@ type uop struct {
 	doneAt    uint64
 
 	// Split bookkeeping.
-	splitOff         bool // produced by splitting a fetch-identical uop
 	forcedSplit      bool // merged ME load demoted by an LVIP mispredict
 	regMergeAssisted bool // execute-identical thanks to register merging
 
@@ -126,6 +123,13 @@ func (u *uop) fetchIdenticalOnly() bool {
 // leader returns the representative thread id.
 func (u *uop) leader() int { return u.itid.First() }
 
+// eff returns member thread t's oracle effect for u, read in place from
+// t's record ring: the record stays buffered until u commits, because
+// commit releases it last.
+func (c *Core) eff(u *uop, t int) *isa.Effect {
+	return &c.streams[t].at(u.dynIdx[t]).eff
+}
+
 // Uop lifetime. Uops are recycled through a per-Core free list instead of
 // being left to the garbage collector: the cycle loop makes one per
 // fetched instruction and split piece, and allocating them dominated the
@@ -133,19 +137,21 @@ func (u *uop) leader() int { return u.itid.First() }
 // can reach it any more:
 //
 //   - compactWindow drops a committed or squashed uop off the window head.
-//     It has left every ROB queue and the memory queue, commit or the
-//     squash cleared it from lastWriter, and fetch groups stalled on it
-//     were released when it completed or was squashed. A uop's consumers
-//     are younger than it, and the window compacts in seq order, so no
-//     live uop lists it as a consumer.
+//     It has left every ROB queue, the ready and executing lists and the
+//     store queue, commit or the squash cleared it from lastWriter, and
+//     fetch groups stalled on it were released when it completed or was
+//     squashed. A uop's consumers are younger than it, and the window
+//     compacts in seq order, so no live uop lists it as a consumer.
 //   - squashYounger drops a fully squashed, never renamed uop from the
 //     fetch queue, releasing the groups stalled on it. When it
-//     invalidates a queued uop's split latch, the split-off pieces no
-//     fetch group waits on are recycled too (dropSplitLatch).
+//     invalidates a queued uop's split latch, the split-off pieces are
+//     recycled too, and the groups waiting on them go back to waiting on
+//     the queued uop (dropSplitLatch).
 
-// newUop returns a zeroed uop, reusing a recycled one when the free list
-// has any; a recycled uop keeps the capacity of its consumers and
-// stalledGroups lists.
+// newUop returns a uop for buildUop or cloneUop to fill in, reusing a
+// recycled one when the free list has any. A recycled uop keeps the
+// capacity of its consumers and stalledGroups lists, and freeUop reset
+// what its filler does not write.
 func (c *Core) newUop() *uop {
 	n := len(c.freeUops)
 	if n == 0 {
@@ -168,12 +174,19 @@ func (c *Core) cloneUop(u *uop) *uop {
 	return p
 }
 
-// freeUop zeroes u and puts it on the free list.
+// freeUop puts u on the free list. It resets only what buildUop, the
+// split stage and rename do not overwrite: the lists, the split latch and
+// the rollback's forcedSplit, plus seq and doneAt, which DumpState prints
+// before rename and issue set them.
 func (c *Core) freeUop(u *uop) {
 	if u.state == uopFree {
 		panic("core: uop freed twice")
 	}
-	*u = uop{state: uopFree, consumers: u.consumers[:0], stalledGroups: u.stalledGroups[:0]}
+	u.state = uopFree
+	u.consumers, u.stalledGroups = u.consumers[:0], u.stalledGroups[:0]
+	u.npieces = 0
+	u.forcedSplit = false
+	u.seq, u.doneAt = 0, 0
 	c.freeUops = append(c.freeUops, u)
 }
 

@@ -27,24 +27,26 @@ type State struct {
 }
 
 // Effect describes the observable consequences of executing one
-// instruction, for consumption by the timing model.
+// instruction, for consumption by the timing model. The words come before
+// the flags, so the struct packs into 48 bytes.
 type Effect struct {
 	// NextPC is the PC of the next dynamic instruction.
 	NextPC uint64
-	// Taken is set for control instructions that redirected the PC
-	// (all jumps, and branches whose condition held).
-	Taken bool
-	// IsMem/Addr/StoreVal describe a memory access, if any.
-	IsMem    bool
-	IsStore  bool
+	// Addr/StoreVal describe a memory access, if any (see IsMem).
 	Addr     uint64
 	StoreVal uint64
 	// LoadVal is the value a load returned.
 	LoadVal uint64
-	// WroteReg / Dest / DestVal describe the register writeback, if any.
+	// DestVal is the value written back, if any (see WroteReg).
+	DestVal uint64
+	// Taken is set for control instructions that redirected the PC
+	// (all jumps, and branches whose condition held).
+	Taken   bool
+	IsMem   bool
+	IsStore bool
+	// WroteReg / Dest describe the register writeback, if any.
 	WroteReg bool
 	Dest     uint8
-	DestVal  uint64
 	// Halted is set by halt.
 	Halted bool
 }
@@ -52,15 +54,15 @@ type Effect struct {
 func f(v uint64) float64  { return math.Float64frombits(v) }
 func fb(v float64) uint64 { return math.Float64bits(v) }
 
-// Exec executes i against st and mem, advancing st.PC, and returns the
-// architectural effect. It is the functional oracle of the simulator: the
-// timing model in internal/core never recomputes semantics.
-func Exec(i Inst, st *State, mem Memory) (Effect, error) {
+// Exec executes i against st and mem, advancing st.PC, and writes the
+// architectural effect to *eff, overwriting all of it. It is the
+// functional oracle of the simulator: the timing model in internal/core
+// never recomputes semantics. On error *eff is unspecified.
+func Exec(i Inst, st *State, mem Memory, eff *Effect) error {
 	if st.Halted {
-		return Effect{}, fmt.Errorf("isa: exec on halted context %d", st.CtxID)
+		return fmt.Errorf("isa: exec on halted context %d", st.CtxID)
 	}
-	var eff Effect
-	eff.NextPC = st.PC + InstBytes
+	*eff = Effect{NextPC: st.PC + InstBytes}
 
 	r := &st.Reg
 	a, b := r[i.Rs1], r[i.Rs2]
@@ -195,7 +197,7 @@ func Exec(i Inst, st *State, mem Memory) (Effect, error) {
 		dest, writeDest = uint64(st.CtxID), true
 
 	default:
-		return Effect{}, fmt.Errorf("isa: exec: invalid opcode %d", uint8(i.Op))
+		return fmt.Errorf("isa: exec: invalid opcode %d", uint8(i.Op))
 	}
 
 	if i.Op.IsBranch() && eff.Taken {
@@ -207,7 +209,7 @@ func Exec(i Inst, st *State, mem Memory) (Effect, error) {
 		eff.WroteReg, eff.Dest, eff.DestVal = true, i.Rd, dest
 	}
 	st.PC = eff.NextPC
-	return eff, nil
+	return nil
 }
 
 func boolTo(b bool) uint64 {

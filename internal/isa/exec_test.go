@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // mapMem is a trivial Memory for tests.
@@ -18,8 +19,8 @@ func exec1(t *testing.T, i Inst, st *State, mem Memory) Effect {
 	if mem == nil {
 		mem = mapMem{}
 	}
-	eff, err := Exec(i, st, mem)
-	if err != nil {
+	var eff Effect
+	if err := Exec(i, st, mem, &eff); err != nil {
 		t.Fatalf("Exec(%v): %v", i, err)
 	}
 	return eff
@@ -205,7 +206,7 @@ func TestExecHaltAndTid(t *testing.T) {
 	if st.PC != 0x104 {
 		t.Errorf("halt moved PC to %#x", st.PC)
 	}
-	if _, err := Exec(Nop(), st, mapMem{}); err == nil {
+	if err := Exec(Nop(), st, mapMem{}, new(Effect)); err == nil {
 		t.Error("Exec on halted context succeeded")
 	}
 }
@@ -229,7 +230,7 @@ func TestExecRegZeroInvariant(t *testing.T) {
 				i.Rs1 = 0
 				i.Imm = int64(r.Intn(1024)) * 8
 			}
-			if _, err := Exec(i, st, mem); err != nil {
+			if err := Exec(i, st, mem, new(Effect)); err != nil {
 				return false
 			}
 			if st.Reg[0] != 0 {
@@ -268,8 +269,9 @@ func TestExecDeterministic(t *testing.T) {
 				i.Imm = int64(r.Intn(128)) * 8
 				i.Rs1 = 0
 			}
-			e1, err1 := Exec(i, s1, m1)
-			e2, err2 := Exec(i, s2, m2)
+			var e1, e2 Effect
+			err1 := Exec(i, s1, m1, &e1)
+			err2 := Exec(i, s2, m2, &e2)
 			if (err1 == nil) != (err2 == nil) || e1 != e2 {
 				return false
 			}
@@ -281,5 +283,13 @@ func TestExecDeterministic(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestEffectSize pins the field order that packs an Effect into 48 bytes:
+// the timing core buffers one per dynamic instruction in its record ring.
+func TestEffectSize(t *testing.T) {
+	if n := unsafe.Sizeof(Effect{}); n != 48 {
+		t.Errorf("Effect is %d bytes, want 48", n)
 	}
 }

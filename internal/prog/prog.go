@@ -28,9 +28,15 @@ const (
 )
 
 // Memory is a sparse, paged, 64-bit-word-addressable memory image.
-// The zero value is an empty image ready to use.
+// The zero value is an empty image ready to use. It is not safe for
+// concurrent use, reads included: a read updates the last-page cache.
 type Memory struct {
 	pages map[uint64]*[pageWords]uint64
+	// last caches the page numbered lastPN, the most recently used one:
+	// consecutive accesses mostly fall in one page, and a hit skips the
+	// map lookup.
+	last   *[pageWords]uint64
+	lastPN uint64
 }
 
 // NewMemory returns an empty memory image.
@@ -39,18 +45,25 @@ func NewMemory() *Memory {
 }
 
 func (m *Memory) page(addr uint64, create bool) *[pageWords]uint64 {
+	pn := addr >> pageShift
+	if m.last != nil && m.lastPN == pn {
+		return m.last
+	}
 	if m.pages == nil {
 		if !create {
 			return nil
 		}
 		m.pages = make(map[uint64]*[pageWords]uint64)
 	}
-	pn := addr >> pageShift
 	p := m.pages[pn]
-	if p == nil && create {
+	if p == nil {
+		if !create {
+			return nil
+		}
 		p = new([pageWords]uint64)
 		m.pages[pn] = p
 	}
+	m.last, m.lastPN = p, pn
 	return p
 }
 
@@ -194,20 +207,20 @@ type Context struct {
 func (c *Context) Halted() bool { return c.State.Halted }
 
 // Step fetches the instruction at the context's PC, executes it
-// functionally, and returns it with its effect. It is the simulator's
-// oracle: the timing model calls Step exactly once per committed-path
-// dynamic instruction, in fetch order.
-func (c *Context) Step() (isa.Inst, isa.Effect, error) {
+// functionally, writes its effect to *eff and returns it. It is the
+// simulator's oracle: the timing model calls Step exactly once per
+// committed-path dynamic instruction, in fetch order, with eff pointing
+// into the record ring that buffers the effect until commit.
+func (c *Context) Step(eff *isa.Effect) (isa.Inst, error) {
 	inst, ok := c.Prog.InstAt(c.State.PC)
 	if !ok {
-		return isa.Inst{}, isa.Effect{}, fmt.Errorf("prog: context %d: PC %#x outside text segment", c.ID, c.State.PC)
+		return isa.Inst{}, fmt.Errorf("prog: context %d: PC %#x outside text segment", c.ID, c.State.PC)
 	}
-	eff, err := isa.Exec(inst, &c.State, c.Mem)
-	if err != nil {
-		return inst, eff, err
+	if err := isa.Exec(inst, &c.State, c.Mem, eff); err != nil {
+		return inst, err
 	}
 	c.DynCount++
-	return inst, eff, nil
+	return inst, nil
 }
 
 // System is a set of contexts running one program in one mode.
@@ -329,6 +342,7 @@ func (s *System) AllHalted() bool {
 // exceeds maxInsts dynamic instructions. It is used by tests and the
 // trace profiler; the timing simulator drives contexts itself.
 func (s *System) RunFunctional(maxInsts uint64) error {
+	var eff isa.Effect
 	for !s.AllHalted() {
 		for _, c := range s.Contexts {
 			if c.Halted() {
@@ -337,7 +351,7 @@ func (s *System) RunFunctional(maxInsts uint64) error {
 			if c.DynCount >= maxInsts {
 				return fmt.Errorf("prog: context %d exceeded %d instructions without halting", c.ID, maxInsts)
 			}
-			if _, _, err := c.Step(); err != nil {
+			if _, err := c.Step(&eff); err != nil {
 				return err
 			}
 		}

@@ -229,7 +229,7 @@ func TestRunFunctionalInstLimit(t *testing.T) {
 func TestStepOutsideText(t *testing.T) {
 	sys, _ := NewSystem(testProgram(), ModeME, 1, nil)
 	sys.Contexts[0].State.PC = 0x10
-	if _, _, err := sys.Contexts[0].Step(); err == nil {
+	if _, err := sys.Contexts[0].Step(new(isa.Effect)); err == nil {
 		t.Error("step outside text succeeded")
 	}
 }

@@ -72,7 +72,7 @@ func concreteRun(t *testing.T, r *Result, ctx uint8, maxSteps int) {
 		if in.Op == isa.OpJalr {
 			return
 		}
-		if _, err := isa.Exec(in, st, mem); err != nil {
+		if err := isa.Exec(in, st, mem, new(isa.Effect)); err != nil {
 			return
 		}
 	}

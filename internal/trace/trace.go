@@ -31,6 +31,7 @@ type Record struct {
 // its trace.
 func Capture(ctx *prog.Context, maxInsts int) ([]Record, error) {
 	var out []Record
+	var eff isa.Effect
 	for !ctx.Halted() && len(out) < maxInsts {
 		inst, ok := ctx.Prog.InstAt(ctx.State.PC)
 		if !ok {
@@ -42,8 +43,7 @@ func Capture(ctx *prog.Context, maxInsts int) ([]Record, error) {
 		for i := 0; i < n; i++ {
 			sig = sigMix(sig, ctx.State.Reg[srcs[i]])
 		}
-		_, eff, err := ctx.Step()
-		if err != nil {
+		if _, err := ctx.Step(&eff); err != nil {
 			return nil, err
 		}
 		if eff.IsMem && !eff.IsStore {
