@@ -61,3 +61,25 @@ func BenchmarkCoreThroughput(b *testing.B) {
 	}
 	b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "sim-insts/s")
 }
+
+// BenchmarkProfileThroughput measures the trace-alignment profiler (trace
+// records captured and aligned per host second) on twolf, the kernel with
+// the most divergences, as Fig. 1 profiles it.
+func BenchmarkProfileThroughput(b *testing.B) {
+	app, ok := workloads.ByName("twolf")
+	if !ok {
+		b.Fatal("missing app")
+	}
+	task := sim.Task{App: app, Threads: 2, Profile: true, MaxInsts: sim.ProfileInsts}
+	var records uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err := task.Execute()
+		if err != nil {
+			b.Fatal(err)
+		}
+		records += out.Profile.Total()
+	}
+	b.ReportMetric(float64(records)/b.Elapsed().Seconds(), "records/s")
+}

@@ -46,14 +46,14 @@ func (a Artifact) Tables(ex Exec, apps []workloads.App) ([]*Table, error) {
 	return ts, nil
 }
 
-// profileInsts caps per-context instructions for the report's Figs. 1–2.
-const profileInsts = 1_000_000
+// ProfileInsts caps per-context instructions for the report's Figs. 1–2.
+const ProfileInsts = 1_000_000
 
 // Artifacts is the mmtbench report, in output order.
 var Artifacts = []Artifact{
 	artifact("table3", table3),
-	artifact("fig1", func(ex Exec, apps []workloads.App) (*Table, error) { return Figure1(ex, apps, profileInsts) }),
-	artifact("fig2", func(ex Exec, apps []workloads.App) (*Table, error) { return Figure2(ex, apps, profileInsts) }),
+	artifact("fig1", func(ex Exec, apps []workloads.App) (*Table, error) { return Figure1(ex, apps, ProfileInsts) }),
+	artifact("fig2", func(ex Exec, apps []workloads.App) (*Table, error) { return Figure2(ex, apps, ProfileInsts) }),
 	artifact("fig5a", figure5("fig5a", 2)),
 	artifact("fig5b", figure5b),
 	artifact("fig5c", figure5("fig5c", 4)),

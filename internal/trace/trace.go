@@ -12,6 +12,8 @@ package trace
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"mmt/internal/isa"
 	"mmt/internal/prog"
@@ -30,7 +32,11 @@ type Record struct {
 // Capture runs ctx functionally to completion (or maxInsts) and returns
 // its trace.
 func Capture(ctx *prog.Context, maxInsts int) ([]Record, error) {
-	var out []Record
+	return capture(ctx, maxInsts, nil)
+}
+
+// capture appends ctx's trace to out, which may come presized.
+func capture(ctx *prog.Context, maxInsts int, out []Record) ([]Record, error) {
 	var eff isa.Effect
 	for !ctx.Halted() && len(out) < maxInsts {
 		inst, ok := ctx.Prog.InstAt(ctx.State.PC)
@@ -157,6 +163,7 @@ func DefaultAlignConfig() AlignConfig {
 // measuring divergent regions, per §3.2–3.3.
 func Align(a, b []Record, cfg AlignConfig) *Profile {
 	p := &Profile{}
+	var bIdx *pcIndex // built on the first divergence, then reused
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		if a[i].PC == b[j].PC {
@@ -169,7 +176,10 @@ func Align(a, b []Record, cfg AlignConfig) *Profile {
 			j++
 			continue
 		}
-		di, dj, ok := reconverge(a[i:], b[j:], cfg)
+		if bIdx == nil {
+			bIdx = indexPCs(b)
+		}
+		di, dj, ok := reconverge(a, b, i, j, bIdx, cfg)
 		if !ok {
 			// No reconvergence within the window: the remainders are
 			// not identical.
@@ -202,39 +212,75 @@ func takenIn(rs []Record) uint64 {
 	return n
 }
 
-// reconverge finds the earliest re-alignment of the two divergent suffixes:
-// the (di, dj) minimizing di+dj such that MinRun consecutive PCs match.
-func reconverge(a, b []Record, cfg AlignConfig) (int, int, bool) {
-	wa, wb := cfg.Window, cfg.Window
-	if wa > len(a) {
-		wa = len(a)
-	}
-	if wb > len(b) {
-		wb = len(b)
-	}
-	// Index b's window by PC for fast candidate lookup.
-	byPC := make(map[uint64][]int, wb)
-	for j := 0; j < wb; j++ {
-		byPC[b[j].PC] = append(byPC[b[j].PC], j)
-	}
-	bestDi, bestDj, best := 0, 0, -1
-	for di := 0; di < wa; di++ {
-		if best >= 0 && di >= best {
-			break // no candidate can beat the current best sum
+// pcIndex lists where each PC occurs in a trace: the positions of the PC
+// with id k are pos[start[k]:start[k+1]], in ascending order.
+type pcIndex struct {
+	id    map[uint64]int
+	start []int
+	pos   []int
+}
+
+// indexPCs indexes rs by PC with a counting sort: linear time, and flat
+// arrays rather than one slice per PC.
+func indexPCs(rs []Record) *pcIndex {
+	x := &pcIndex{id: make(map[uint64]int)}
+	ids := make([]int, len(rs))
+	var next []int // per id: its count, then its next free slot in pos
+	for k, r := range rs {
+		id, ok := x.id[r.PC]
+		if !ok {
+			id = len(next)
+			x.id[r.PC] = id
+			next = append(next, 0)
 		}
-		for _, dj := range byPC[a[di].PC] {
-			if best >= 0 && di+dj >= best {
-				continue
+		ids[k] = id
+		next[id]++
+	}
+	x.start = make([]int, len(next)+1)
+	for id, n := range next {
+		x.start[id+1] = x.start[id] + n
+		next[id] = x.start[id]
+	}
+	x.pos = make([]int, len(rs))
+	for k, id := range ids {
+		x.pos[next[id]] = k
+		next[id]++
+	}
+	return x
+}
+
+// positions returns pc's positions in ascending order.
+func (x *pcIndex) positions(pc uint64) []int {
+	id, ok := x.id[pc]
+	if !ok {
+		return nil
+	}
+	return x.pos[x.start[id]:x.start[id+1]]
+}
+
+// reconverge finds the earliest re-alignment of the divergent suffixes
+// a[i:] and b[j:]: the (di, dj) minimizing di+dj, ties to the smaller di,
+// such that MinRun consecutive PCs match, with di and dj inside the
+// window. bIdx indexes b. Align calls it only where a[i].PC != b[j].PC,
+// so (0, 0) is never a candidate.
+func reconverge(a, b []Record, i, j int, bIdx *pcIndex, cfg AlignConfig) (int, int, bool) {
+	wa := min(cfg.Window, len(a)-i)
+	bestDi, bestDj, best := 0, 0, math.MaxInt
+	for di := 0; di < wa && di < best; di++ {
+		ps := bIdx.positions(a[i+di].PC)
+		k, _ := slices.BinarySearch(ps, j)
+		for ; k < len(ps); k++ {
+			dj := ps[k] - j
+			if dj >= cfg.Window || di+dj >= best {
+				break
 			}
-			if di == 0 && dj == 0 {
-				continue // the current positions already mismatch
-			}
-			if runMatches(a[di:], b[dj:], cfg.MinRun) {
+			if runMatches(a[i+di:], b[j+dj:], cfg.MinRun) {
 				best, bestDi, bestDj = di+dj, di, dj
+				break
 			}
 		}
 	}
-	if best < 0 {
+	if best == math.MaxInt {
 		return 0, 0, false
 	}
 	return bestDi, bestDj, true
@@ -255,13 +301,6 @@ func runMatches(a, b []Record, n int) bool {
 	return true
 }
 
-func min(x, y int) int {
-	if x < y {
-		return x
-	}
-	return y
-}
-
 // ProfileSystem captures and aligns the first two contexts of a freshly
 // built system (the paper profiles thread pairs).
 func ProfileSystem(sys *prog.System, maxInsts int, cfg AlignConfig) (*Profile, error) {
@@ -272,7 +311,10 @@ func ProfileSystem(sys *prog.System, maxInsts int, cfg AlignConfig) (*Profile, e
 	if err != nil {
 		return nil, err
 	}
-	b, err := Capture(sys.Contexts[1], maxInsts)
+	// The contexts run one program, so b's length is near a's (within 4%
+	// on every kernel); the headroom saves regrowing b to hold the rest.
+	// A cap below zero leaves both traces empty.
+	b, err := capture(sys.Contexts[1], maxInsts, make([]Record, 0, min(len(a)+len(a)/8, max(maxInsts, 0))))
 	if err != nil {
 		return nil, err
 	}

@@ -228,6 +228,11 @@ input:  .word 1
 	if _, err := ProfileSystem(single, 100, DefaultAlignConfig()); err == nil {
 		t.Error("single-context profiling accepted")
 	}
+	// A cap below zero profiles nothing.
+	sys, _ = prog.NewSystem(p, prog.ModeME, 2, nil)
+	if prof, err := ProfileSystem(sys, -1, DefaultAlignConfig()); err != nil || prof.Total() != 0 {
+		t.Errorf("cap -1: profile %+v, err %v", prof, err)
+	}
 }
 
 // TestAlignConstructedProperty builds traces from known common/divergent
@@ -285,5 +290,153 @@ func TestAlignConstructedProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// alignRef is Align as first written, kept as the reference the indexed
+// aligner must match: it rebuilds a PC index over b's window at every
+// divergence.
+func alignRef(a, b []Record, cfg AlignConfig) *Profile {
+	p := &Profile{}
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		if a[i].PC == b[j].PC {
+			if a[i].Sig == b[j].Sig {
+				p.ExecuteIdentical += 2
+			} else {
+				p.FetchIdentical += 2
+			}
+			i++
+			j++
+			continue
+		}
+		di, dj, ok := reconvergeRef(a[i:], b[j:], cfg)
+		if !ok {
+			p.NotIdentical += uint64(len(a) - i + len(b) - j)
+			return p
+		}
+		p.Divergences++
+		ta := takenIn(a[i : i+di])
+		tb := takenIn(b[j : j+dj])
+		diff := ta - tb
+		if tb > ta {
+			diff = tb - ta
+		}
+		p.recordDiff(diff)
+		p.NotIdentical += uint64(di + dj)
+		i += di
+		j += dj
+	}
+	p.NotIdentical += uint64(len(a) - i + len(b) - j)
+	return p
+}
+
+func reconvergeRef(a, b []Record, cfg AlignConfig) (int, int, bool) {
+	wa, wb := cfg.Window, cfg.Window
+	if wa > len(a) {
+		wa = len(a)
+	}
+	if wb > len(b) {
+		wb = len(b)
+	}
+	byPC := make(map[uint64][]int, wb)
+	for j := 0; j < wb; j++ {
+		byPC[b[j].PC] = append(byPC[b[j].PC], j)
+	}
+	bestDi, bestDj, best := 0, 0, -1
+	for di := 0; di < wa; di++ {
+		if best >= 0 && di >= best {
+			break
+		}
+		for _, dj := range byPC[a[di].PC] {
+			if best >= 0 && di+dj >= best {
+				continue
+			}
+			if di == 0 && dj == 0 {
+				continue
+			}
+			if runMatchesRef(a[di:], b[dj:], cfg.MinRun) {
+				best, bestDi, bestDj = di+dj, di, dj
+			}
+		}
+	}
+	if best < 0 {
+		return 0, 0, false
+	}
+	return bestDi, bestDj, true
+}
+
+func runMatchesRef(a, b []Record, n int) bool {
+	if len(a) < n || len(b) < n {
+		n = min(len(a), len(b))
+		if n == 0 {
+			return false
+		}
+	}
+	for k := 0; k < n; k++ {
+		if a[k].PC != b[k].PC {
+			return false
+		}
+	}
+	return true
+}
+
+// TestAlignMatchesReference compares Align with alignRef on random trace
+// pairs drawn from a few PCs, so that candidates tie, the window cuts the
+// search short and runs reach the end of a trace (the short-tail rule).
+func TestAlignMatchesReference(t *testing.T) {
+	randTrace := func(r *rand.Rand, pcs, n int) []Record {
+		out := make([]Record, n)
+		for k := range out {
+			out[k] = Record{PC: 0x1000 + 4*uint64(r.Intn(pcs)), Taken: r.Intn(2) == 0, Sig: uint64(r.Intn(3))}
+		}
+		return out
+	}
+	prop := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		pcs := 1 + r.Intn(12)
+		a := randTrace(r, pcs, r.Intn(200))
+		b := randTrace(r, pcs, r.Intn(200))
+		if r.Intn(2) == 0 {
+			tail := randTrace(r, pcs, 1+r.Intn(100))
+			a = append(a, tail...)
+			b = append(b, tail...)
+		}
+		cfg := AlignConfig{Window: 1 + r.Intn(64), MinRun: 1 + r.Intn(5)}
+		if r.Intn(8) == 0 {
+			cfg = DefaultAlignConfig()
+		}
+		got, want := Align(a, b, cfg), alignRef(a, b, cfg)
+		if *got != *want {
+			t.Logf("seed %d, %d PCs, %+v, len %d/%d: got %+v, want %+v", seed, pcs, cfg, len(a), len(b), *got, *want)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestAlignAllocsIndependentOfDivergences aligns two traces that diverge
+// every ninth instruction among ten PCs: the aligner's allocations must
+// not grow with the number of divergences.
+func TestAlignAllocsIndependentOfDivergences(t *testing.T) {
+	var a, b []Record
+	for blk := 0; blk < 1200; blk++ {
+		for pc := uint64(0); pc < 8; pc++ {
+			a = append(a, rec(pc*4, pc == 7, 0))
+			b = append(b, rec(pc*4, pc == 7, 0))
+		}
+		a = append(a, rec(0x100, false, 0))
+		b = append(b, rec(0x200, true, 0))
+	}
+	var p *Profile
+	allocs := testing.AllocsPerRun(5, func() { p = Align(a, b, DefaultAlignConfig()) })
+	if p.Divergences < 1000 {
+		t.Fatalf("fixture has %d divergences, want at least 1000", p.Divergences)
+	}
+	if allocs >= float64(p.Divergences) {
+		t.Errorf("%.0f allocations for %d divergences", allocs, p.Divergences)
 	}
 }
