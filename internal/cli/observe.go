@@ -66,13 +66,17 @@ func openTraceSinks(traceOut, eventsOut string, meta map[string]string) (obs.Rec
 }
 
 // sealedRecorder serializes a recorder's calls and drops those that
-// arrive after Close.
+// arrive after Close. It wraps timeline sinks only, so it drops the
+// attribution kinds before taking its lock.
 type sealedRecorder struct {
 	mu  sync.Mutex
 	rec obs.Recorder // nil once closed
 }
 
 func (s *sealedRecorder) Event(e obs.Event) {
+	if !e.Kind.Timeline() {
+		return
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.rec != nil {

@@ -1,5 +1,7 @@
 package core
 
+import "mmt/internal/obs"
+
 // commitStage retires completed uops in per-thread program order, up to
 // CommitWidth per cycle. A merged uop consumes a single commit slot and
 // must be at the head of every member thread's ROB queue; it retires for
@@ -91,20 +93,25 @@ func (c *Core) commit(u *uop, now uint64) {
 		}
 	}
 
-	c.probeCommit(u)
-
-	// Commit classification (Fig. 5b): per-thread instructions.
+	// Commit classification: Fig. 5b counts per-thread instructions,
+	// EvCommit carries the per-uop class.
 	n := uint64(u.itid.Count())
+	class := CommitSolo
 	switch {
-	case u.execIdentical() && u.regMergeAssisted:
-		c.stats.ExecIdentRegMerge += n
 	case u.execIdentical():
-		c.stats.ExecIdentical += n
+		class = CommitMerged
+		if u.regMergeAssisted {
+			c.stats.ExecIdentRegMerge += n
+		} else {
+			c.stats.ExecIdentical += n
+		}
 	case u.fetchIdenticalOnly():
+		class = CommitSplit
 		c.stats.FetchIdenticalOnly += n
 	default:
 		c.stats.NotIdentical += n
 	}
+	c.emit(obs.EvCommit, int32(u.itid.First()), u.pc, uint64(class))
 
 	if hasDest && c.cfg.RegMerge && u.mode != FetchMerge {
 		c.tryRegisterMerge(u, dest)

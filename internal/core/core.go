@@ -81,21 +81,20 @@ type Core struct {
 	// Observability (Attach): rec receives events and periodic samples;
 	// every emission site guards on rec == nil, so an unattached core
 	// pays one pointer compare per site. cycleStall/lastStall and
-	// lastModeMix drive the stall-cause and fetch-mode edge events.
-	rec         obs.Recorder
-	sampleEvery uint64
-	cycleStall  obs.StallCause
-	lastStall   obs.StallCause
-	lastModeMix uint64
+	// lastModeMix drive the stall-cause and fetch-mode edge events;
+	// cycleCommitted is the committed uop count at the previous observed
+	// cycle boundary (detects base cycles).
+	rec            obs.Recorder
+	sampleEvery    uint64
+	cycleStall     obs.StallCause
+	lastStall      obs.StallCause
+	lastModeMix    uint64
+	cycleCommitted uint64
 
-	// Attribution probe (AttachProbe): per-PC and CPI-stack accounting,
-	// nil-guarded at every site like rec. probeCommitted is the committed
-	// uop count at the previous cycle boundary (detects base cycles);
 	// rollbackUntil is the end of the latest LVIP rollback redirect
-	// window, used to classify rollback cycles.
-	probe          Probe
-	probeCommitted uint64
-	rollbackUntil  uint64
+	// window, which classifies rollback cycles. It is kept attached or
+	// not, so a recorder attached mid-window sees the window.
+	rollbackUntil uint64
 
 	stats Stats
 }
@@ -214,10 +213,7 @@ func (c *Core) Cycle() {
 	c.now++
 	c.stats.Cycles = c.now
 	if c.rec != nil {
-		c.observeCycle()
-	}
-	if c.probe != nil {
-		c.probeCycle(now)
+		c.observeCycle(now)
 	}
 }
 

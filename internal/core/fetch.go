@@ -28,9 +28,9 @@ type group struct {
 	// was created by a divergence (remerge-distance statistic).
 	takenSinceDiverge uint64
 	// divergePC is the control-instruction PC whose divergence created
-	// this group (0 for initial groups and post-squash regroups); the
-	// attribution probe charges this group's catchup cycles and eventual
-	// remerge to that site.
+	// this group (0 for initial groups and post-squash regroups); its
+	// EvCatchupCycle and EvRemerge events name that site, so attribution
+	// charges the group's catchup cycles and eventual remerge to it.
 	divergePC uint64
 	// catchupInsts counts instructions fetched while catching up; a
 	// bound aborts catchups that fail to converge (liveness valve).
@@ -195,26 +195,21 @@ func (c *Core) attemptMerges(now uint64) {
 // mergeGroups unifies b into a.
 func (c *Core) mergeGroups(a, b *group) {
 	c.stats.Remerges++
-	var mergePC uint64
-	if c.rec != nil || c.probe != nil {
-		// The groups merge because their next fetch PCs are equal; that
-		// common PC is the observed reconvergence point.
-		mergePC, _ = c.streams[a.members.First()].nextPC()
-	}
-	if c.rec != nil {
-		c.emit(obs.EvRemerge, int32(a.members.First()), mergePC, uint64((a.members | b.members).Count()))
-	}
 	dist := a.takenSinceDiverge
 	if b.takenSinceDiverge > dist {
 		dist = b.takenSinceDiverge
 	}
 	c.stats.RecordRemergeDistance(dist)
-	if c.probe != nil {
-		dp := a.divergePC
-		if dp == 0 {
-			dp = b.divergePC
+	if c.rec != nil {
+		// The groups merge because their next fetch PCs are equal; that
+		// common PC is the observed reconvergence point.
+		mergePC, _ := c.streams[a.members.First()].nextPC()
+		site := a.divergePC
+		if site == 0 {
+			site = b.divergePC
 		}
-		c.probe.Remerge(dp, mergePC, dist)
+		c.rec.Event(obs.Event{TS: c.now, Kind: obs.EvRemerge, Track: int32(a.members.First()),
+			PC: mergePC, Arg: uint64((a.members | b.members).Count()), Site: site, Cost: dist})
 	}
 	c.dissolveLinks(a)
 	c.dissolveLinks(b)
@@ -571,9 +566,6 @@ func (c *Core) handleControl(g *group, u *uop, now uint64, traceHit bool) *uop {
 		// path redirect — a fixed front-end penalty under a trace hit,
 		// a stall until the branch resolves otherwise.
 		c.emit(obs.EvDiverge, int32(leader), u.pc, uint64(nparts))
-		if c.probe != nil {
-			c.probe.Diverge(u.pc, nparts)
-		}
 		subs := c.splitGroup(g, parts[:nparts], u.pc)
 		for i, sg := range subs[:nparts] {
 			if partPC[i] == followPath {

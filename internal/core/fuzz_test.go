@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 
 	"mmt/internal/asm"
 	"mmt/internal/isa"
+	"mmt/internal/obs"
 	"mmt/internal/prog"
 )
 
@@ -203,6 +205,13 @@ func runFuzzCase(t *testing.T, seed int64) {
 		}
 	}
 	st := c.Stats()
+	if seed%8 == 0 {
+		sys, err := prog.NewSystem(p, mode, threads, init)
+		if err != nil {
+			t.Fatalf("seed %d: observed system: %v", seed, err)
+		}
+		checkObservedRun(t, seed, cfg, sys, st)
+	}
 
 	if mode == prog.ModeMT {
 		// Racy shared writes make an independent replay incomparable;
@@ -225,6 +234,44 @@ func runFuzzCase(t *testing.T, seed int64) {
 			if got, want := c.CommittedReg(i, uint8(reg)), ctx.State.Reg[reg]; got != want {
 				t.Fatalf("seed %d: thread %d reg %d: %#x vs oracle %#x", seed, i, reg, got, want)
 			}
+		}
+	}
+}
+
+// checkObservedRun runs the case again with a Collector attached:
+// observing must not perturb the run, the stream must carry one EvCycle
+// per cycle, and its divergence, remerge and rollback events must match
+// the statistics.
+func checkObservedRun(t *testing.T, seed int64, cfg Config, sys *prog.System, want *Stats) {
+	t.Helper()
+	c, err := New(cfg, sys)
+	if err != nil {
+		t.Fatalf("seed %d: observed core: %v", seed, err)
+	}
+	col := obs.NewCollector()
+	c.Attach(col, 64)
+	st, err := c.Run()
+	if err != nil {
+		t.Fatalf("seed %d: observed run: %v", seed, err)
+	}
+	if !reflect.DeepEqual(st, want) {
+		t.Fatalf("seed %d: attaching a recorder changed the run:\nplain:    %+v\nobserved: %+v", seed, want, st)
+	}
+	counts := map[obs.EventKind]uint64{}
+	for _, e := range col.Events {
+		counts[e.Kind]++
+	}
+	for _, chk := range []struct {
+		kind obs.EventKind
+		want uint64
+	}{
+		{obs.EvCycle, st.Cycles},
+		{obs.EvDiverge, st.Divergences},
+		{obs.EvRemerge, st.Remerges},
+		{obs.EvRollback, st.LVIPRollbacks},
+	} {
+		if counts[chk.kind] != chk.want {
+			t.Errorf("seed %d: %d %s events, stats say %d", seed, counts[chk.kind], chk.kind, chk.want)
 		}
 	}
 }

@@ -185,9 +185,7 @@ func (c *Core) completeStage(now uint64) {
 				c.lvipRollback(u, now, true)
 			} else {
 				c.lvip.RecordIdentical(u.pc)
-				if c.probe != nil {
-					c.probe.LVIPHit(u.pc)
-				}
+				c.emit(obs.EvLVIPHit, int32(u.itid.First()), u.pc, 0)
 			}
 		} else if u.sharedVerify && c.loadValuesDiffer(u) {
 			c.lvipRollback(u, now, false)
@@ -248,18 +246,18 @@ func (c *Core) lvipRollback(u *uop, now uint64, train bool) {
 		c.lvip.RecordMispredict(u.pc)
 	}
 	affected := u.itid
-	c.emit(obs.EvRollback, int32(affected.First()), u.pc, uint64(affected.Count()))
+	if c.rec != nil {
+		c.rec.Event(obs.Event{TS: c.now, Kind: obs.EvRollback, Track: int32(affected.First()),
+			PC: u.pc, Arg: uint64(affected.Count()), Cost: c.cfg.MispredictPenalty})
+	}
+	if until := now + c.cfg.MispredictPenalty; until > c.rollbackUntil {
+		c.rollbackUntil = until
+	}
 
 	squashedBefore := c.stats.SquashedUops
 	c.squashYounger(affected, u.seq, now)
 	if n := c.stats.SquashedUops - squashedBefore; n > 0 {
 		c.emit(obs.EvSquash, int32(affected.First()), u.pc, n)
-	}
-	if c.probe != nil {
-		c.probe.LVIPMispredict(u.pc, c.cfg.MispredictPenalty, c.stats.SquashedUops-squashedBefore)
-		if until := now + c.cfg.MispredictPenalty; until > c.rollbackUntil {
-			c.rollbackUntil = until
-		}
 	}
 
 	// The load itself survives but its destination becomes per-thread

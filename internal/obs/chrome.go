@@ -147,8 +147,11 @@ func (s *ChromeTraceSink) Span(track int32, name string, ts, dur uint64, args ma
 }
 
 // Event renders one event: a counter for EvFetchMode, a thread-scoped
-// instant otherwise.
+// instant otherwise. Attribution kinds are dropped.
 func (s *ChromeTraceSink) Event(e Event) {
+	if !e.Kind.Timeline() {
+		return
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {

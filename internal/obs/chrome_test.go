@@ -18,12 +18,17 @@ func feedChromeTrace(s *ChromeTraceSink) error {
 	s.Event(Event{TS: 41, Kind: EvFetchMode, Track: TrackMachine, Arg: PackModeMix(0, 2, 0)})
 	s.Event(Event{TS: 44, Kind: EvStall, Track: TrackMachine, Arg: uint64(StallROB)})
 	s.Event(Event{TS: 60, Kind: EvCatchupStart, Track: 1, PC: 0x1080, Arg: 1})
-	s.Event(Event{TS: 75, Kind: EvRollback, Track: 1, PC: 0x1090, Arg: 1})
+	s.Event(Event{TS: 75, Kind: EvRollback, Track: 1, PC: 0x1090, Arg: 1, Cost: 8})
 	s.Event(Event{TS: 75, Kind: EvSquash, Track: 1, PC: 0x1090, Arg: 14})
+	// Attribution kinds never reach the timeline.
+	s.Event(Event{TS: 76, Kind: EvCommit, Track: 0, PC: 0x1094, Arg: 1})
+	s.Event(Event{TS: 76, Kind: EvLVIPHit, Track: 0, PC: 0x1090})
+	s.Event(Event{TS: 76, Kind: EvCycle, Track: TrackMachine, Arg: 2})
+	s.Event(Event{TS: 76, Kind: EvCatchupCycle, Track: 1, PC: 0x104c})
 	s.Sample(Sample{TS: 100, Committed: 250, FetchQ: 4, ROB: 48, IQ: 12, LSQ: 8,
 		GroupsMerge: 0, GroupsDetect: 1, GroupsCatchup: 1,
 		FetchedMerge: 180, FetchedDetect: 60, FetchedCatchup: 20})
-	s.Event(Event{TS: 130, Kind: EvRemerge, Track: 0, PC: 0x10a0, Arg: 2})
+	s.Event(Event{TS: 130, Kind: EvRemerge, Track: 0, PC: 0x10a0, Arg: 2, Site: 0x104c, Cost: 3})
 	s.Sample(Sample{TS: 200, Committed: 640, FetchQ: 2, ROB: 30, IQ: 6, LSQ: 4,
 		GroupsMerge: 1, GroupsDetect: 0, GroupsCatchup: 0,
 		FetchedMerge: 420, FetchedDetect: 60, FetchedCatchup: 20})

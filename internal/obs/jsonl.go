@@ -39,8 +39,11 @@ func NewJSONL(w io.Writer, meta map[string]string) *JSONLSink {
 	return s
 }
 
-// Event writes one event line.
+// Event writes one event line; attribution kinds are dropped.
 func (s *JSONLSink) Event(e Event) {
+	if !e.Kind.Timeline() {
+		return
+	}
 	s.mu.Lock()
 	s.enc.Encode(Line{Type: "event", Event: &e}) //nolint:errcheck
 	s.mu.Unlock()

@@ -49,6 +49,21 @@ const (
 	// StallCause.
 	EvStall
 
+	// The attribution kinds below feed per-PC and per-cycle accounting
+	// (internal/prof) rather than timelines; Timeline reports false for
+	// them.
+
+	// EvCommit: one uop at PC committed. Arg is its core.CommitClass.
+	EvCommit
+	// EvLVIPHit: a merged load at PC verified value-identical.
+	EvLVIPHit
+	// EvCycle: one core cycle ended. Arg is the core.CycleComponent it
+	// is charged to.
+	EvCycle
+	// EvCatchupCycle: a behind group spent this cycle catching up. PC is
+	// the divergence site that created the group (0 when unknown).
+	EvCatchupCycle
+
 	numEventKinds // internal bound for validation
 )
 
@@ -62,6 +77,10 @@ var eventKindNames = [numEventKinds]string{
 	EvMispredict:   "mispredict",
 	EvFetchMode:    "fetch-mode",
 	EvStall:        "stall",
+	EvCommit:       "commit",
+	EvLVIPHit:      "lvip-hit",
+	EvCycle:        "cycle",
+	EvCatchupCycle: "catchup-cycle",
 }
 
 func (k EventKind) String() string {
@@ -70,6 +89,11 @@ func (k EventKind) String() string {
 	}
 	return fmt.Sprintf("kind-%d", uint8(k))
 }
+
+// Timeline reports whether the kind belongs on a timeline: the JSONL and
+// Chrome sinks drop the attribution kinds, which arrive per commit and
+// per cycle.
+func (k EventKind) Timeline() bool { return k < EvCommit }
 
 // MarshalText renders the kind as its stable name, so JSONL logs stay
 // grep-able and survive kind renumbering.
@@ -92,13 +116,18 @@ func (k *EventKind) UnmarshalText(b []byte) error {
 const TrackMachine int32 = -1
 
 // Event is one discrete occurrence at cycle TS. Track identifies the
-// hardware thread (TrackMachine for machine-wide events).
+// hardware thread (TrackMachine for machine-wide events). Site and Cost
+// carry what attribution needs beyond PC and Arg: an EvRemerge's
+// divergence site and its distance in taken branches, or an EvRollback's
+// redirect penalty in cycles.
 type Event struct {
 	TS    uint64    `json:"ts"`
 	Kind  EventKind `json:"kind"`
 	Track int32     `json:"track"`
 	PC    uint64    `json:"pc,omitempty"`
 	Arg   uint64    `json:"arg,omitempty"`
+	Site  uint64    `json:"site,omitempty"`
+	Cost  uint64    `json:"cost,omitempty"`
 }
 
 // Sample is a periodic snapshot of the simulated machine, taken every
@@ -176,16 +205,23 @@ func UnpackModeMix(arg uint64) (merge, detect, catchup int) {
 	return int(uint16(arg)), int(uint16(arg >> 16)), int(uint16(arg >> 32))
 }
 
-// Multi fans the stream out to several sinks. Close closes each sink and
-// returns the first error.
+// Multi fans the stream out to several sinks, skipping nil ones; it
+// returns nil when none is left. Close closes each sink and returns the
+// first error.
 func Multi(sinks ...Recorder) Recorder {
-	switch len(sinks) {
+	var live multiSink
+	for _, s := range sinks {
+		if s != nil {
+			live = append(live, s)
+		}
+	}
+	switch len(live) {
 	case 0:
 		return nil
 	case 1:
-		return sinks[0]
+		return live[0]
 	}
-	return multiSink(sinks)
+	return live
 }
 
 type multiSink []Recorder

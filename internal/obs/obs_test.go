@@ -48,8 +48,14 @@ func TestStallCauseStrings(t *testing.T) {
 }
 
 func TestMultiFansOut(t *testing.T) {
+	if Multi() != nil || Multi(nil, nil) != nil {
+		t.Error("Multi of no live sinks is not nil")
+	}
 	a, b := NewCollector(), NewCollector()
-	m := Multi(a, b)
+	if Multi(nil, a) != Recorder(a) {
+		t.Error("Multi of one live sink does not return it")
+	}
+	m := Multi(a, nil, b)
 	m.Event(Event{TS: 1, Kind: EvDiverge})
 	m.Sample(Sample{TS: 2})
 	if err := m.Close(); err != nil {
@@ -85,11 +91,15 @@ func TestJSONLRoundTrip(t *testing.T) {
 	events := []Event{
 		{TS: 10, Kind: EvDiverge, Track: 0, PC: 0x104c, Arg: 2},
 		{TS: 20, Kind: EvStall, Track: TrackMachine, Arg: uint64(StallROB)},
-		{TS: 30, Kind: EvRollback, Track: 1, PC: 0x1090, Arg: 1},
+		{TS: 30, Kind: EvRollback, Track: 1, PC: 0x1090, Arg: 1, Cost: 8},
+		{TS: 40, Kind: EvRemerge, Track: 0, PC: 0x10a0, Arg: 2, Site: 0x104c, Cost: 3},
 	}
 	samples := []Sample{{TS: 100, Committed: 400, ROB: 12, GroupsMerge: 1}}
 	for _, e := range events {
 		s.Event(e)
+		// Attribution kinds are dropped from the log.
+		s.Event(Event{TS: e.TS, Kind: EvCommit, PC: 0x1000})
+		s.Event(Event{TS: e.TS, Kind: EvCycle, Track: TrackMachine})
 	}
 	for _, sm := range samples {
 		s.Sample(sm)

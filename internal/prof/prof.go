@@ -1,12 +1,14 @@
 // Package prof is the per-PC attribution profiler and CPI-stack cycle
-// accounting layer. A Profiler implements core.Probe: attached to a
-// simulated core it charges every committed uop, divergence, remerge,
-// catchup cycle and LVIP event to the static instruction that caused it,
-// and attributes every core cycle to one CPI-stack component (base /
-// fetch-stall / catchup / rollback / drain). The snapshot, Profile, is a
-// self-describing JSON document (SchemaVersion) that travels inside
-// sim.Outcome — through the memo, the persistent result cache and the
-// serving API — and renders as a ranked top-N text report.
+// accounting layer. A Profiler is an obs.Recorder: attached to a
+// simulated core (Core.Attach, alone or through obs.Multi beside the
+// timeline sinks) it reads the core's event stream, charges every
+// committed uop, divergence, remerge, catchup cycle and LVIP event to the
+// static instruction that caused it, and attributes every core cycle to
+// one CPI-stack component (base / fetch-stall / catchup / rollback /
+// drain). The snapshot, Profile, is a self-describing JSON document
+// (SchemaVersion) that travels inside sim.Outcome — through the memo, the
+// persistent result cache and the serving API — and renders as a ranked
+// top-N text report.
 package prof
 
 import (
@@ -15,6 +17,7 @@ import (
 	"sort"
 
 	"mmt/internal/core"
+	"mmt/internal/obs"
 )
 
 // SchemaVersion identifies the Profile JSON layout. Parsers reject other
@@ -142,8 +145,9 @@ type RemergeEdge struct {
 	Count     uint64 `json:"count"`
 }
 
-// Profiler accumulates attribution from one single-threaded core. It is
-// not safe for concurrent use (neither is the core driving it).
+// Profiler accumulates attribution from one single-threaded core's event
+// stream. It is not safe for concurrent use (neither is the core driving
+// it).
 type Profiler struct {
 	maxSites     int
 	sites        map[uint64]*SiteStats
@@ -154,7 +158,7 @@ type Profiler struct {
 	cycles       uint64
 }
 
-var _ core.Probe = (*Profiler)(nil)
+var _ obs.Recorder = (*Profiler)(nil)
 
 // New returns a profiler with the DefaultMaxSites site bound.
 func New() *Profiler { return NewWithCap(DefaultMaxSites) }
@@ -189,76 +193,71 @@ func (p *Profiler) site(pc uint64) *SiteStats {
 	return s
 }
 
-// CommitUop implements core.Probe.
-func (p *Profiler) CommitUop(pc uint64, class core.CommitClass, threads int) {
-	s := p.site(pc)
-	if s == nil {
-		return
-	}
-	switch class {
-	case core.CommitMerged:
-		s.Merged++
-	case core.CommitSplit:
-		s.Split++
-	default:
-		s.Solo++
-	}
-}
-
-// Diverge implements core.Probe.
-func (p *Profiler) Diverge(pc uint64, parts int) {
-	if s := p.site(pc); s != nil {
-		s.Divergences++
-	}
-}
-
-// Remerge implements core.Probe.
-func (p *Profiler) Remerge(divergePC, remergePC uint64, takenBranches uint64) {
-	if s := p.site(divergePC); s != nil {
-		s.Remerges++
-		s.RemergeDistSum += takenBranches
-	}
-	if divergePC == 0 || remergePC == 0 {
-		return // unattributable (initial groups, drained stream)
-	}
-	k := RemergeEdge{DivergePC: divergePC, RemergePC: remergePC}
-	if _, ok := p.edges[k]; !ok && len(p.edges) >= p.maxSites {
-		p.edgesDropped++
-		return
-	}
-	p.edges[k]++
-}
-
-// CatchupCycle implements core.Probe.
-func (p *Profiler) CatchupCycle(divergePC uint64) {
-	if s := p.site(divergePC); s != nil {
-		s.CatchupCycles++
-	}
-}
-
-// LVIPHit implements core.Probe.
-func (p *Profiler) LVIPHit(pc uint64) {
-	if s := p.site(pc); s != nil {
-		s.LVIPHits++
-	}
-}
-
-// LVIPMispredict implements core.Probe.
-func (p *Profiler) LVIPMispredict(pc uint64, penaltyCycles, squashed uint64) {
-	if s := p.site(pc); s != nil {
-		s.LVIPMispredicts++
-		s.RollbackCycles += penaltyCycles
-		s.SquashedUops += squashed
+// Event implements obs.Recorder: it charges each attribution-bearing event
+// to its static PC and ignores the rest. A rollback's squashed uops
+// arrive as the EvSquash that follows its EvRollback at the same PC.
+func (p *Profiler) Event(e obs.Event) {
+	switch e.Kind {
+	case obs.EvCycle:
+		if e.Arg < uint64(len(p.cpi)) {
+			p.cpi[e.Arg]++
+		}
+		p.cycles++
+	case obs.EvCommit:
+		if s := p.site(e.PC); s != nil {
+			switch core.CommitClass(e.Arg) {
+			case core.CommitMerged:
+				s.Merged++
+			case core.CommitSplit:
+				s.Split++
+			default:
+				s.Solo++
+			}
+		}
+	case obs.EvDiverge:
+		if s := p.site(e.PC); s != nil {
+			s.Divergences++
+		}
+	case obs.EvRemerge:
+		// Groups split at Site reunified at PC after Cost taken branches.
+		if s := p.site(e.Site); s != nil {
+			s.Remerges++
+			s.RemergeDistSum += e.Cost
+		}
+		if e.Site == 0 || e.PC == 0 {
+			return // unattributable (initial groups, drained stream)
+		}
+		k := RemergeEdge{DivergePC: e.Site, RemergePC: e.PC}
+		if _, ok := p.edges[k]; !ok && len(p.edges) >= p.maxSites {
+			p.edgesDropped++
+			return
+		}
+		p.edges[k]++
+	case obs.EvCatchupCycle:
+		if s := p.site(e.PC); s != nil {
+			s.CatchupCycles++
+		}
+	case obs.EvLVIPHit:
+		if s := p.site(e.PC); s != nil {
+			s.LVIPHits++
+		}
+	case obs.EvRollback:
+		if s := p.site(e.PC); s != nil {
+			s.LVIPMispredicts++
+			s.RollbackCycles += e.Cost
+		}
+	case obs.EvSquash:
+		if s := p.site(e.PC); s != nil {
+			s.SquashedUops += e.Arg
+		}
 	}
 }
 
-// Cycle implements core.Probe.
-func (p *Profiler) Cycle(comp core.CycleComponent) {
-	if int(comp) < len(p.cpi) {
-		p.cpi[comp]++
-	}
-	p.cycles++
-}
+// Sample implements obs.Recorder; occupancy samples carry no attribution.
+func (p *Profiler) Sample(obs.Sample) {}
+
+// Close implements obs.Recorder; the profile is read with Snapshot.
+func (p *Profiler) Close() error { return nil }
 
 // Snapshot renders the accumulated attribution as a Profile. Sites are
 // sorted by PC; empty sites are dropped.

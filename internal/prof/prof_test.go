@@ -33,9 +33,8 @@ input:  .word 0
 `
 
 // runProfiled simulates divergeSrc on two divergent ME instances with a
-// profiler and an event collector attached, and returns the run's stats,
-// profile snapshot and event stream.
-func runProfiled(t *testing.T) (*core.Stats, *Profile, *obs.Collector) {
+// profiler attached, and returns the run's stats and profile snapshot.
+func runProfiled(t *testing.T) (*core.Stats, *Profile) {
 	t.Helper()
 	p, err := asm.Assemble("test", divergeSrc)
 	if err != nil {
@@ -54,20 +53,18 @@ func runProfiled(t *testing.T) (*core.Stats, *Profile, *obs.Collector) {
 		t.Fatal(err)
 	}
 	pr := New()
-	c.AttachProbe(pr)
-	events := obs.NewCollector()
-	c.Attach(events, 0)
+	c.Attach(pr, 0)
 	st, err := c.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return st, pr.Snapshot(), events
+	return st, pr.Snapshot()
 }
 
 // TestCPIStackSumsToCycles is the accounting invariant: every simulated
 // cycle is charged to exactly one CPI-stack component.
 func TestCPIStackSumsToCycles(t *testing.T) {
-	st, p, _ := runProfiled(t)
+	st, p := runProfiled(t)
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -83,29 +80,16 @@ func TestCPIStackSumsToCycles(t *testing.T) {
 }
 
 // TestTopSiteMatchesDivergenceHistogram: the profile must charge every
-// divergence site exactly the divergences the core's event stream
-// records there (each obs.EvDiverge carries its PC).
+// divergence the core counted to some site, and the hottest divergence
+// site must also have remerged.
 func TestTopSiteMatchesDivergenceHistogram(t *testing.T) {
-	st, p, events := runProfiled(t)
+	st, p := runProfiled(t)
 	if st.Divergences == 0 {
 		t.Fatal("workload did not diverge")
 	}
-	want := map[uint64]uint64{}
-	for _, e := range events.Events {
-		if e.Kind == obs.EvDiverge {
-			want[e.PC]++
-		}
-	}
-	got := map[uint64]uint64{}
 	var total uint64
 	for _, site := range p.Sites {
-		if site.Divergences > 0 {
-			got[site.PC] = site.Divergences
-			total += site.Divergences
-		}
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("profile charges divergences %v, event stream records %v", got, want)
+		total += site.Divergences
 	}
 	if total != st.Divergences {
 		t.Errorf("profile charges %d divergences, core counted %d", total, st.Divergences)
@@ -131,7 +115,7 @@ func TestTopSiteMatchesDivergenceHistogram(t *testing.T) {
 
 // TestProfileJSONRoundTrip: Marshal → ParseProfile is lossless.
 func TestProfileJSONRoundTrip(t *testing.T) {
-	_, p, _ := runProfiled(t)
+	_, p := runProfiled(t)
 	b, err := p.Marshal()
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +132,7 @@ func TestProfileJSONRoundTrip(t *testing.T) {
 // TestParseProfileRejectsOtherSchemas: a version bump must fail loudly,
 // not decode garbage.
 func TestParseProfileRejectsOtherSchemas(t *testing.T) {
-	_, p, _ := runProfiled(t)
+	_, p := runProfiled(t)
 	p.Schema = SchemaVersion + 1
 	if _, err := p.Marshal(); err == nil {
 		t.Error("Marshal accepted a foreign schema")
@@ -170,7 +154,7 @@ func TestParseProfileRejectsOtherSchemas(t *testing.T) {
 // TestMergeDoubles: merging a profile into a fresh one twice doubles
 // every additive quantity.
 func TestMergeDoubles(t *testing.T) {
-	_, p, _ := runProfiled(t)
+	_, p := runProfiled(t)
 	m := &Profile{Schema: SchemaVersion}
 	m.Merge(p)
 	m.Merge(p)
@@ -194,11 +178,11 @@ func TestMergeDoubles(t *testing.T) {
 // past the cap pool into the overflow cell.
 func TestProfilerOverflowAndPC0(t *testing.T) {
 	p := NewWithCap(1)
-	p.Diverge(0, 2)    // PC 0: skipped
-	p.Diverge(0x10, 2) // the one tracked site
-	p.Diverge(0x20, 2) // past the cap: pooled
-	p.CatchupCycle(0x20)
-	p.Cycle(core.CycBase)
+	p.Event(obs.Event{Kind: obs.EvDiverge, PC: 0})    // PC 0: skipped
+	p.Event(obs.Event{Kind: obs.EvDiverge, PC: 0x10}) // the one tracked site
+	p.Event(obs.Event{Kind: obs.EvDiverge, PC: 0x20}) // past the cap: pooled
+	p.Event(obs.Event{Kind: obs.EvCatchupCycle, PC: 0x20})
+	p.Event(obs.Event{Kind: obs.EvCycle, Arg: uint64(core.CycBase)})
 	s := p.Snapshot()
 	if len(s.Sites) != 1 || s.Sites[0].PC != 0x10 || s.Sites[0].Divergences != 1 {
 		t.Errorf("sites = %+v", s.Sites)
@@ -211,17 +195,51 @@ func TestProfilerOverflowAndPC0(t *testing.T) {
 	}
 }
 
+// TestProfilerChargesEvents: each attribution-bearing kind lands in its
+// site's field, a rollback's squashed uops arrive with the EvSquash at
+// its PC, and timeline-only kinds neither charge nor claim a site (with
+// a one-site cap, a claimed 0x20 would pool 0x10 into the overflow).
+func TestProfilerChargesEvents(t *testing.T) {
+	p := NewWithCap(1)
+	for _, e := range []obs.Event{
+		{Kind: obs.EvMispredict, PC: 0x20},
+		{Kind: obs.EvCatchupStart, PC: 0x20, Arg: 1},
+		{Kind: obs.EvCommit, PC: 0x10, Arg: uint64(core.CommitMerged)},
+		{Kind: obs.EvCommit, PC: 0x10, Arg: uint64(core.CommitSplit)},
+		{Kind: obs.EvCommit, PC: 0x10, Arg: uint64(core.CommitSolo)},
+		{Kind: obs.EvLVIPHit, PC: 0x10},
+		{Kind: obs.EvRollback, PC: 0x10, Arg: 2, Cost: 5},
+		{Kind: obs.EvSquash, PC: 0x10, Arg: 7},
+		{Kind: obs.EvCycle, Arg: uint64(core.CycRollback)},
+		{Kind: obs.EvCycle, Arg: uint64(core.CycDrain)},
+	} {
+		p.Event(e)
+	}
+	s := p.Snapshot()
+	want := SiteStats{PC: 0x10, Merged: 1, Split: 1, Solo: 1, LVIPHits: 1,
+		LVIPMispredicts: 1, RollbackCycles: 5, SquashedUops: 7}
+	if len(s.Sites) != 1 || s.Sites[0] != want || s.Overflow != nil {
+		t.Errorf("sites = %+v, overflow = %+v; want [%+v] and none", s.Sites, s.Overflow, want)
+	}
+	if s.Cycles != 2 || s.CPI != (CPIStack{Rollback: 1, Drain: 1}) {
+		t.Errorf("cycles=%d cpi=%+v", s.Cycles, s.CPI)
+	}
+}
+
 // TestRemergeEdges covers the edge ledger: unattributable endpoints are
 // skipped, repeats accumulate, the snapshot is sorted, the cap counts
 // drops, and Merge sums edge counts across shards.
 func TestRemergeEdges(t *testing.T) {
 	p := NewWithCap(2)
-	p.Remerge(0, 0x1020, 1) // unknown divergence site
-	p.Remerge(0x1010, 0, 1) // unknown remerge target
-	p.Remerge(0x1010, 0x1020, 3)
-	p.Remerge(0x1000, 0x1020, 1)
-	p.Remerge(0x1010, 0x1020, 2) // same edge again
-	p.Remerge(0x1030, 0x1040, 1) // third distinct edge: over the cap
+	remerge := func(divergePC, remergePC, dist uint64) {
+		p.Event(obs.Event{Kind: obs.EvRemerge, PC: remergePC, Site: divergePC, Cost: dist})
+	}
+	remerge(0, 0x1020, 1) // unknown divergence site
+	remerge(0x1010, 0, 1) // unknown remerge target
+	remerge(0x1010, 0x1020, 3)
+	remerge(0x1000, 0x1020, 1)
+	remerge(0x1010, 0x1020, 2) // same edge again
+	remerge(0x1030, 0x1040, 1) // third distinct edge: over the cap
 	s := p.Snapshot()
 	want := []RemergeEdge{
 		{DivergePC: 0x1000, RemergePC: 0x1020, Count: 1},
@@ -248,7 +266,7 @@ func TestRemergeEdges(t *testing.T) {
 // TestRemergeEdgesObserved: a real divergent run records edges, and every
 // edge's divergence endpoint is a site the profiler saw diverge.
 func TestRemergeEdgesObserved(t *testing.T) {
-	_, profile, _ := runProfiled(t)
+	_, profile := runProfiled(t)
 	if len(profile.RemergeEdges) == 0 {
 		t.Fatal("divergent run recorded no remerge edges")
 	}

@@ -59,11 +59,15 @@ type Task struct {
 	MaxInsts int
 	// Trace, when non-nil, is attached to the simulated core, which then
 	// emits discrete events plus one cycle sample every SampleEvery
-	// cycles (0 disables sampling). Tracing never changes the simulated
-	// outcome, so it is NOT part of the key — but executors that serve
-	// outcomes from a cache or memo never replay the event stream, so
-	// traced tasks must run where neither can answer (Execute, or a fresh
-	// pool without a persistent cache). Ignored by Profile tasks.
+	// cycles (0 disables sampling). Trace gets the whole stream, the
+	// attribution kinds included (obs.EventKind.Timeline reports false
+	// for them, and the JSONL and Chrome sinks drop them); with
+	// Attribution set it shares the stream with the profiler. Tracing
+	// never changes the simulated outcome, so it is NOT part of the key —
+	// but executors that serve outcomes from a cache or memo never replay
+	// the event stream, so traced tasks must run where neither can answer
+	// (Execute, or a fresh pool without a persistent cache). Ignored by
+	// Profile tasks.
 	Trace       obs.Recorder
 	SampleEvery uint64
 	// Attribution attaches a per-PC attribution profiler (internal/prof)
@@ -231,14 +235,15 @@ func (t Task) Execute() (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	if t.Trace != nil {
-		c.Attach(t.Trace, t.SampleEvery)
-	}
+	// The profiler reads the same event stream as the trace sinks; it is
+	// added only when requested, so no typed nil reaches obs.Multi.
+	sinks := []obs.Recorder{t.Trace}
 	var profiler *prof.Profiler
 	if t.Attribution {
 		profiler = prof.New()
-		c.AttachProbe(profiler)
+		sinks = append(sinks, profiler)
 	}
+	c.Attach(obs.Multi(sinks...), t.SampleEvery)
 	leave := t.phase("run")
 	st, err := c.Run()
 	leave()
