@@ -103,15 +103,15 @@ func RunCheck(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		t, err := sim.TaskSpec{App: *appName, Equ: overrides}.Task()
+		a, err := sim.TaskSpec{App: *appName, Equ: overrides}.Workload()
 		if err != nil {
 			return err
 		}
-		p, err := asm.Assemble(t.App.Name, t.App.Source)
+		p, err := asm.Assemble(a.Name, a.Source)
 		if err != nil {
-			return fmt.Errorf("assembling %s: %w", t.App.Name, err)
+			return fmt.Errorf("assembling %s: %w", a.Name, err)
 		}
-		targets = append(targets, target{t.App.Name, p, &t.App})
+		targets = append(targets, target{a.Name, p, &a})
 	default:
 		return fmt.Errorf("nothing to check: pass -app, -all or -src")
 	}

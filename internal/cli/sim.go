@@ -66,11 +66,11 @@ func RunSim(args []string, out io.Writer) error {
 		return nil
 	}
 	if *disasm {
-		t, err := sim.TaskSpec{App: *appName}.Task()
+		a, err := sim.TaskSpec{App: *appName}.Workload()
 		if err != nil {
 			return err
 		}
-		p, err := asm.Assemble(t.App.Name, t.App.Source)
+		p, err := asm.Assemble(a.Name, a.Source)
 		if err != nil {
 			return err
 		}

@@ -19,12 +19,6 @@ type Config struct {
 	CommitWidth int
 	RenameWidth int
 
-	// MaxFetchGroups bounds how many thread groups fetch in one cycle
-	// (the ICOUNT.2.8 policy of Tullsen et al. [6], which the paper's
-	// core follows): shared fetch lets one merged group use the whole
-	// width where the baseline splits it across threads.
-	MaxFetchGroups int
-
 	// Window sizes.
 	FetchQueue int
 	IQSize     int
@@ -39,12 +33,6 @@ type Config struct {
 	// Front end.
 	Branch          branch.Config
 	TraceCacheBytes int
-	// TraceHops is how many taken branches fetch may cross per cycle on
-	// a trace-cache hit. The paper reports the trace cache's bandwidth
-	// contribution was negligible (§5) — the baseline is limited by one
-	// fetch block per thread turn — so the default keeps trace hits for
-	// perfect trace prediction only.
-	TraceHops int
 	// MispredictPenalty is the front-end refill delay after a resolved
 	// misprediction redirects fetch.
 	MispredictPenalty uint64
@@ -72,9 +60,6 @@ type Config struct {
 	// LVIP selects the load-value-identical policy for private-memory
 	// merged loads (ablation).
 	LVIP LVIPMode
-	// AheadDuty is the CATCHUP ahead-thread fetch duty cycle: it fetches
-	// every AheadDuty-th cycle while being caught (0 = fully gated).
-	AheadDuty uint64
 
 	// FHBSize is the per-thread Fetch History Buffer CAM size (Table 4:
 	// 32 entries; swept 8–128 in Fig. 7(a)/(c)).
@@ -106,7 +91,6 @@ func DefaultConfig(n int) Config {
 		IssueWidth:             8,
 		CommitWidth:            8,
 		RenameWidth:            8,
-		MaxFetchGroups:         1,
 		FetchQueue:             32,
 		IQSize:                 64,
 		ROBSize:                256,
@@ -125,7 +109,6 @@ func DefaultConfig(n int) Config {
 		Sync:                   SyncFHB,
 		HintParkTimeout:        200,
 		LVIP:                   LVIPPredict,
-		AheadDuty:              4,
 		FHBSize:                32,
 		LVIPSize:               4096,
 		RegMergePorts:          2,
@@ -140,9 +123,6 @@ func (c Config) Validate() error {
 	}
 	if c.FetchWidth < 1 || c.IssueWidth < 1 || c.CommitWidth < 1 || c.RenameWidth < 1 {
 		return fmt.Errorf("core: non-positive pipeline width")
-	}
-	if c.MaxFetchGroups < 1 {
-		return fmt.Errorf("core: MaxFetchGroups must be >= 1")
 	}
 	if c.ROBSize < 1 || c.IQSize < 1 || c.LSQSize < 1 || c.FetchQueue < 1 {
 		return fmt.Errorf("core: non-positive window size")

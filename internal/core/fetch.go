@@ -246,8 +246,9 @@ func (c *Core) splitGroup(g *group, parts []ITID, pc uint64) (subs [MaxThreads]*
 // fetchOrder returns groups in fetch priority order: behind (CATCHUP)
 // groups first, then ordinary groups round-robin, then ahead-engaged
 // groups — but only when every group catching up to them cannot fetch
-// this cycle (the paper lowers the ahead thread's priority so the behind
-// thread can close the gap).
+// this cycle. The paper lowers the ahead thread's priority so the behind
+// thread can close the gap (§4.1); with one group fetching per cycle,
+// lowest priority means exactly this.
 func (c *Core) fetchOrder(now uint64) []*group {
 	gs := c.liveGroups()
 	// The behind groups start the order.
@@ -270,9 +271,6 @@ func (c *Core) fetchOrder(now uint64) []*group {
 	order = append(order, normal[r:]...)
 	order = append(order, normal[:r]...)
 	for _, g := range engaged {
-		// The ahead thread keeps a reduced duty cycle (the paper lowers
-		// its priority rather than freezing it) and always fetches when
-		// every group catching up to it is stalled anyway.
 		allStalled := true
 		for _, b := range gs {
 			if b.ahead == g && c.canFetch(b, now) {
@@ -280,7 +278,7 @@ func (c *Core) fetchOrder(now uint64) []*group {
 				break
 			}
 		}
-		if allStalled || (c.cfg.AheadDuty > 0 && now%c.cfg.AheadDuty == 0) {
+		if allStalled {
 			order = append(order, g)
 		}
 	}
@@ -288,20 +286,13 @@ func (c *Core) fetchOrder(now uint64) []*group {
 	return order
 }
 
-// fetchStage fetches up to FetchWidth instructions into the fetch queue.
+// fetchStage fetches up to FetchWidth instructions of one group into the
+// fetch queue: groups try in fetch order, and the first that fetches
+// anything (burning wrong-path slots counts) ends the cycle's fetch.
 func (c *Core) fetchStage(now uint64) {
 	c.attemptMerges(now)
-	width := c.cfg.FetchWidth
-	groupsLeft := c.cfg.MaxFetchGroups
 	for _, g := range c.fetchOrder(now) {
-		if width <= 0 || groupsLeft <= 0 {
-			break
-		}
-		n := c.fetchGroup(g, width, now)
-		width -= n
-		if n > 0 {
-			groupsLeft--
-		}
+		n := c.fetchGroup(g, now)
 		if g.ahead != nil {
 			g.catchupInsts += uint64(n)
 			if g.catchupInsts > catchupLimit {
@@ -311,6 +302,9 @@ func (c *Core) fetchStage(now uint64) {
 				g.catchupInsts = 0
 			}
 		}
+		if n > 0 {
+			break
+		}
 	}
 	// Nothing walks the groups that died this stage any more.
 	c.freeGroups = append(c.freeGroups, c.deadGroups...)
@@ -319,20 +313,13 @@ func (c *Core) fetchStage(now uint64) {
 
 // fetchGroup fetches a run of instructions for one group; returns the
 // number of fetch slots consumed.
-func (c *Core) fetchGroup(g *group, width int, now uint64) int {
+func (c *Core) fetchGroup(g *group, now uint64) int {
 	// A group waiting on an unresolved mispredicted branch fetches down
 	// the wrong path: the slots are consumed (and never become uops),
 	// instead of being silently re-assigned to other threads.
 	if g.waitBranch != nil && g.stallUntil <= now && !g.dead {
-		share := c.cfg.FetchWidth / c.cfg.MaxFetchGroups
-		if share < 1 {
-			share = 1
-		}
-		if share > width {
-			share = width
-		}
-		c.stats.WrongPathFetchSlots += uint64(share)
-		return share
+		c.stats.WrongPathFetchSlots += uint64(c.cfg.FetchWidth)
+		return c.cfg.FetchWidth
 	}
 	c.pruneExhausted(g)
 	if !c.canFetch(g, now) {
@@ -341,27 +328,18 @@ func (c *Core) fetchGroup(g *group, width int, now uint64) int {
 	leader := g.members.First()
 	startPC, _ := c.streams[leader].nextPC()
 
-	// Trace-cache lookup at the cycle's fetch point: a hit lets fetch
-	// continue through taken branches, and — per §5's "perfect trace
-	// prediction" — control flow inside a resident trace never pays a
-	// resolution stall.
-	hops := 0
-	traceHit := false
-	if c.tc != nil {
-		if br, ok := c.tc.Lookup(startPC); ok {
-			hops = br
-			if hops > c.cfg.TraceHops {
-				hops = c.cfg.TraceHops
-			}
-			traceHit = true
-			c.stats.TraceCacheHits++
-		}
+	// Trace-cache lookup at the cycle's fetch point: per §5's "perfect
+	// trace prediction", control flow inside a resident trace never pays
+	// a resolution stall.
+	traceHit := c.tc != nil && c.tc.Lookup(startPC)
+	if traceHit {
+		c.stats.TraceCacheHits++
 	}
 
 	fetched := 0
 	var curLine uint64
 	lineValid := false
-	for fetched < width {
+	for fetched < c.cfg.FetchWidth {
 		if len(c.fetchQ.uops) >= c.cfg.FetchQueue {
 			c.stats.FetchQFullStop++
 			c.noteStall(obs.StallFetchQ)
@@ -416,15 +394,10 @@ func (c *Core) fetchGroup(g *group, width int, now uint64) int {
 			break
 		}
 		if u.inst.Op.IsControl() {
-			taken := c.eff(u, leader).Taken
 			if g.waitBranch != nil {
 				break // mispredicted: stall until resolution
 			}
-			if taken {
-				if hops > 0 {
-					hops--
-					continue // trace cache: fetch through the branch
-				}
+			if c.eff(u, leader).Taken {
 				break // redirect: resume next cycle
 			}
 		}

@@ -134,12 +134,18 @@ func genConfig(r *rand.Rand, threads int) Config {
 	cfg.IntALUs = 1 + r.Intn(6)
 	cfg.FPUs = 1 + r.Intn(3)
 	cfg.LSPorts = 1 + r.Intn(3)
-	cfg.MaxFetchGroups = 1 + r.Intn(2)
 	if r.Intn(4) == 0 {
 		cfg.TraceCacheBytes = 0
 	}
+	// The knobs the design-space explorer and the ablations sweep.
+	cfg.Sync = []SyncPolicy{SyncFHB, SyncHints, SyncNone}[r.Intn(3)]
+	cfg.LVIP = []LVIPMode{LVIPPredict, LVIPOff, LVIPOracle}[r.Intn(3)]
+	cfg.RegMergePorts = r.Intn(5)
+	cfg.FetchQueue = []int{4, 32, 256}[r.Intn(3)]
 	if r.Intn(3) == 0 {
-		cfg.TraceHops = r.Intn(4)
+		cfg.Mem.L1I.SizeBytes = []int{4 << 10, 16 << 10}[r.Intn(2)]
+		cfg.Mem.L1D.SizeBytes = cfg.Mem.L1I.SizeBytes
+		cfg.Mem.L2.SizeBytes = []int{256 << 10, 1 << 20}[r.Intn(2)]
 	}
 	cfg.ValidateSplits = true
 	switch r.Intn(4) {
@@ -154,7 +160,9 @@ func genConfig(r *rand.Rand, threads int) Config {
 	return cfg
 }
 
-func runFuzzCase(t *testing.T, seed int64) {
+// runFuzzCase generates seed's program and inputs, draws its machine with
+// gen, and checks the run against the oracle.
+func runFuzzCase(t *testing.T, seed int64, gen func(*rand.Rand, int) Config) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
 	src := genProgram(r)
@@ -191,7 +199,7 @@ func runFuzzCase(t *testing.T, seed int64) {
 	if err != nil {
 		t.Fatalf("seed %d: system: %v", seed, err)
 	}
-	cfg := genConfig(r, threads)
+	cfg := gen(r, threads)
 	c, err := New(cfg, sys)
 	if err != nil {
 		t.Fatalf("seed %d: core: %v", seed, err)
@@ -383,13 +391,26 @@ func checkNoFreeUopReachable(c *Core) error {
 }
 
 // TestFuzzRegressions replays fuzz seeds that once failed, whatever the
-// seed budget: seed 131 livelocked after an LVIP rollback made a committed
-// uop the producer of a new consumer.
+// seed budget, each on the machine its seed drew when it failed (genConfig
+// has drawn other knobs since): seed 131 livelocked after an LVIP rollback
+// made a committed uop the producer of a new consumer.
 func TestFuzzRegressions(t *testing.T) {
-	for _, seed := range []int64{131} {
+	machines := map[int64]func(*rand.Rand, int) Config{
+		131: func(*rand.Rand, int) Config {
+			cfg := DefaultConfig(4)
+			cfg.FetchWidth, cfg.RenameWidth, cfg.IssueWidth, cfg.CommitWidth = 16, 16, 2, 2
+			cfg.IQSize, cfg.ROBSize, cfg.LSQSize = 16, 32, 8
+			cfg.IntALUs, cfg.FPUs, cfg.LSPorts = 3, 1, 3
+			cfg.LVIPSize = 64
+			cfg.ValidateSplits = true
+			cfg.MaxCycles = 10_000_000
+			return cfg
+		},
+	}
+	for seed, gen := range machines {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			t.Parallel() // seeds share no state
-			runFuzzCase(t, seed)
+			runFuzzCase(t, seed, gen)
 		})
 	}
 }
@@ -403,7 +424,7 @@ func TestFuzzDifferential(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			t.Parallel() // seeds share no state
-			runFuzzCase(t, seed)
+			runFuzzCase(t, seed, genConfig)
 		})
 	}
 }

@@ -647,6 +647,11 @@ func TestBadSubmissions(t *testing.T) {
 	if _, resp := postJob(t, hs.URL, SubmitRequest{Task: tiny}); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("1-entry ROB at 2 threads: %s, want 400", resp.Status)
 	}
+	// A message-passing kernel at a rank count its protocol cannot run
+	// would spin until its cycle cap.
+	if _, resp := postJob(t, hs.URL, SubmitRequest{Task: sim.TaskSpec{App: "allreduce-mp", Threads: 2}}); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("allreduce-mp at 2 ranks: %s, want 400", resp.Status)
+	}
 	// A profile without an instruction cap, or with too few contexts, and
 	// a timing job capped outside its config fail at admission, not on a
 	// worker (nor as an empty success).

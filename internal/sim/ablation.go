@@ -39,7 +39,6 @@ func (s study) table(ex Exec, apps []workloads.App) (*Table, error) {
 
 func syncPolicy(p core.SyncPolicy) func(*core.Config) { return func(c *core.Config) { c.Sync = p } }
 func lvipMode(m core.LVIPMode) func(*core.Config)     { return func(c *core.Config) { c.LVIP = m } }
-func aheadDuty(d uint64) func(*core.Config)           { return func(c *core.Config) { c.AheadDuty = d } }
 func regMergePorts(n int) func(*core.Config)          { return func(c *core.Config) { c.RegMergePorts = n } }
 
 // shrink narrows every stage of the machine to width and cuts its units.
@@ -65,13 +64,6 @@ var studies = []study{
 		{"predict", "", lvipMode(core.LVIPPredict)},
 		{"off", "", lvipMode(core.LVIPOff)},
 		{"oracle", "", lvipMode(core.LVIPOracle)},
-	}},
-	// CATCHUP's ahead thread fully gated, or fetching every Nth cycle.
-	{name: "abl-duty", title: "Ablation: CATCHUP ahead-thread duty cycle (MMT-FXR, 2T)", variants: []variant{
-		{"gated", "", aheadDuty(0)},
-		{"duty2", "1/2", aheadDuty(2)},
-		{"duty4", "1/4", aheadDuty(4)},
-		{"duty8", "1/8", aheadDuty(8)},
 	}},
 	// Register-merge comparisons per cycle; 0 disables them while keeping
 	// the rest of MMT-FXR.

@@ -209,16 +209,27 @@ type TaskSpec struct {
 	Config *ConfigOverride `json:"config,omitempty"`
 }
 
-// Task resolves the spec into an executable Task, applying defaults
-// (MMT-FXR, 2 threads) and validating the workload and preset eagerly so
-// a bad submission fails at admission rather than on a worker.
-func (s TaskSpec) Task() (Task, error) {
+// Workload resolves the spec's application, with its `.equ` overrides
+// applied, for callers that read the program without running it.
+func (s TaskSpec) Workload() (workloads.App, error) {
 	app, ok := workloads.ByName(s.App)
 	if !ok {
-		return Task{}, fmt.Errorf("sim: unknown application %q", s.App)
+		return workloads.App{}, fmt.Errorf("sim: unknown application %q", s.App)
 	}
 	if len(s.Equ) > 0 {
 		app = app.Override(s.Equ)
+	}
+	return app, nil
+}
+
+// Task resolves the spec into an executable Task, applying defaults
+// (MMT-FXR, 2 threads) and validating the workload, its thread count and
+// the preset eagerly so a bad submission fails at admission rather than
+// on a worker.
+func (s TaskSpec) Task() (Task, error) {
+	app, err := s.Workload()
+	if err != nil {
+		return Task{}, err
 	}
 	if s.Attribution && s.Profile {
 		return Task{}, fmt.Errorf("sim: attribution requires a timing simulation, not a trace-alignment profile")
@@ -231,6 +242,9 @@ func (s TaskSpec) Task() (Task, error) {
 		return Task{}, fmt.Errorf("sim: a trace-alignment profile aligns 2–4 contexts (got threads %d)", t.Threads)
 	case !s.Profile && s.MaxInsts != 0:
 		return Task{}, fmt.Errorf("sim: max_insts bounds trace-alignment profiles only; bound a timing simulation with config.max_insts")
+	}
+	if err := app.CheckThreads(t.Threads); err != nil {
+		return Task{}, err
 	}
 	t.App, t.MaxInsts, t.Attribution = app, s.MaxInsts, s.Attribution
 	if ov := s.Config; !ov.zero() {

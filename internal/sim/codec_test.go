@@ -126,6 +126,11 @@ func TestTaskSpecRejectsBadInput(t *testing.T) {
 		{TaskSpec{App: "libsvm", Profile: true, MaxInsts: 5000, Threads: -2}, "threads -2"},
 		{TaskSpec{App: "libsvm", Profile: true, MaxInsts: 5000, Threads: 5}, "threads 5"},
 		{TaskSpec{App: "libsvm", MaxInsts: 5000}, "config.max_insts"},
+		// A message-passing kernel runs only at the rank counts its
+		// protocol completes at; elsewhere it would spin to its cycle cap.
+		{TaskSpec{App: "allreduce-mp", Threads: 2}, "runs on 4 ranks"},
+		{TaskSpec{App: "pingpong-mp", Threads: 3}, "runs on 2 or 4 ranks"},
+		{TaskSpec{App: "jacobi-mp", Threads: 1}, "runs on 2 or 4 ranks"},
 	} {
 		if _, err := c.spec.Task(); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%+v: got %v, want an error naming %s", c.spec, err, c.want)

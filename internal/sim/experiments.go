@@ -520,14 +520,9 @@ func remergeWithin512(ex Exec, apps []workloads.App) (*Table, error) {
 
 // ------------------------------------------------- Extension: MP suite
 
-// mpRanks returns the rank count for one message-passing app: pairwise
-// kernels at 2, the all-reduce at 4.
-func mpRanks(a workloads.App) int {
-	if a.Name == "allreduce-mp" {
-		return 4
-	}
-	return 2
-}
+// mpRanks returns the rank count one message-passing app runs at here:
+// the smallest its protocol accepts.
+func mpRanks(a workloads.App) int { return a.Ranks[0] }
 
 // extensionMP runs the message-passing suite (the paper lists this class
 // as future work in §7): MMT-FXR's speedup over Base, MERGE residency and

@@ -100,15 +100,13 @@ func TestAblationLVIP(t *testing.T) {
 
 func TestAblationSweepShapes(t *testing.T) {
 	apps := pick(t, "equake")
-	for _, name := range []string{"abl-duty", "abl-ports"} {
-		tb := studyTables(t, name, apps)[0]
-		if len(tb.Cols) != 4 || len(tb.Rows) != len(apps)+1 {
-			t.Errorf("%s shape: %d columns, %d rows", name, len(tb.Cols), len(tb.Rows))
-		}
-		for _, r := range tb.Rows {
-			if len(r.Vals) != len(tb.Cols) {
-				t.Errorf("%s/%s: %d values for %d columns", name, r.Name, len(r.Vals), len(tb.Cols))
-			}
+	tb := studyTables(t, "abl-ports", apps)[0]
+	if len(tb.Cols) != 4 || len(tb.Rows) != len(apps)+1 {
+		t.Errorf("abl-ports shape: %d columns, %d rows", len(tb.Cols), len(tb.Rows))
+	}
+	for _, r := range tb.Rows {
+		if len(r.Vals) != len(tb.Cols) {
+			t.Errorf("abl-ports/%s: %d values for %d columns", r.Name, len(r.Vals), len(tb.Cols))
 		}
 	}
 }

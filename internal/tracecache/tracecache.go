@@ -1,11 +1,11 @@
 // Package tracecache models the trace cache of the baseline core (§5 of
 // the MMT paper: 1 MB, perfect trace prediction). Traces are built at
-// commit from the retired instruction stream; a fetch-time hit lets the
-// front end fetch through up to MaxBranches taken branches in one cycle.
+// commit from the retired instruction stream; a fetch-time hit means the
+// front end follows the trace's path without waiting for its branches to
+// resolve.
 //
 // The paper reports the trace cache had a negligible effect on its
-// results; it is modeled here because the baseline is defined with it and
-// because shared fetch interacts with front-end bandwidth.
+// results; it is modeled here because the baseline is defined with it.
 package tracecache
 
 // Limits of one trace, following Rotenberg et al. [44].
@@ -21,10 +21,9 @@ const instSlotBytes = 8
 
 // trace records one built trace.
 type trace struct {
-	startPC  uint64
-	insts    int
-	branches int
-	lru      uint64
+	startPC uint64
+	insts   int
+	lru     uint64
 }
 
 // TraceCache stores traces keyed by start PC with LRU replacement under a
@@ -50,24 +49,23 @@ func New(capacityBytes int) *TraceCache {
 	}
 }
 
-// Lookup reports whether a trace starting at pc is resident, and if so how
-// many taken branches the front end may fetch through this cycle.
-func (tc *TraceCache) Lookup(pc uint64) (branches int, ok bool) {
+// Lookup reports whether a trace starting at pc is resident.
+func (tc *TraceCache) Lookup(pc uint64) bool {
 	t := tc.byStart[pc]
 	if t == nil {
 		tc.Misses++
-		return 0, false
+		return false
 	}
 	tc.clock++
 	t.lru = tc.clock
 	tc.Hits++
-	return t.branches, true
+	return true
 }
 
-// Insert records a trace built at commit. A resident trace with the same
-// start PC is updated in place: it takes the newest LRU stamp first, so
-// making room evicts only other traces.
-func (tc *TraceCache) Insert(startPC uint64, insts, branches int) {
+// Insert records a trace of insts instructions built at commit. A
+// resident trace with the same start PC is updated in place: it takes the
+// newest LRU stamp first, so making room evicts only other traces.
+func (tc *TraceCache) Insert(startPC uint64, insts int) {
 	if tc.capInsts <= 0 || insts <= 0 {
 		return
 	}
@@ -86,7 +84,7 @@ func (tc *TraceCache) Insert(startPC uint64, insts, branches int) {
 		t = &trace{startPC: startPC, lru: tc.clock}
 		tc.byStart[startPC] = t
 	}
-	t.insts, t.branches = insts, branches
+	t.insts = insts
 	tc.used += insts
 }
 
@@ -140,7 +138,7 @@ func (b *Builder) Retire(pc uint64, taken bool) {
 
 func (b *Builder) flush() {
 	if b.started && b.insts > 0 {
-		b.tc.Insert(b.startPC, b.insts, b.branches)
+		b.tc.Insert(b.startPC, b.insts)
 	}
 	b.started = false
 	b.insts = 0

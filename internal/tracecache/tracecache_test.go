@@ -4,13 +4,12 @@ import "testing"
 
 func TestLookupMissThenHit(t *testing.T) {
 	tc := New(1 << 20)
-	if _, ok := tc.Lookup(0x1000); ok {
+	if tc.Lookup(0x1000) {
 		t.Error("cold lookup hit")
 	}
-	tc.Insert(0x1000, 8, 2)
-	br, ok := tc.Lookup(0x1000)
-	if !ok || br != 2 {
-		t.Errorf("lookup = %d/%v", br, ok)
+	tc.Insert(0x1000, 8)
+	if !tc.Lookup(0x1000) {
+		t.Error("resident trace missed")
 	}
 	if tc.Hits != 1 || tc.Misses != 1 {
 		t.Errorf("hits/misses = %d/%d", tc.Hits, tc.Misses)
@@ -19,14 +18,13 @@ func TestLookupMissThenHit(t *testing.T) {
 
 func TestInsertReplacesSameStart(t *testing.T) {
 	tc := New(1 << 20)
-	tc.Insert(0x1000, 8, 1)
-	tc.Insert(0x1000, 16, 3)
+	tc.Insert(0x1000, 8)
+	tc.Insert(0x1000, 16)
 	if tc.Len() != 1 {
 		t.Errorf("len = %d", tc.Len())
 	}
-	br, _ := tc.Lookup(0x1000)
-	if br != 3 {
-		t.Errorf("branches = %d", br)
+	if !tc.Lookup(0x1000) {
+		t.Error("replaced trace missed")
 	}
 	if tc.used != 16 {
 		t.Errorf("used = %d", tc.used)
@@ -37,15 +35,15 @@ func TestCapacityEviction(t *testing.T) {
 	// Capacity for exactly 4 slots of 16 instructions.
 	tc := New(4 * 16 * instSlotBytes)
 	for i := 0; i < 4; i++ {
-		tc.Insert(uint64(i)*0x100, 16, 1)
+		tc.Insert(uint64(i)*0x100, 16)
 	}
 	// Touch trace 0 so trace at 0x100 is LRU.
 	tc.Lookup(0x000)
-	tc.Insert(0x900, 16, 1)
-	if _, ok := tc.Lookup(0x100); ok {
+	tc.Insert(0x900, 16)
+	if tc.Lookup(0x100) {
 		t.Error("LRU trace survived eviction")
 	}
-	if _, ok := tc.Lookup(0x000); !ok {
+	if !tc.Lookup(0x000) {
 		t.Error("MRU trace evicted")
 	}
 	if tc.used > tc.capInsts {
@@ -55,8 +53,8 @@ func TestCapacityEviction(t *testing.T) {
 
 func TestDisabledCache(t *testing.T) {
 	tc := New(0)
-	tc.Insert(0x1000, 8, 1)
-	if _, ok := tc.Lookup(0x1000); ok {
+	tc.Insert(0x1000, 8)
+	if tc.Lookup(0x1000) {
 		t.Error("disabled cache hit")
 	}
 }
@@ -67,7 +65,7 @@ func TestBuilderFlushOnInstLimit(t *testing.T) {
 	for i := 0; i < MaxInsts; i++ {
 		b.Retire(0x1000+uint64(i)*4, false)
 	}
-	if _, ok := tc.Lookup(0x1000); !ok {
+	if !tc.Lookup(0x1000) {
 		t.Error("trace not inserted after MaxInsts")
 	}
 	// Builder restarted: next retire begins a new trace.
@@ -83,10 +81,12 @@ func TestBuilderFlushOnBranchLimit(t *testing.T) {
 	b.Retire(0x1000, false)
 	b.Retire(0x1004, true)
 	b.Retire(0x2000, true)
+	if tc.Len() != 0 {
+		t.Fatal("trace inserted before its MaxBranches-th taken branch")
+	}
 	b.Retire(0x3000, true) // third taken branch: flush
-	br, ok := tc.Lookup(0x1000)
-	if !ok || br != MaxBranches {
-		t.Errorf("trace = %d/%v", br, ok)
+	if !tc.Lookup(0x1000) || tc.used != 4 {
+		t.Errorf("trace at 0x1000: resident %v, %d insts, want 4", tc.Lookup(0x1000), tc.used)
 	}
 }
 
@@ -95,7 +95,7 @@ func TestBuilderTracksContiguity(t *testing.T) {
 	b := NewBuilder(tc)
 	// Partial trace is not visible until flushed.
 	b.Retire(0x1000, false)
-	if _, ok := tc.Lookup(0x1000); ok {
+	if tc.Lookup(0x1000) {
 		t.Error("partial trace visible")
 	}
 }
@@ -103,20 +103,20 @@ func TestBuilderTracksContiguity(t *testing.T) {
 func TestInsertUpdatesResidentTraceInPlace(t *testing.T) {
 	// Capacity for exactly two 16-instruction traces.
 	tc := New(2 * 16 * instSlotBytes)
-	tc.Insert(0x1000, 16, 1)
-	tc.Insert(0x2000, 16, 1)
+	tc.Insert(0x1000, 16)
+	tc.Insert(0x2000, 16)
 	// 0x1000 is the LRU trace: growing it must evict 0x2000, not itself.
-	tc.Insert(0x1000, 32, 2)
-	if _, ok := tc.Lookup(0x2000); ok {
+	tc.Insert(0x1000, 32)
+	if tc.Lookup(0x2000) {
 		t.Error("the other trace survived an update that needed its room")
 	}
-	if br, ok := tc.Lookup(0x1000); !ok || br != 2 {
-		t.Errorf("updated trace = %d/%v", br, ok)
+	if !tc.Lookup(0x1000) {
+		t.Error("updated trace missed")
 	}
 	if tc.used != 32 || tc.Len() != 1 {
 		t.Errorf("used = %d, len = %d", tc.used, tc.Len())
 	}
-	if allocs := testing.AllocsPerRun(100, func() { tc.Insert(0x1000, 8, 1) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { tc.Insert(0x1000, 8) }); allocs != 0 {
 		t.Errorf("re-inserting a resident trace allocates %v times", allocs)
 	}
 }

@@ -14,6 +14,7 @@ import (
 // These are extension workloads: they are excluded from the sixteen-app
 // paper registry (workloads.All) and surfaced through workloads.MP.
 //
+// Each kernel's Ranks lists the thread counts its protocol completes at:
 // pingpong-mp and jacobi-mp use pairwise (XOR-partner) channels and need
 // an even rank count; allreduce-mp gathers from four fixed slots and
 // needs exactly four ranks.
@@ -23,6 +24,7 @@ func init() {
 		Name:  "pingpong-mp",
 		Suite: "MP",
 		Mode:  prog.ModeMP,
+		Ranks: []int{2, 4},
 		About: "pairwise message exchange through mailbox channels: SPMD send/spin/receive rounds with rank-dependent addresses",
 		Source: `
 ; pingpong-mp: ROUNDS exchanges with the XOR partner. Each rank composes a
@@ -64,6 +66,7 @@ wait:   ld    r12, 0(r8)
 		Name:  "jacobi-mp",
 		Suite: "MP",
 		Mode:  prog.ModeMP,
+		Ranks: []int{2, 4},
 		About: "BSP stencil: per-iteration boundary exchange with the partner rank, then a private grid sweep — mostly fetch/execute-identical compute with brief exchange divergence",
 		Source: `
 ; jacobi-mp: ITERS bulk-synchronous iterations. Publish the local boundary
@@ -122,6 +125,7 @@ grid:   .space CELLS*8+8
 		Name:  "allreduce-mp",
 		Suite: "MP",
 		Mode:  prog.ModeMP,
+		Ranks: []int{4},
 		About: "four-rank all-reduce through fixed mailbox slots: the gather loop's loads are shared-window merged loads (verified, not LVIP-predicted)",
 		Source: `
 ; allreduce-mp: every iteration each rank publishes a partial into its own

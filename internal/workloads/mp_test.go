@@ -1,6 +1,8 @@
 package workloads
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"mmt/internal/core"
@@ -29,10 +31,7 @@ func TestMPFunctionalProtocols(t *testing.T) {
 	for _, a := range MP() {
 		a := a
 		t.Run(a.Name, func(t *testing.T) {
-			n := 4
-			if a.Name != "allreduce-mp" {
-				n = 2
-			}
+			n := a.Ranks[0]
 			sys, err := a.Build(n, false)
 			if err != nil {
 				t.Fatal(err)
@@ -56,10 +55,7 @@ func TestMPOnCore(t *testing.T) {
 	for _, a := range MP() {
 		a := a
 		t.Run(a.Name, func(t *testing.T) {
-			n := 4
-			if a.Name != "allreduce-mp" {
-				n = 2
-			}
+			n := a.Ranks[0]
 			for _, preset := range []struct {
 				name               string
 				fetch, exec, merge bool
@@ -146,6 +142,30 @@ func TestMPPingpongSum(t *testing.T) {
 		// r23 accumulates the round numbers 1..ROUNDS exactly once each.
 		if got := c.CommittedReg(rank, 23); got != rounds*(rounds+1)/2 {
 			t.Errorf("rank %d round sum = %d", rank, got)
+		}
+	}
+}
+
+// TestMPBuildChecksRanks: each MP kernel builds at every rank count it
+// lists and refuses every other count, naming the ones it accepts.
+func TestMPBuildChecksRanks(t *testing.T) {
+	for _, a := range MP() {
+		if len(a.Ranks) == 0 {
+			t.Errorf("%s lists no rank counts", a.Name)
+		}
+		for n := 1; n <= core.MaxThreads; n++ {
+			_, err := a.Build(n, false)
+			switch {
+			case slices.Contains(a.Ranks, n) && err != nil:
+				t.Errorf("%s at %d ranks refused: %v", a.Name, n, err)
+			case !slices.Contains(a.Ranks, n) && (err == nil || !strings.Contains(err.Error(), "ranks, not")):
+				t.Errorf("%s at %d ranks: got %v, want an error naming the accepted counts", a.Name, n, err)
+			}
+		}
+	}
+	for _, a := range All() {
+		if a.Ranks != nil {
+			t.Errorf("paper app %s restricts its thread count to %v", a.Name, a.Ranks)
 		}
 	}
 }

@@ -15,7 +15,9 @@ package workloads
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"mmt/internal/asm"
@@ -41,6 +43,9 @@ type App struct {
 	// About summarizes what the kernel models and which redundancy
 	// profile it reproduces.
 	About string
+	// Ranks lists the thread counts a message-passing kernel's channel
+	// protocol completes at, smallest first; nil means any count.
+	Ranks []int
 }
 
 var registry []App
@@ -103,6 +108,9 @@ func ByName(name string) (App, bool) {
 // instances* — same inputs, same context ids, private address spaces —
 // regardless of the application's normal mode.
 func (a App) Build(n int, identicalInputs bool) (*prog.System, error) {
+	if err := a.CheckThreads(n); err != nil {
+		return nil, err
+	}
 	p, err := asm.Assemble(a.Name, a.Source)
 	if err != nil {
 		return nil, fmt.Errorf("workloads: %s: %w", a.Name, err)
@@ -184,6 +192,19 @@ func fillDoubles(mem *prog.Memory, base uint64, n int, seed uint64) {
 		f := float64(x>>11) / float64(1<<53)
 		mem.Write64(base+uint64(i)*8, math.Float64bits(f))
 	}
+}
+
+// CheckThreads refuses a thread count outside Ranks: at any other count a
+// message-passing kernel waits on a rank that does not exist, forever.
+func (a App) CheckThreads(n int) error {
+	if a.Ranks == nil || slices.Contains(a.Ranks, n) {
+		return nil
+	}
+	counts := make([]string, len(a.Ranks))
+	for i, r := range a.Ranks {
+		counts[i] = strconv.Itoa(r)
+	}
+	return fmt.Errorf("workloads: %s runs on %s ranks, not %d", a.Name, strings.Join(counts, " or "), n)
 }
 
 // Override returns a copy of the application with the named `.equ`
