@@ -14,10 +14,15 @@
 //	mmttrace -trace load-5-0                   # stitched waterfall for one trace
 //	mmttrace -trace load-5-0 -chrome t.json    # plus a Perfetto-ready timeline
 //	mmttrace -server http://host:8378 -sources http://host:8380
+//	mmttrace -from-dump /tmp/mmt-flight-*.json # render a flight dump
 //
 // A deduplicated submission's trace carries a joiner span linking to the
 // creator's trace; mmttrace follows such links, so the waterfall shows the
 // execution that actually produced the joined result.
+//
+// A node killed with SIGQUIT writes its flight ring, span rows included,
+// to disk first; -from-dump renders that file, so the last seconds before
+// the kill stay readable with no process left to query.
 package main
 
 import (

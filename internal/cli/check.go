@@ -40,7 +40,7 @@ func RunCheck(args []string, out io.Writer) error {
 		all      = fs.Bool("all", false, "check every registered workload program")
 		srcFile  = fs.String("src", "", "check an assembly source file instead of a registered workload")
 		equ      = fs.String("equ", "", "override kernel constants, e.g. MOVES=500,TSIZE=256 (with -app)")
-		format   = fs.String("format", "text", "output format: text, json or sarif")
+		format   = fs.String("format", "text", "output format: text or json")
 		failOn   = fs.String("fail-on", "warning", "exit non-zero at this severity or above: info, warning, error (never = always succeed)")
 		against  = fs.String("against-profile", "", "cross-validate against an attribution profile JSON (from mmtsim -profile-out)")
 		minCorr  = fs.Float64("min-correlation", 0, "with -against-profile: fail when the predicted-vs-observed merged-fraction Spearman falls below this")
@@ -50,8 +50,8 @@ func RunCheck(args []string, out io.Writer) error {
 	if done, err := fs.parse(args); done || err != nil {
 		return err
 	}
-	if *format != "text" && *format != "json" && *format != "sarif" {
-		return fmt.Errorf("unknown -format %q (want text, json or sarif)", *format)
+	if *format != "text" && *format != "json" {
+		return fmt.Errorf("unknown -format %q (want text or json)", *format)
 	}
 	var failSev static.Severity
 	failNever := *failOn == "never"
@@ -170,10 +170,6 @@ func RunCheck(args []string, out io.Writer) error {
 		enc := json.NewEncoder(out)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(results); err != nil {
-			return err
-		}
-	case "sarif":
-		if err := writeSARIF(out, results); err != nil {
 			return err
 		}
 	default:

@@ -88,65 +88,6 @@ func TestPrecheckRefusesWhatCheckRefuses(t *testing.T) {
 	}
 }
 
-// TestRunCheckSARIF: the SARIF surface is valid 2.1.0-shaped JSON with
-// one result per finding and a rule entry per distinct code.
-func TestRunCheckSARIF(t *testing.T) {
-	var out bytes.Buffer
-	err := RunCheck([]string{"-src", filepath.Join("testdata", "bad_div_zero.s"), "-format", "sarif", "-fail-on", "never"}, &out)
-	if err != nil {
-		t.Fatalf("sarif run failed: %v", err)
-	}
-	var log struct {
-		Schema  string `json:"$schema"`
-		Version string `json:"version"`
-		Runs    []struct {
-			Tool struct {
-				Driver struct {
-					Name  string `json:"name"`
-					Rules []struct {
-						ID string `json:"id"`
-					} `json:"rules"`
-				} `json:"driver"`
-			} `json:"tool"`
-			Results []struct {
-				RuleID  string `json:"ruleId"`
-				Level   string `json:"level"`
-				Message struct {
-					Text string `json:"text"`
-				} `json:"message"`
-			} `json:"results"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal(out.Bytes(), &log); err != nil {
-		t.Fatalf("output is not JSON: %v\n%s", err, out.String())
-	}
-	if log.Version != "2.1.0" || len(log.Runs) != 1 {
-		t.Fatalf("not a single-run SARIF 2.1.0 log: version=%q runs=%d", log.Version, len(log.Runs))
-	}
-	run := log.Runs[0]
-	if run.Tool.Driver.Name != "mmtcheck" {
-		t.Errorf("driver name = %q", run.Tool.Driver.Name)
-	}
-	found := false
-	for _, res := range run.Results {
-		if res.RuleID == "div-by-zero" && res.Level == "error" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no error-level div-by-zero result:\n%s", out.String())
-	}
-	ruleSeen := false
-	for _, r := range run.Tool.Driver.Rules {
-		if r.ID == "div-by-zero" {
-			ruleSeen = true
-		}
-	}
-	if !ruleSeen {
-		t.Error("div-by-zero missing from driver rules")
-	}
-}
-
 func TestRunCheckCleanSource(t *testing.T) {
 	var out bytes.Buffer
 	if err := RunCheck([]string{"-src", filepath.Join("testdata", "clean.s")}, &out); err != nil {

@@ -25,7 +25,7 @@ type daemon struct {
 	addr        *string
 	metricsAddr *string
 	log         logOptions
-	debug       debugOptions
+	flight      flightOptions
 
 	progress io.Writer    // set by parse; never nil
 	logger   *slog.Logger // set by parse
@@ -33,7 +33,7 @@ type daemon struct {
 
 // newDaemon returns the daemon's flag set with the shared flags
 // registered: -addr (defaulting to addr), -metrics-addr, the log flags
-// and the diagnostics flags. Usage goes to stdout.
+// and -flight-dump-dir. Usage goes to stdout.
 func newDaemon(name string, stdout io.Writer, addr, addrHelp string) *daemon {
 	fs := newFlags(name, stdout)
 	return &daemon{
@@ -41,7 +41,7 @@ func newDaemon(name string, stdout io.Writer, addr, addrHelp string) *daemon {
 		addr:        fs.String("addr", addr, addrHelp),
 		metricsAddr: fs.String("metrics-addr", "", "serve live metrics, expvar and pprof on this address"),
 		log:         addLogFlags(fs.FlagSet),
-		debug:       addDebugFlags(fs.FlagSet),
+		flight:      addFlightFlags(fs.FlagSet),
 	}
 }
 
@@ -63,7 +63,7 @@ func (d *daemon) parse(args []string, progress io.Writer) (done bool, err error)
 // daemonEnv is what the lifecycle hands a daemon's constructor.
 type daemonEnv struct {
 	Addr    string        // the bound -addr
-	Metrics *obs.Registry // always present: /metrics rides the main port for mmtdoctor
+	Metrics *obs.Registry // always present, so every server serves /metrics on its main port
 	Tracer  *span.Tracer  // labeled name@Addr, so a fleet waterfall names the node
 	Log     *slog.Logger  // feeds the flight ring; carries the service name
 	Flight  *flight.Recorder
@@ -85,13 +85,14 @@ type node struct {
 // serve runs the daemon until SIGINT/SIGTERM. It starts the -metrics-addr
 // side port, binds -addr before the server exists — so the tracer's
 // service label carries the bound address — and builds the tracer, the
-// diagnostics stack (whose flight dumps carry the tracer's spans) and the
-// wrapped logger. start then constructs the server. serve announces it,
-// calls ready with the bound address, and serves until a signal, or until
-// serving fails, with GET /v1/debug/ in front of the server. Every
-// resource is closed exactly once.
+// flight ring (whose dumps carry the tracer's spans, and which installs
+// the SIGQUIT dump handler) and the logger wrapped over the ring. start
+// then constructs the server. serve announces it, calls ready with the
+// bound address, and serves until a signal, or until serving fails, with
+// GET /v1/debug/ in front of the server. Every resource is closed exactly
+// once.
 func (d *daemon) serve(ready func(addr string), start func(daemonEnv) (*node, error)) error {
-	env := daemonEnv{Metrics: obs.NewRegistry(), DumpDir: *d.debug.flight.dumpDir}
+	env := daemonEnv{Metrics: obs.NewRegistry(), DumpDir: *d.flight.dumpDir}
 	stopMetrics, err := serveMetrics(*d.metricsAddr, env.Metrics, d.progress)
 	if err != nil {
 		return err
@@ -104,10 +105,12 @@ func (d *daemon) serve(ready func(addr string), start func(daemonEnv) (*node, er
 	env.Addr = ln.Addr().String()
 	service := d.Name() + "@" + env.Addr
 	env.Tracer = span.NewTracer(service, span.DefaultCapacity)
-	st := d.debug.build(service, d.FlagSet, env.Metrics, env.Tracer, d.logger, d.progress)
-	defer st.Close()
-	env.Log = st.Wrap(d.logger).With("service", d.Name())
-	env.Flight = st.Flight
+	fl, dumpPath, stopDump := d.flight.build(service, env.Tracer, d.progress)
+	defer stopDump()
+	env.Flight = fl
+	// Recent log lines ride along in dumps; the logger keeps its format
+	// and level floor.
+	env.Log = slog.New(flight.NewLogHandler(d.logger.Handler(), env.Flight)).With("service", d.Name())
 	n, err := start(env)
 	if err != nil {
 		ln.Close()
@@ -117,13 +120,19 @@ func (d *daemon) serve(ready func(addr string), start func(daemonEnv) (*node, er
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sigc)
 	fmt.Fprintln(d.progress, n.banner)
-	st.announce(d.progress, env.Addr)
+	if dumpPath == "" {
+		dumpPath = "off"
+	}
+	fmt.Fprintf(d.progress, "diagnostics on http://%s/v1/debug/ (flight ring, SIGQUIT dump %s)\n", env.Addr, dumpPath)
 	if ready != nil {
 		ready(env.Addr)
 	}
 
 	mux := http.NewServeMux()
-	mux.Handle("GET /v1/debug/", st.Handler)
+	mux.Handle("GET /v1/debug/flight", env.Flight)
+	mux.HandleFunc("GET /v1/debug/", func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "unknown debug endpoint (have: flight)", http.StatusNotFound)
+	})
 	mux.Handle("/", n)
 	httpSrv := &http.Server{Handler: mux}
 	serveErr := make(chan error, 1)

@@ -25,7 +25,6 @@ var commands = []struct {
 	{"mmtbench", RunBench},
 	{"mmtcached", RunCached},
 	{"mmtcheck", RunCheck},
-	{"mmtdoctor", RunDoctor},
 	{"mmtdse", RunDSE},
 	{"mmtload", RunLoad},
 	{"mmtpipe", RunPipe},

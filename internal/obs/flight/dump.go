@@ -122,17 +122,6 @@ func clip(s string, n int) string {
 	return s[:n-1] + "…"
 }
 
-// Panics returns the dump's captured panic entries, oldest first.
-func (d Dump) Panics() []Entry {
-	var out []Entry
-	for _, e := range d.Entries {
-		if e.Kind == KindPanic {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // ServeHTTP serves the live ring as a dump document (GET /v1/debug/flight).
 func (r *Recorder) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 	d := r.Snapshot("http")

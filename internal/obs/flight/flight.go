@@ -5,7 +5,7 @@
 // dump is taken, so each fact is recorded once. When a node stalls or
 // dies *after the fact*, the dump is the replay: it is served live at
 // GET /v1/debug/flight, written to disk on SIGQUIT or a captured worker
-// panic, and rendered offline by `mmtdoctor -from-dump`.
+// panic, and rendered offline by `mmttrace -from-dump`.
 //
 // Recording copies fixed-size values into a preallocated slot under a
 // mutex: no allocation, no I/O, no encoding — the ring costs one lock and

@@ -153,14 +153,18 @@ func TestDumpRoundTripAndRender(t *testing.T) {
 	if e := d.Entries[1]; e.Name != "serve.submit" || e.Trace != "t-9" || e.Attrs["job"] != "j-1" || e.Seq != 0 {
 		t.Errorf("span row = %+v, want serve.submit of t-9 carrying job=j-1 and no ring seq", e)
 	}
-	if p := d.Panics(); len(p) != 1 || p[0].Err != "boom" || p[0].Trace != "t-9" {
-		t.Errorf("Panics() = %+v", p)
-	}
+	var panics []Entry
 	var keyed bool
 	for _, e := range d.Entries {
+		if e.Kind == KindPanic {
+			panics = append(panics, e)
+		}
 		if e.Kind == KindMark && strings.Contains(e.Name, "deadbeef") {
 			keyed = true
 		}
+	}
+	if len(panics) != 1 || panics[0].Err != "boom" || panics[0].Trace != "t-9" {
+		t.Errorf("panic entries = %+v", panics)
 	}
 	if !keyed {
 		t.Error("panic dump does not name the task key")

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
 	"mmt/internal/prog"
@@ -38,6 +39,20 @@ func TestTimingRelations(t *testing.T) {
 			for _, n := range []int{2, 4} {
 				if ei, _, _, _ := run(t, a, PresetLimit, n).Stats.IdenticalFractions(); ei != 1 {
 					t.Errorf("Limit at %dT: %.4f of commits execute-identical, want 1", n, ei)
+				}
+			}
+		}},
+		// Renaming registers in the one binary every context runs changes
+		// no dependence, so no timing may move.
+		{"register-permutation-equal-stats", func(workloads.App) bool { return true }, func(t *testing.T, a workloads.App) {
+			perm := a
+			perm.Source = permuteRegisters(a.Source)
+			for _, p := range []Preset{PresetBase, PresetMMTFXR, PresetLimit} {
+				for _, n := range []int{1, 2, 4} {
+					if orig, got := run(t, a, p, n).Stats, run(t, perm, p, n).Stats; !reflect.DeepEqual(orig, got) {
+						t.Errorf("%s at %dT: permuted registers moved the stats: %d cycles, original %d",
+							p, n, got.Cycles, orig.Cycles)
+					}
 				}
 			}
 		}},

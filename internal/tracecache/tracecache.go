@@ -34,9 +34,6 @@ type TraceCache struct {
 	capInsts int
 	used     int
 	clock    uint64
-
-	Hits   uint64
-	Misses uint64
 }
 
 // New builds a trace cache with the given storage capacity in bytes
@@ -53,12 +50,10 @@ func New(capacityBytes int) *TraceCache {
 func (tc *TraceCache) Lookup(pc uint64) bool {
 	t := tc.byStart[pc]
 	if t == nil {
-		tc.Misses++
 		return false
 	}
 	tc.clock++
 	t.lru = tc.clock
-	tc.Hits++
 	return true
 }
 
@@ -102,9 +97,6 @@ func (tc *TraceCache) evictLRU() {
 	tc.used -= victim.insts
 	delete(tc.byStart, victim.startPC)
 }
-
-// Len returns the number of resident traces.
-func (tc *TraceCache) Len() int { return len(tc.byStart) }
 
 // Builder accumulates the committed instruction stream of one thread into
 // traces and inserts them into the shared trace cache. Call Retire for

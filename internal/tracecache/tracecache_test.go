@@ -11,17 +11,14 @@ func TestLookupMissThenHit(t *testing.T) {
 	if !tc.Lookup(0x1000) {
 		t.Error("resident trace missed")
 	}
-	if tc.Hits != 1 || tc.Misses != 1 {
-		t.Errorf("hits/misses = %d/%d", tc.Hits, tc.Misses)
-	}
 }
 
 func TestInsertReplacesSameStart(t *testing.T) {
 	tc := New(1 << 20)
 	tc.Insert(0x1000, 8)
 	tc.Insert(0x1000, 16)
-	if tc.Len() != 1 {
-		t.Errorf("len = %d", tc.Len())
+	if len(tc.byStart) != 1 {
+		t.Errorf("len = %d", len(tc.byStart))
 	}
 	if !tc.Lookup(0x1000) {
 		t.Error("replaced trace missed")
@@ -81,7 +78,7 @@ func TestBuilderFlushOnBranchLimit(t *testing.T) {
 	b.Retire(0x1000, false)
 	b.Retire(0x1004, true)
 	b.Retire(0x2000, true)
-	if tc.Len() != 0 {
+	if len(tc.byStart) != 0 {
 		t.Fatal("trace inserted before its MaxBranches-th taken branch")
 	}
 	b.Retire(0x3000, true) // third taken branch: flush
@@ -113,8 +110,8 @@ func TestInsertUpdatesResidentTraceInPlace(t *testing.T) {
 	if !tc.Lookup(0x1000) {
 		t.Error("updated trace missed")
 	}
-	if tc.used != 32 || tc.Len() != 1 {
-		t.Errorf("used = %d, len = %d", tc.used, tc.Len())
+	if tc.used != 32 || len(tc.byStart) != 1 {
+		t.Errorf("used = %d, len = %d", tc.used, len(tc.byStart))
 	}
 	if allocs := testing.AllocsPerRun(100, func() { tc.Insert(0x1000, 8) }); allocs != 0 {
 		t.Errorf("re-inserting a resident trace allocates %v times", allocs)
