@@ -7,9 +7,9 @@
 // Beyond routing, the coordinator runs node lifecycle: it probes every
 // backend's /v1/healthz and /v1/stats, stops routing new keys to draining
 // or down nodes (jobs in flight on a draining node stay reachable through
-// the router until the drain finishes), and diverts new keys off
-// hot-queued owners to idle nodes, pinning each key's placement so dedup
-// holds even while stealing.
+// the router until the drain finishes), and sends a new key to a node
+// with a free worker when every worker of its owner is taken, pinning
+// each key's placement so dedup holds even while stealing.
 //
 // The API (see internal/cluster):
 //
@@ -24,7 +24,7 @@
 //
 //	mmtrouter -backends http://10.0.0.1:8377,http://10.0.0.2:8377
 //	mmtrouter -backends http://big:8377*4,http://small:8377 -addr :8378
-//	mmtrouter -backends ... -probe-every 500ms -steal-threshold 16
+//	mmtrouter -backends ... -probe-every 500ms -placement-ttl 1m
 package main
 
 import (

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"sync"
 	"syscall"
 	"time"
 
@@ -135,6 +136,7 @@ func (d *daemon) serve(ready func(addr string), start func(daemonEnv) (*node, er
 	})
 	mux.Handle("/", n)
 	httpSrv := &http.Server{Handler: mux}
+	closeUnused(httpSrv)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }() // Serve closes ln
 	var sig os.Signal
@@ -157,4 +159,29 @@ func (d *daemon) serve(ready func(addr string), start func(daemonEnv) (*node, er
 		fmt.Fprintln(d.progress, n.bye())
 	}
 	return err
+}
+
+// closeUnused makes srv's Shutdown close every connection that has not
+// sent a request yet. net/http counts such a connection as busy for its
+// first 5 seconds, so a client that dialed one and kept it idle, as
+// http.Transport's pool can, would hold the shutdown that long.
+func closeUnused(srv *http.Server) {
+	var mu sync.Mutex
+	unused := make(map[net.Conn]bool)
+	srv.ConnState = func(c net.Conn, st http.ConnState) {
+		mu.Lock()
+		defer mu.Unlock()
+		if st == http.StateNew {
+			unused[c] = true
+		} else {
+			delete(unused, c)
+		}
+	}
+	srv.RegisterOnShutdown(func() {
+		mu.Lock()
+		defer mu.Unlock()
+		for c := range unused {
+			c.Close()
+		}
+	})
 }

@@ -334,11 +334,14 @@ func loadPct(part, total uint64) float64 {
 
 // loadSpecs builds the deterministic job stream: unique specs vary the
 // FHB size, fetch width and load/store ports (the Fig. 7 knobs), and a
-// dup fraction of positions repeat a random earlier spec.
+// dup fraction of positions repeat a random earlier spec. Each knob list
+// starts with 0, the default machine's value, and holds no other value
+// equal to it (Table 4: FHB 32, fetch width 8), so every unique spec has
+// its own task key and variant 0 is the default machine.
 func loadSpecs(n int, dup float64, seed int64, base sim.TaskSpec) []sim.TaskSpec {
 	rng := rand.New(rand.NewSource(seed))
-	fhbs := []int{0, 32, 64, 128}
-	widths := []int{0, 2, 8}
+	fhbs := []int{0, 64, 128}
+	widths := []int{0, 2}
 	ports := []int{0, 1, 4}
 	nextUnique := 0
 	variant := func(i int) sim.TaskSpec {

@@ -25,10 +25,8 @@ func runRouter(args []string, stdout, progress io.Writer, ready func(addr string
 	var (
 		backends = d.String("backends", "", "comma-separated mmtserved base URLs, each with an optional *weight suffix (e.g. http://10.0.0.1:8377*2,http://10.0.0.2:8377)")
 
-		probeEvery   = d.Duration("probe-every", time.Second, "health/queue-depth probe cadence")
+		probeEvery   = d.Duration("probe-every", time.Second, "health/stats probe cadence")
 		probeTimeout = d.Duration("probe-timeout", 2*time.Second, "per-probe timeout")
-		stealAt      = d.Int("steal-threshold", 8, "queue depth at which an owner counts as hot and idle nodes pull its new keys")
-		stealMax     = d.Int("steal-max", 1, "maximum queue depth of a steal target")
 		placementTTL = d.Duration("placement-ttl", 5*time.Minute, "how long a key stays pinned to the node that received it")
 	)
 	if done, err := d.parse(args, progress); done || err != nil {
@@ -44,13 +42,11 @@ func runRouter(args []string, stdout, progress io.Writer, ready func(addr string
 
 	return d.serve(ready, func(env daemonEnv) (*node, error) {
 		rt, err := cluster.NewRouter(cluster.RouterOptions{
-			Nodes:          nodes,
-			ProbeEvery:     *probeEvery,
-			ProbeTimeout:   *probeTimeout,
-			StealThreshold: *stealAt,
-			StealMax:       *stealMax,
-			PlacementTTL:   *placementTTL,
-			Metrics:        env.Metrics, Tracer: env.Tracer, Log: env.Log,
+			Nodes:        nodes,
+			ProbeEvery:   *probeEvery,
+			ProbeTimeout: *probeTimeout,
+			PlacementTTL: *placementTTL,
+			Metrics:      env.Metrics, Tracer: env.Tracer, Log: env.Log,
 		})
 		if err != nil {
 			return nil, err

@@ -15,6 +15,7 @@ import (
 
 	"mmt/internal/obs/span"
 	"mmt/internal/prof"
+	"mmt/internal/sim"
 )
 
 // syncBuffer guards a bytes.Buffer: the daemon's progress stream is
@@ -162,6 +163,27 @@ func TestServeVersionFlag(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "mmtload") {
 		t.Errorf("version output = %q", out.String())
+	}
+}
+
+// TestLoadSpecsAreUnique checks that a duplicate-free stream has one task
+// key per job: no knob value repeats the default machine's.
+func TestLoadSpecsAreUnique(t *testing.T) {
+	base := sim.TaskSpec{App: "libsvm", Config: &sim.ConfigOverride{MaxInsts: 20000}}
+	keys := make(map[string]bool)
+	for _, spec := range loadSpecs(18, 0, 5, base) {
+		task, err := spec.Task()
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, err := task.Key()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys[key] = true
+	}
+	if len(keys) != 18 {
+		t.Errorf("18 jobs at -dup 0 have %d distinct task keys, want 18", len(keys))
 	}
 }
 

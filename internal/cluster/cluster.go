@@ -20,10 +20,11 @@
 //     drain-aware routing (a SIGTERM-draining node stops receiving new
 //     keys, which re-route to its ring successor while its in-flight
 //     jobs finish and stay reachable through the router), and
-//     work-stealing rebalance at the routing layer (when a node's
-//     queue-depth gauge runs hot, idle nodes pull the new work that
-//     would otherwise queue behind it; placements are pinned per key so
-//     stealing never splits one key across two nodes mid-flight).
+//     load-aware placement (the router counts each node's unfinished
+//     jobs; when every worker of a key's owner is taken, a node with a
+//     free worker takes the key instead of letting it queue, and
+//     placements are pinned per key so stealing never splits one key
+//     across two nodes mid-flight).
 //
 //   - CacheServer/CacheClient: a content-addressed remote result cache
 //     (cmd/mmtcached) the runner's persistent cache tiers into — checked

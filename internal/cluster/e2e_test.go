@@ -41,9 +41,10 @@ func startBackend(t *testing.T, opts serve.Options) (*serve.Server, *httptest.Se
 func TestFleetWideDedup(t *testing.T) {
 	_, hsA := startBackend(t, serve.Options{Runner: runner.Options{CacheDir: t.TempDir()}})
 	_, hsB := startBackend(t, serve.Options{Runner: runner.Options{CacheDir: t.TempDir()}})
-	rt := newTestRouter(t, RouterOptions{Nodes: []Node{
-		{Name: "a", URL: hsA.URL}, {Name: "b", URL: hsB.URL},
-	}})
+	rt := newTestRouter(t, RouterOptions{
+		Nodes:      []Node{{Name: "a", URL: hsA.URL}, {Name: "b", URL: hsB.URL}},
+		ProbeEvery: time.Hour, // no probe may correct the counts checked below
+	})
 	front := httptest.NewServer(rt)
 	defer front.Close()
 
@@ -80,9 +81,13 @@ func TestFleetWideDedup(t *testing.T) {
 	if cs.DedupRatio < want-1e-9 {
 		t.Errorf("dedup ratio %.3f, want >= %.3f", cs.DedupRatio, want)
 	}
-	// All copies must have landed on one node.
+	// All copies must have landed on one node, and every job a client
+	// waited on through the router has left its node's count.
 	busy := 0
 	for _, node := range cs.Nodes {
+		if node.Outstanding != 0 {
+			t.Errorf("node %s counts %d outstanding jobs after every client's Run returned, want 0", node.Name, node.Outstanding)
+		}
 		if node.Routed > 0 {
 			busy++
 			if node.Routed != n {

@@ -65,8 +65,9 @@ func (rt *Router) countNodes() (healthy, draining, down int) {
 
 // probeOne classifies one backend — healthy, draining (the node answered
 // /v1/healthz with a draining status, i.e. it took a SIGTERM and is
-// finishing in-flight work) or down — and refreshes its queue-depth
-// gauge from /v1/stats.
+// finishing in-flight work) or down — and refreshes its stats from
+// /v1/stats: the worker count, and the node's own count of unfinished
+// flights, which bounds the router's outstanding count for it.
 func (rt *Router) probeOne(b *backend) {
 	ctx, cancel := context.WithTimeout(context.Background(), rt.opts.ProbeTimeout)
 	defer cancel()
@@ -84,11 +85,13 @@ func (rt *Router) probeOne(b *backend) {
 		perr = fmt.Errorf("healthz status %q", h.Status)
 	}
 
-	var stats serve.Stats
-	statsOK := false
 	if state != stateDown {
 		if s, err := rt.statsRequest(ctx, b); err == nil {
-			stats, statsOK = s, true
+			b.setStats(s)
+			// Jobs nobody streams through the router stop counting here.
+			b.mu.Lock()
+			b.outstanding = min(b.outstanding, s.Admitted)
+			b.mu.Unlock()
 		}
 	}
 
@@ -99,11 +102,6 @@ func (rt *Router) probeOne(b *backend) {
 		b.lastErr = perr.Error()
 	} else {
 		b.lastErr = ""
-	}
-	if statsOK {
-		b.stats = stats
-		b.statsOK = true
-		b.queueDepth = stats.QueueDepth
 	}
 	b.mu.Unlock()
 
@@ -166,11 +164,7 @@ func (rt *Router) fetchStats(ctx context.Context, b *backend) serve.Stats {
 	rctx, cancel := context.WithTimeout(ctx, rt.opts.ProbeTimeout)
 	defer cancel()
 	if s, err := rt.statsRequest(rctx, b); err == nil {
-		b.mu.Lock()
-		b.stats = s
-		b.statsOK = true
-		b.queueDepth = s.QueueDepth
-		b.mu.Unlock()
+		b.setStats(s)
 		return s
 	}
 	b.mu.Lock()

@@ -29,7 +29,7 @@ func newRouterMetrics(reg *obs.Registry) *routerMetrics {
 	return &routerMetrics{
 		routed:        reg.Counter("mmt_cluster_routed_total", "Submissions forwarded to a backend."),
 		rerouted:      reg.Counter("mmt_cluster_rerouted_total", "Placements that skipped a draining or down ring owner."),
-		stolen:        reg.Counter("mmt_cluster_stolen_total", "Submissions diverted off a hot owner to an idle node."),
+		stolen:        reg.Counter("mmt_cluster_stolen_total", "Submissions diverted off a busy owner to a node with a free worker."),
 		errors:        reg.Counter("mmt_cluster_errors_total", "Forwarding and proxy failures."),
 		probeFailures: reg.Counter("mmt_cluster_probe_failures_total", "Probe rounds that classified a node as down."),
 		healthy:       reg.Gauge("mmt_cluster_nodes_healthy", "Backends currently routable."),

@@ -28,17 +28,11 @@ type RouterOptions struct {
 	ProbeEvery time.Duration
 	// ProbeTimeout bounds one probe or stats fan-out request (default 2s).
 	ProbeTimeout time.Duration
-	// StealThreshold is the queue depth at which a node counts as hot:
-	// new keys it owns are then diverted to the least-loaded healthy node
-	// whose depth is at most StealMax (default 8).
-	StealThreshold int
-	// StealMax is the maximum queue depth of a steal target (default 1 —
-	// only genuinely idle nodes pull work from hot ones).
-	StealMax int
 	// PlacementTTL bounds how long a key's placement stays pinned to the
 	// node that received it (default 5m). Pinning keeps every submission
 	// of a live key on one node so single-flight dedup holds fleet-wide
-	// even under stealing; the TTL lets cold keys re-home.
+	// even when a key is stolen off its busy owner; the TTL lets cold keys
+	// re-home.
 	PlacementTTL time.Duration
 	// Resolve maps a wire TaskSpec to an executable task for key
 	// computation (default sim.TaskSpec.Task). Tests interpose here.
@@ -81,26 +75,46 @@ func (s nodeState) String() string {
 	}
 }
 
-// backend is one ring node plus its probed state and per-node counters.
+// backend is one ring node plus its probed state, its live load and
+// per-node counters.
 type backend struct {
 	node  Node
 	cli   *client.Client         // submit forwarding; retries stay with the end client
 	proxy *httputil.ReverseProxy // GET /v1/jobs/{id} and its SSE stream
 
-	mu         sync.Mutex
-	state      nodeState
-	queueDepth int
-	stats      serve.Stats
-	statsOK    bool
-	lastErr    string
-	routed     uint64
-	stolen     uint64
+	mu      sync.Mutex
+	state   nodeState
+	stats   serve.Stats
+	workers int // the node's runner workers, from its last stats (0 = unknown)
+	// outstanding counts the jobs forwarded here that the router has not
+	// yet seen finish: up when a submit is accepted unfinished, down when
+	// the job's proxied stream ends, and lowered by each probe to the
+	// node's own count of unfinished flights.
+	outstanding int
+	lastErr     string
+	routed      uint64
+	stolen      uint64
 }
 
+// snapshotState reports the node's state and its free workers; a node
+// whose worker count is unknown never has one free.
 func (b *backend) snapshotState() (nodeState, int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.state, b.queueDepth
+	return b.state, b.workers - b.outstanding
+}
+
+// setStats records a stats snapshot, including the node's worker count
+// from its pool summary.
+func (b *backend) setStats(s serve.Stats) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.stats = s
+	if pool, ok := s.Pool.(map[string]any); ok {
+		if w, ok := pool["Workers"].(float64); ok {
+			b.workers = int(w)
+		}
+	}
 }
 
 func (b *backend) markDown(err error) {
@@ -121,6 +135,9 @@ type placement struct {
 type jobRoute struct {
 	b     *backend
 	trace string
+	// counted marks a job still in its node's outstanding count; the
+	// first stream end that sees it set takes the job out.
+	counted bool
 }
 
 // Router is the fleet coordinator: an http.Handler speaking the mmtserved
@@ -161,12 +178,6 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 	}
 	if opts.ProbeTimeout <= 0 {
 		opts.ProbeTimeout = 2 * time.Second
-	}
-	if opts.StealThreshold <= 0 {
-		opts.StealThreshold = 8
-	}
-	if opts.StealMax <= 0 {
-		opts.StealMax = 1
 	}
 	if opts.PlacementTTL <= 0 {
 		opts.PlacementTTL = 5 * time.Minute
@@ -230,7 +241,7 @@ func (rt *Router) routes() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", rt.handleSubmit)
 	mux.HandleFunc("GET /v1/jobs/{id}", rt.handleJobProxy)
-	mux.HandleFunc("GET /v1/jobs/{id}/stream", rt.handleJobProxy)
+	mux.HandleFunc("GET /v1/jobs/{id}/stream", rt.handleStream)
 	mux.HandleFunc("GET /v1/healthz", rt.handleHealthz)
 	mux.HandleFunc("GET /v1/stats", rt.handleStats)
 	mux.HandleFunc("GET /v1/cluster", rt.handleCluster)
@@ -258,13 +269,15 @@ func (rt *Router) countError() {
 type routeInfo struct {
 	pinned   bool // an existing live placement was reused
 	rerouted bool // the ring owner was skipped (draining or down)
-	stolen   bool // diverted off a hot owner to an idle node
+	stolen   bool // diverted off a busy owner to a node with a free worker
 }
 
 // place picks the backend for a key: a pinned live placement if one
-// exists, else the first healthy node clockwise from the ring owner, with
-// hot owners relieved by the least-loaded idle node. The new placement is
-// recorded so subsequent submissions of the same key follow it.
+// exists, else the first healthy node clockwise from the ring owner —
+// unless every worker there is taken, in which case the healthy node with
+// the most free workers takes the key, the first in ring order on a tie.
+// The new placement is recorded so subsequent submissions of the same key
+// follow it.
 func (rt *Router) place(key string) (*backend, routeInfo, error) {
 	now := time.Now()
 	rt.mu.Lock()
@@ -277,10 +290,12 @@ func (rt *Router) place(key string) (*backend, routeInfo, error) {
 	}
 	var info routeInfo
 	var owner *backend
-	for _, n := range rt.ring.Successors(key, len(rt.backends)) {
+	var rest []Node // ring order after the owner
+	succ := rt.ring.Successors(key, len(rt.backends))
+	for i, n := range succ {
 		b := rt.byName[n.Name]
 		if st, _ := b.snapshotState(); st == stateHealthy {
-			owner = b
+			owner, rest = b, succ[i+1:]
 			break
 		}
 		info.rerouted = true
@@ -289,24 +304,19 @@ func (rt *Router) place(key string) (*backend, routeInfo, error) {
 		return nil, info, errors.New("no healthy backends")
 	}
 	chosen := owner
-	if _, depth := owner.snapshotState(); depth >= rt.opts.StealThreshold {
-		// The owner's queue runs hot: let the least-loaded idle node pull
-		// this key instead. The placement pin keeps later submissions of
-		// the key on the thief, so fleet-wide dedup still holds.
-		var idle *backend
-		idleDepth := rt.opts.StealMax + 1
-		for _, b := range rt.backends {
-			if b == owner {
-				continue
-			}
-			if st, d := b.snapshotState(); st == stateHealthy && d < idleDepth {
-				idle, idleDepth = b, d
+	if _, free := owner.snapshotState(); free <= 0 {
+		// The owner is busy: a node with a free worker runs the key now
+		// instead of queueing it. The placement pin keeps later
+		// submissions of the key on the thief, so fleet-wide dedup still
+		// holds.
+		most := 0
+		for _, n := range rest {
+			b := rt.byName[n.Name]
+			if st, free := b.snapshotState(); st == stateHealthy && free > most {
+				chosen, most = b, free
 			}
 		}
-		if idle != nil {
-			chosen = idle
-			info.stolen = true
-		}
+		info.stolen = chosen != owner
 	}
 	rt.placements[key] = placement{b: chosen, at: now}
 	rt.met.placements.Set(int64(len(rt.placements)))
@@ -387,7 +397,7 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		fsp.End()
 		if err == nil {
-			rt.recordSubmit(b, st.ID, st.TraceID, info)
+			rt.recordSubmit(b, st, info)
 			sub.SetAttr("job", st.ID)
 			sub.SetAttr("node", b.node.Name)
 			rt.met.submitLatency.ObserveWithExemplar(time.Since(start), st.TraceID)
@@ -423,11 +433,13 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // recordSubmit books a successful forward: job routing (with the job's
-// trace id, for proxy spans), placement counters, and the route-kind
-// counters.
-func (rt *Router) recordSubmit(b *backend, jobID, trace string, info routeInfo) {
+// trace id, for proxy spans), the node's outstanding count unless the job
+// is already finished (a cache hit), placement counters, and the
+// route-kind counters.
+func (rt *Router) recordSubmit(b *backend, st serve.JobStatus, info routeInfo) {
+	counted := !st.State.Terminal()
 	rt.mu.Lock()
-	rt.jobs[jobID] = jobRoute{b: b, trace: trace}
+	rt.jobs[st.ID] = jobRoute{b: b, trace: st.TraceID, counted: counted}
 	rt.met.routed.Inc()
 	if info.rerouted {
 		rt.met.rerouted.Inc()
@@ -441,7 +453,27 @@ func (rt *Router) recordSubmit(b *backend, jobID, trace string, info routeInfo) 
 	if info.stolen {
 		b.stolen++
 	}
+	if counted {
+		b.outstanding++
+	}
 	b.mu.Unlock()
+}
+
+// finishJob takes a job out of its node's outstanding count, once.
+func (rt *Router) finishJob(id string) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	jr, ok := rt.jobs[id]
+	if !ok || !jr.counted {
+		return
+	}
+	jr.counted = false
+	rt.jobs[id] = jr
+	jr.b.mu.Lock()
+	if jr.b.outstanding > 0 { // a probe may already have lowered it
+		jr.b.outstanding--
+	}
+	jr.b.mu.Unlock()
 }
 
 // dropPlacement removes key's placement if it still points at b.
@@ -473,6 +505,16 @@ func (rt *Router) handleJobProxy(w http.ResponseWriter, r *http.Request) {
 		defer psp.End()
 	}
 	jr.b.proxy.ServeHTTP(w, r)
+}
+
+// handleStream proxies a job's SSE stream. The node closes the stream
+// after the job's outcome event, so a stream that ends while its client
+// still listens means the job finished and its worker is free again.
+func (rt *Router) handleStream(w http.ResponseWriter, r *http.Request) {
+	rt.handleJobProxy(w, r)
+	if r.Context().Err() == nil {
+		rt.finishJob(r.PathValue("id"))
+	}
 }
 
 // RouterHealth is the GET /v1/healthz body: serve.Health-compatible, with
@@ -559,12 +601,14 @@ func maxf(a, b float64) float64 {
 // NodeStatus is one backend's row in ClusterStats.
 type NodeStatus struct {
 	Node
-	State      string      `json:"state"`
-	QueueDepth int         `json:"queue_depth"`
-	Routed     uint64      `json:"routed"`
-	Stolen     uint64      `json:"stolen"`
-	Error      string      `json:"error,omitempty"`
-	Stats      serve.Stats `json:"stats"`
+	State string `json:"state"`
+	// Outstanding is the router's count of jobs it forwarded to the node
+	// and has not seen finish, the load placement reads.
+	Outstanding int         `json:"outstanding"`
+	Routed      uint64      `json:"routed"`
+	Stolen      uint64      `json:"stolen"`
+	Error       string      `json:"error,omitempty"`
+	Stats       serve.Stats `json:"stats"`
 }
 
 // ClusterStats is the GET /v1/cluster body: the router's own routing
@@ -600,13 +644,13 @@ func (rt *Router) handleCluster(w http.ResponseWriter, r *http.Request) {
 	for i, b := range rt.backends {
 		b.mu.Lock()
 		cs.Nodes = append(cs.Nodes, NodeStatus{
-			Node:       b.node,
-			State:      b.state.String(),
-			QueueDepth: b.queueDepth,
-			Routed:     b.routed,
-			Stolen:     b.stolen,
-			Error:      b.lastErr,
-			Stats:      per[i],
+			Node:        b.node,
+			State:       b.state.String(),
+			Outstanding: b.outstanding,
+			Routed:      b.routed,
+			Stolen:      b.stolen,
+			Error:       b.lastErr,
+			Stats:       per[i],
 		})
 		b.mu.Unlock()
 	}

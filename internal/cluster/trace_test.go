@@ -26,7 +26,8 @@ import (
 type echoNode struct {
 	name       string
 	status     atomic.Value // string
-	depth      atomic.Int64
+	workers    atomic.Int64
+	admitted   atomic.Int64
 	bodyTrace  atomic.Value // string: last SubmitRequest.TraceID
 	headerCtx  atomic.Value // span.SpanContext: last traceparent
 	srv        *httptest.Server
@@ -37,6 +38,7 @@ func newEchoNode(t *testing.T, name string) *echoNode {
 	t.Helper()
 	f := &echoNode{name: name}
 	f.status.Store("ok")
+	f.workers.Store(1)
 	f.bodyTrace.Store("")
 	f.headerCtx.Store(span.SpanContext{})
 	mux := http.NewServeMux()
@@ -44,7 +46,7 @@ func newEchoNode(t *testing.T, name string) *echoNode {
 		writeJSON(w, http.StatusOK, serve.Health{Status: f.status.Load().(string)})
 	})
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, serve.Stats{QueueDepth: int(f.depth.Load())})
+		writeJSON(w, http.StatusOK, fakeStats(&f.workers, &f.admitted))
 	})
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		var req serve.SubmitRequest
@@ -56,7 +58,7 @@ func newEchoNode(t *testing.T, name string) *echoNode {
 		f.headerCtx.Store(span.Extract(r.Header))
 		n := f.submission.Add(1)
 		writeJSON(w, http.StatusAccepted, serve.JobStatus{
-			ID: fmt.Sprintf("%s-%d", f.name, n), TraceID: req.TraceID,
+			ID: fmt.Sprintf("%s-%d", f.name, n), State: serve.StateQueued, TraceID: req.TraceID,
 		})
 	})
 	f.srv = httptest.NewServer(mux)
@@ -73,23 +75,20 @@ func TestStolenJobKeepsCreatorTraceID(t *testing.T) {
 	a, b := newEchoNode(t, "a"), newEchoNode(t, "b")
 	tracer := span.NewTracer("router-under-test", 256)
 	rt := newTestRouter(t, RouterOptions{
-		Nodes:          []Node{{Name: "a", URL: a.srv.URL}, {Name: "b", URL: b.srv.URL}},
-		StealThreshold: 4,
-		Tracer:         tracer,
+		Nodes:      []Node{{Name: "a", URL: a.srv.URL}, {Name: "b", URL: b.srv.URL}},
+		ProbeEvery: time.Hour, // probes run only where the test calls them
+		Tracer:     tracer,
 	})
 	front := httptest.NewServer(rt)
 	defer front.Close()
 
-	spec := specOwnedBy(t, rt, "a")
-	a.depth.Store(20) // the ring owner runs hot; b must steal the key
-	waitRouter(t, func() bool {
-		for _, n := range clusterSnapshot(t, front.URL).Nodes {
-			if n.Name == "a" && n.QueueDepth == 20 {
-				return true
-			}
-		}
-		return false
-	}, "observed the hot queue")
+	specs := specsOwnedBy(t, rt, "a", 2)
+	// The first key takes the ring owner's one worker; b must steal the
+	// second.
+	if node, _ := submitJob(t, front.URL, specs[0]); node != "a" {
+		t.Fatalf("first key landed on %q, want its owner a", node)
+	}
+	spec := specs[1]
 
 	// No client-chosen trace id: the router must mint one and the thief
 	// must receive it, in the body and in the traceparent header.
@@ -126,16 +125,8 @@ func TestStolenJobKeepsCreatorTraceID(t *testing.T) {
 
 	// Re-route case: the owner drains, and a client-chosen id survives
 	// the diversion to the ring successor.
-	a.depth.Store(0)
 	a.status.Store("draining")
-	waitRouter(t, func() bool {
-		for _, n := range clusterSnapshot(t, front.URL).Nodes {
-			if n.Name == "a" && n.State == "draining" {
-				return true
-			}
-		}
-		return false
-	}, "observed node a draining")
+	rt.probeAll()
 	spec2 := cheapSpec(900000) // a fresh key, unpinned by the steal above
 	body2, err := json.Marshal(serve.SubmitRequest{Task: spec2, TraceID: "tr-reroute"})
 	if err != nil {

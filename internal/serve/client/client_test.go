@@ -137,12 +137,19 @@ func sseWrite(w http.ResponseWriter, event string, st serve.JobStatus) {
 	w.(http.Flusher).Flush()
 }
 
+// TestWaitFollowsStream checks that Wait sees every event, and returns
+// only once the server has ended the stream, not as soon as the outcome
+// arrives: a router proxying the stream counts the job finished only when
+// the stream ends with its client still connected.
 func TestWaitFollowsStream(t *testing.T) {
+	var ended atomic.Bool
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/event-stream")
 		sseWrite(w, "state", serve.JobStatus{ID: "j1", State: serve.StateQueued})
 		sseWrite(w, "progress", serve.JobStatus{ID: "j1", State: serve.StateRunning})
 		sseWrite(w, "outcome", serve.JobStatus{ID: "j1", State: serve.StateDone, Source: "simulated"})
+		time.Sleep(20 * time.Millisecond) // work after the outcome, before the stream ends
+		ended.Store(true)
 	}))
 	defer hs.Close()
 
@@ -160,6 +167,9 @@ func TestWaitFollowsStream(t *testing.T) {
 	if want := []string{"state", "progress", "outcome"}; len(events) != 3 ||
 		events[0] != want[0] || events[1] != want[1] || events[2] != want[2] {
 		t.Errorf("events = %v, want %v", events, want)
+	}
+	if !ended.Load() {
+		t.Error("Wait returned before the server ended the stream")
 	}
 }
 

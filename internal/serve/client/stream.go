@@ -67,6 +67,11 @@ func (c *Client) stream(ctx context.Context, id string, onEvent func(string, ser
 				onEvent(event, st)
 			}
 			if st.State.Terminal() {
+				// The server ends the stream after the outcome event. Read
+				// to that end rather than hang up first: a router in between
+				// counts the job finished only when the stream it proxies
+				// ends with its client still connected.
+				io.Copy(io.Discard, br) //nolint:errcheck // the outcome is in hand
 				return st, nil
 			}
 			event, data = "", nil
