@@ -8,7 +8,11 @@
 // per-thread pieces.
 package branch
 
-import "fmt"
+import (
+	"fmt"
+
+	"mmt/internal/pool"
+)
 
 // DirPredictor is a two-level GAs direction predictor: a global branch
 // history register per thread indexes a shared table of 2-bit saturating
@@ -32,10 +36,17 @@ func NewDirPredictor(entries int, histBits uint, nthreads int) *DirPredictor {
 		histBits: histBits,
 		history:  make([]uint64, nthreads),
 	}
+	p.reset()
+	return p
+}
+
+// reset returns the predictor to the state NewDirPredictor built it in.
+func (p *DirPredictor) reset() {
 	for i := range p.pht {
 		p.pht[i] = 1 // weakly not-taken
 	}
-	return p
+	clear(p.history)
+	p.Lookups, p.Mispredict = 0, 0
 }
 
 func (p *DirPredictor) index(tid int, pc uint64) int {
@@ -104,6 +115,14 @@ func NewBTB(entries int) *BTB {
 	}
 }
 
+// reset empties the buffer.
+func (b *BTB) reset() {
+	clear(b.tags)
+	clear(b.targets)
+	clear(b.valid)
+	b.Hits, b.Misses = 0, 0
+}
+
 func (b *BTB) index(pc uint64) (int, uint64) {
 	idx := int(pc >> 2 & uint64(len(b.tags)-1))
 	return idx, pc >> 2 / uint64(len(b.tags))
@@ -142,6 +161,12 @@ func NewRAS(capacity int) *RAS {
 	return &RAS{stack: make([]uint64, capacity)}
 }
 
+// reset empties the stack.
+func (r *RAS) reset() {
+	clear(r.stack)
+	r.top, r.depth = 0, 0
+}
+
 // Push records a return address (on call).
 func (r *RAS) Push(addr uint64) {
 	r.top = (r.top + 1) % len(r.stack)
@@ -172,6 +197,8 @@ type Unit struct {
 	Dir *DirPredictor
 	BTB *BTB
 	RAS []*RAS
+
+	cfg Config
 }
 
 // Config sizes a Unit.
@@ -194,14 +221,34 @@ func DefaultConfig(threads int) Config {
 	}
 }
 
-// NewUnit builds the front-end predictors for cfg.
+// units holds released predictor units by configuration.
+var units pool.Keyed[Config, *Unit]
+
+// NewUnit builds the front-end predictors for cfg, reusing a released
+// unit of the same configuration when there is one.
 func NewUnit(cfg Config) *Unit {
+	if u, ok := units.Get(cfg); ok {
+		return u
+	}
 	u := &Unit{
 		Dir: NewDirPredictor(cfg.PHTEntries, cfg.HistoryBits, cfg.Threads),
 		BTB: NewBTB(cfg.BTBEntries),
+		cfg: cfg,
 	}
 	for i := 0; i < cfg.Threads; i++ {
 		u.RAS = append(u.RAS, NewRAS(cfg.RASEntries))
 	}
 	return u
+}
+
+// Release resets u to the state NewUnit builds and hands it to the next
+// NewUnit of its configuration. u must not be used afterwards. Releasing
+// is optional: an unreleased unit is garbage collected.
+func (u *Unit) Release() {
+	u.Dir.reset()
+	u.BTB.reset()
+	for _, r := range u.RAS {
+		r.reset()
+	}
+	units.Put(u.cfg, u)
 }

@@ -60,8 +60,11 @@ type Cache struct {
 	cfg Config
 	// lines holds every set's ways in one array: set i is
 	// lines[i*ways : (i+1)*ways].
-	lines    []line
-	nsets    int
+	lines []line
+	nsets int
+	// filled lists the sets that hold a valid line, so reset clears
+	// only those: a short run fills few of the L2's 8,192 sets.
+	filled   []int32
 	lruClock uint64
 	Stats    Stats
 }
@@ -73,6 +76,16 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	return &Cache{cfg: cfg, lines: make([]line, cfg.sets()*cfg.Ways), nsets: cfg.sets()}
+}
+
+// reset returns the cache to the state New built it in.
+func (c *Cache) reset() {
+	for _, s := range c.filled {
+		clear(c.set(int(s)))
+	}
+	c.filled = c.filled[:0]
+	c.lruClock = 0
+	c.Stats = Stats{}
 }
 
 // set returns the ways of set i.
@@ -130,6 +143,11 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 		}
 	}
 	res := Result{}
+	if victim == 0 && !lines[0].valid {
+		// Lines are never invalidated and a fill takes the first
+		// invalid way, so an invalid way 0 means the set was empty.
+		c.filled = append(c.filled, int32(set))
+	}
 	if lines[victim].valid {
 		c.Stats.Evictions++
 		if lines[victim].dirty {
@@ -167,6 +185,13 @@ type MSHR struct {
 // NewMSHR builds a file with n registers.
 func NewMSHR(n int) *MSHR {
 	return &MSHR{ready: make([]uint64, n), addr: make([]uint64, n)}
+}
+
+// reset frees every register and zeroes the counters.
+func (m *MSHR) reset() {
+	clear(m.ready)
+	clear(m.addr)
+	m.Merges, m.Stalls = 0, 0
 }
 
 // Size returns the number of registers.

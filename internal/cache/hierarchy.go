@@ -1,5 +1,7 @@
 package cache
 
+import "mmt/internal/pool"
+
 // HierarchyConfig sizes the full memory system. Defaults follow Table 4 of
 // the paper: 64 KB 4-way L1I and L1D with 64 B lines and 1-cycle latency,
 // 4 MB 8-way L2 with 6-cycle latency, 200-cycle DRAM.
@@ -52,8 +54,15 @@ type Hierarchy struct {
 	Events Events
 }
 
-// NewHierarchy builds the memory system.
+// hierarchies holds released hierarchies by configuration.
+var hierarchies pool.Keyed[HierarchyConfig, *Hierarchy]
+
+// NewHierarchy builds the memory system, reusing a released one of the
+// same configuration when there is one.
 func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
+	if h, ok := hierarchies.Get(cfg); ok {
+		return h
+	}
 	return &Hierarchy{
 		cfg:  cfg,
 		l1i:  New(cfg.L1I),
@@ -61,6 +70,18 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 		l2:   New(cfg.L2),
 		mshr: NewMSHR(cfg.MSHRs),
 	}
+}
+
+// Release resets h to the state NewHierarchy builds and hands it to the
+// next NewHierarchy of its configuration. h must not be used afterwards.
+// Releasing is optional: an unreleased hierarchy is garbage collected.
+func (h *Hierarchy) Release() {
+	h.l1i.reset()
+	h.l1d.reset()
+	h.l2.reset()
+	h.mshr.reset()
+	h.Events = Events{}
+	hierarchies.Put(h.cfg, h)
 }
 
 // spaceTag folds an address-space id into the address above the simulated

@@ -152,6 +152,9 @@ type Router struct {
 	met   *routerMetrics
 	log   *slog.Logger
 	start time.Time
+	// proxyBufs lends every backend proxy its copy buffers, so a proxied
+	// response reuses one instead of allocating its own 32 KB.
+	proxyBufs bufferPool
 
 	// mu guards the fields below and orders the routing counts in met, so
 	// a /v1/cluster snapshot is consistent.
@@ -165,6 +168,19 @@ type Router struct {
 	probers   sync.WaitGroup
 	closeOnce sync.Once
 }
+
+// bufferPool is an httputil.BufferPool over a sync.Pool of 32 KB
+// buffers, the size a ReverseProxy copies with by default.
+type bufferPool struct{ p sync.Pool }
+
+func (b *bufferPool) Get() []byte {
+	if buf, ok := b.p.Get().(*[]byte); ok {
+		return *buf
+	}
+	return make([]byte, 32<<10)
+}
+
+func (b *bufferPool) Put(buf []byte) { b.p.Put(&buf) }
 
 // NewRouter builds the router, probes every backend once so routing
 // decisions start informed, and launches the probe loop.
@@ -209,6 +225,7 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		b.cli = client.New(n.URL, rt.hc)
 		b.cli.Retries = 0 // retry policy belongs to the end client
 		b.proxy = httputil.NewSingleHostReverseProxy(target)
+		b.proxy.BufferPool = &rt.proxyBufs
 		b.proxy.FlushInterval = -1 // SSE: flush every chunk
 		b.proxy.ErrorHandler = func(w http.ResponseWriter, r *http.Request, err error) {
 			rt.countError()

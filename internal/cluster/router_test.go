@@ -8,12 +8,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"mmt/internal/obs"
+	"mmt/internal/race"
 	"mmt/internal/runner"
 	"mmt/internal/serve"
 	"mmt/internal/sim"
@@ -403,6 +405,37 @@ func TestRouterStreamEndFreesWorker(t *testing.T) {
 	}
 	if stolen := clusterSnapshot(t, front.URL).Stolen; stolen != 1 {
 		t.Errorf("stolen = %d, want 1", stolen)
+	}
+}
+
+// TestRouterProxyReusesBuffers bounds what proxying a job's stream
+// allocates, router, fake node and client together: the backend proxies
+// share one buffer pool, so a proxied response no longer allocates its
+// own 32 KB copy buffer.
+func TestRouterProxyReusesBuffers(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector makes sync.Pool drop buffers at random")
+	}
+	a, b := newFakeNode(t, "a"), newFakeNode(t, "b")
+	rt := newTestRouter(t, RouterOptions{
+		Nodes:      []Node{{Name: "a", URL: a.srv.URL}, {Name: "b", URL: b.srv.URL}},
+		ProbeEvery: time.Hour, // no probe allocates during the measurement
+	})
+	front := httptest.NewServer(rt)
+	defer front.Close()
+
+	a.cached.Store(true)
+	_, id := submitJob(t, front.URL, specsOwnedBy(t, rt, "a", 1)[0])
+	streamJob(t, front.URL, id) // warms the connections and the pool
+	const n = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		streamJob(t, front.URL, id)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per >= 16<<10 {
+		t.Errorf("a proxied stream allocates %d bytes, bound 16 KB", per)
 	}
 }
 

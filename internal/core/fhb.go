@@ -19,6 +19,13 @@ func NewFHB(n int) *FHB {
 	return &FHB{entries: make([]uint64, n), valid: make([]bool, n)}
 }
 
+// reset returns the buffer to the state NewFHB built it in.
+func (f *FHB) reset() {
+	f.Clear()
+	clear(f.entries)
+	f.Inserts, f.Searches, f.Matches = 0, 0, 0
+}
+
 // Size returns the CAM capacity.
 func (f *FHB) Size() int { return len(f.entries) }
 

@@ -214,11 +214,15 @@ func runFuzzCase(t *testing.T, seed int64, gen func(*rand.Rand, int) Config) {
 	}
 	st := c.Stats()
 	if seed%8 == 0 {
-		sys, err := prog.NewSystem(p, mode, threads, init)
-		if err != nil {
-			t.Fatalf("seed %d: observed system: %v", seed, err)
+		newSys := func() *prog.System {
+			sys, err := prog.NewSystem(p, mode, threads, init)
+			if err != nil {
+				t.Fatalf("seed %d: system: %v", seed, err)
+			}
+			return sys
 		}
-		checkObservedRun(t, seed, cfg, sys, st)
+		checkObservedRun(t, seed, cfg, newSys(), st)
+		checkRecycledRun(t, seed, cfg, newSys, c)
 	}
 
 	if mode == prog.ModeMT {
@@ -281,6 +285,41 @@ func checkObservedRun(t *testing.T, seed int64, cfg Config, sys *prog.System, wa
 		if counts[chk.kind] != chk.want {
 			t.Errorf("seed %d: %d %s events, stats say %d", seed, counts[chk.kind], chk.kind, chk.want)
 		}
+	}
+}
+
+// checkRecycledRun replays the case on recycled storage: it runs the
+// program on the default machine of the case's storage geometry (another
+// window, fetch width and policy), releases that core, and replays cfg on
+// the storage it left behind. The replay must match want in every
+// statistic and committed register.
+func checkRecycledRun(t *testing.T, seed int64, cfg Config, newSys func() *prog.System, want *Core) {
+	t.Helper()
+	alt := DefaultConfig(cfg.Threads)
+	alt.FHBSize, alt.LVIPSize, alt.Mem, alt.Branch, alt.TraceCacheBytes = cfg.FHBSize, cfg.LVIPSize, cfg.Mem, cfg.Branch, cfg.TraceCacheBytes
+	alt.MaxCycles = cfg.MaxCycles
+	for _, m := range []Config{alt, cfg} {
+		c, err := New(m, newSys())
+		if err != nil {
+			t.Fatalf("seed %d: recycled core: %v", seed, err)
+		}
+		st, err := c.Run()
+		if err != nil {
+			t.Fatalf("seed %d: recycled run: %v", seed, err)
+		}
+		if m == cfg {
+			if !reflect.DeepEqual(st, want.Stats()) {
+				t.Fatalf("seed %d: recycled storage changed the run:\nfresh:    %+v\nrecycled: %+v", seed, want.Stats(), st)
+			}
+			for i := 0; i < cfg.Threads; i++ {
+				for r := 0; r < isa.NumRegs; r++ {
+					if got, w := c.CommittedReg(i, uint8(r)), want.CommittedReg(i, uint8(r)); got != w {
+						t.Fatalf("seed %d: recycled thread %d reg %d: %#x, fresh %#x", seed, i, r, got, w)
+					}
+				}
+			}
+		}
+		c.Release()
 	}
 }
 

@@ -31,6 +31,13 @@ func NewLVIP(n int) *LVIP {
 	return &LVIP{tags: make([]uint64, size), valid: make([]bool, size)}
 }
 
+// reset returns the predictor to the state NewLVIP built it in.
+func (p *LVIP) reset() {
+	clear(p.tags)
+	clear(p.valid)
+	p.Lookups, p.PredIdent, p.PredDiffer, p.Mispredicts = 0, 0, 0, 0
+}
+
 // Size returns the table capacity.
 func (p *LVIP) Size() int { return len(p.tags) }
 

@@ -37,7 +37,14 @@ type RST struct {
 // mode all architected registers start mapping-identical; in MT mode all
 // except the stack pointer do (paper §4.2.6).
 func NewRST(n int, mode prog.Mode) *RST {
-	r := &RST{nthreads: n}
+	r := new(RST)
+	r.init(n, mode)
+	return r
+}
+
+// init sets r to the table NewRST builds, whatever it held before.
+func (r *RST) init(n int, mode prog.Mode) {
+	*r = RST{nthreads: n}
 	for reg := 0; reg < isa.NumRegs; reg++ {
 		r.nextVer++
 		v := r.nextVer
@@ -51,7 +58,6 @@ func NewRST(n int, mode prog.Mode) *RST {
 			r.version[t][isa.RegSP] = r.nextVer
 		}
 	}
-	return r
 }
 
 // Shared reports whether threads i and j currently have identical mappings

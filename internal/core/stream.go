@@ -18,6 +18,24 @@ type dynRec struct {
 }
 
 // stream adapts one context's oracle into a rewindable record stream.
+//
+// When records are produced. A record is produced — the oracle executes
+// its instruction and performs its memory access — by the first peek of
+// its index, and only then. Fetch is not the only peeker: Run's drain
+// check (allDone → threadDone → nextPC) tops up the first undrained
+// thread before every cycle, attemptMerges, fetchOrder/canFetch and
+// pruneExhausted peek every live group's leader, and an attached
+// recorder's drain classification (anyDrained) peeks every thread. The
+// contexts of a multi-threaded system share one memory image, so the
+// order of these peeks across threads is the interleaving of their
+// shared-memory accesses, and with it the values their loads return.
+// Adding, dropping or reordering a peek, or producing records ahead of
+// the first peek (say, refilling the ring in batches), can therefore
+// move simulated results without breaking any invariant;
+// TestOracleInterleavingPinned (internal/sim) pins the order. A stream
+// reused from a released storage must restart at index 0 with its
+// cursors cleared (start): the ring's old contents are dead, since
+// producing a record rewrites its slot whole.
 type stream struct {
 	ctx *prog.Context
 	// recs is a power-of-two ring of the buffered records [base, end):
@@ -34,9 +52,15 @@ type stream struct {
 	err      error
 }
 
-func newStream(ctx *prog.Context, maxInsts uint64) *stream {
-	return &stream{ctx: ctx, maxInsts: maxInsts}
+// start points s at ctx's first record, keeping the ring a released
+// stream grew: a slot is rewritten whole when its record is produced.
+func (s *stream) start(ctx *prog.Context, maxInsts uint64) *stream {
+	*s = stream{ctx: ctx, maxInsts: maxInsts, recs: s.recs}
+	return s
 }
+
+// reset drops the context, so a released stream keeps no system alive.
+func (s *stream) reset() { *s = stream{recs: s.recs} }
 
 // peek returns the record at the cursor, producing it from the oracle if
 // necessary. ok is false when the thread has halted (no more records) or

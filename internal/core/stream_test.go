@@ -23,7 +23,7 @@ loop:   addi  r5, r5, -1
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newStream(sys.Contexts[0], maxInsts)
+	return new(stream).start(sys.Contexts[0], maxInsts)
 }
 
 func TestStreamSequentialConsumption(t *testing.T) {
@@ -206,7 +206,7 @@ loop:   addi  r5, r5, -1
 		want = append(want, r)
 	}
 
-	s := newStream(newCtx(), 0)
+	s := new(stream).start(newCtx(), 0)
 	fetchTo := func(idx uint64) {
 		for s.cursor < idx {
 			if _, ok := s.peek(); !ok {

@@ -130,11 +130,11 @@ func (c *Core) eff(u *uop, t int) *isa.Effect {
 	return &c.streams[t].at(u.dynIdx[t]).eff
 }
 
-// Uop lifetime. Uops are recycled through a per-Core free list instead of
-// being left to the garbage collector: the cycle loop makes one per
-// fetched instruction and split piece, and allocating them dominated the
-// simulator's host time. A uop goes back on the list only when nothing
-// can reach it any more:
+// Uop lifetime. Uops live in the storage's slabs (storage.go) and are
+// recycled through a free list instead of being left to the garbage
+// collector: the cycle loop makes one per fetched instruction and split
+// piece, and allocating them dominated the simulator's host time. A uop
+// goes back on the list only when nothing can reach it any more:
 //
 //   - compactWindow drops a committed or squashed uop off the window head.
 //     It has left every ROB queue, the ready and executing lists and the
@@ -148,19 +148,30 @@ func (c *Core) eff(u *uop, t int) *isa.Effect {
 //     recycled too, and the groups waiting on them go back to waiting on
 //     the queued uop (dropSplitLatch).
 
-// newUop returns a uop for buildUop or cloneUop to fill in, reusing a
-// recycled one when the free list has any. A recycled uop keeps the
-// capacity of its consumers and stalledGroups lists, and freeUop reset
-// what its filler does not write.
+// newUop returns a uop for buildUop or cloneUop to fill in: a recycled
+// one when the free list has any, else the next untouched uop of the
+// storage's slabs. A recycled uop keeps the capacity of its consumers and
+// stalledGroups lists, and freeUop reset what its filler does not write;
+// a slab uop is zero but for that capacity (uop.reset).
 func (c *Core) newUop() *uop {
 	n := len(c.freeUops)
-	if n == 0 {
-		return new(uop)
+	if n > 0 {
+		u := c.freeUops[n-1]
+		c.freeUops = c.freeUops[:n-1]
+		u.state = uopWaiting
+		return u
 	}
-	u := c.freeUops[n-1]
-	c.freeUops = c.freeUops[:n-1]
-	u.state = uopWaiting
+	if c.nUops == len(c.slabs)*uopSlab {
+		c.slabs = append(c.slabs, new([uopSlab]uop))
+	}
+	u := &c.slabs[c.nUops/uopSlab][c.nUops%uopSlab]
+	c.nUops++
 	return u
+}
+
+// reset zeroes u for a later run, keeping the capacity of its lists.
+func (u *uop) reset() {
+	*u = uop{consumers: u.consumers[:0], stalledGroups: u.stalledGroups[:0]}
 }
 
 // cloneUop returns a copy of u with its own empty consumer and
@@ -210,6 +221,9 @@ func (q *uopQueue) push(u *uop) {
 		q.buf = q.uops[:cap(q.uops)]
 	}
 }
+
+// reset empties the queue, keeping its backing array.
+func (q *uopQueue) reset() { q.uops = q.buf[:0] }
 
 // drop removes the n oldest uops.
 func (q *uopQueue) drop(n int) { q.uops = q.uops[n:] }

@@ -85,6 +85,8 @@ func (m *Memory) Write64(addr uint64, val uint64) {
 
 // Clone returns a deep copy of the image. Multi-execution systems clone the
 // program image once per context so that no memory is shared (§3.1).
+// Clone leaves the page cache alone, so goroutines may clone one image
+// at once.
 func (m *Memory) Clone() *Memory {
 	c := NewMemory()
 	for pn, p := range m.pages { // mmtvet:ok — rebuilds a map, order-insensitive
@@ -117,7 +119,10 @@ const PageBytes = pageBytes
 var _ isa.Memory = (*Memory)(nil)
 
 // Program is a loaded executable: a contiguous text segment plus an initial
-// data image and the symbol table the assembler produced.
+// data image and the symbol table the assembler produced. Systems built
+// from one program may share it across goroutines, so once assembled a
+// program is read-only, and only Memory.Clone may read its Data: Read64
+// writes the image's page cache.
 type Program struct {
 	Name    string
 	Entry   uint64
@@ -209,8 +214,13 @@ func (c *Context) Halted() bool { return c.State.Halted }
 // Step fetches the instruction at the context's PC, executes it
 // functionally, writes its effect to *eff and returns it. It is the
 // simulator's oracle: the timing model calls Step exactly once per
-// committed-path dynamic instruction, in fetch order, with eff pointing
-// into the record ring that buffers the effect until commit.
+// committed-path dynamic instruction, with eff pointing into the record
+// ring that buffers the effect until commit. It calls it when the record
+// is first peeked, not when it is fetched: bookkeeping peeks (the drain
+// check before every cycle, merge and fetch-priority checks) produce
+// records ahead of fetch. Contexts of a multi-threaded system share one
+// memory image, so that production order is the interleaving the run
+// simulates (core/stream.go states the rule).
 func (c *Context) Step(eff *isa.Effect) (isa.Inst, error) {
 	inst, ok := c.Prog.InstAt(c.State.PC)
 	if !ok {

@@ -235,6 +235,9 @@ func (t Task) Execute() (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The result copies what it keeps out of the core, so releasing the
+	// core's storage to the next run leaves it intact.
+	defer c.Release()
 	// The profiler reads the same event stream as the trace sinks; it is
 	// added only when requested, so no typed nil reaches obs.Multi.
 	sinks := []obs.Recorder{t.Trace}
@@ -245,7 +248,7 @@ func (t Task) Execute() (*Outcome, error) {
 	}
 	c.Attach(obs.Multi(sinks...), t.SampleEvery)
 	leave := t.phase("run")
-	st, err := c.Run()
+	_, err = c.Run()
 	leave()
 	if err != nil {
 		return nil, fmt.Errorf("sim: %s: %w", t.Name(), err)
@@ -254,16 +257,18 @@ func (t Task) Execute() (*Outcome, error) {
 	if t.Variant != "" {
 		name = t.Variant
 	}
+	st := *c.Stats()
+	mem := c.MemEvents()
 	model := power.NewModel()
 	res := &Result{
-		App:     name,
-		Preset:  t.Preset,
-		Threads: t.Threads,
-		Stats:   st,
-		Mem:     c.MemEvents(),
-		Energy:  model.Energy(st, c.MemEvents()),
+		App:          name,
+		Preset:       t.Preset,
+		Threads:      t.Threads,
+		Stats:        &st,
+		Mem:          mem,
+		Energy:       model.Energy(&st, mem),
+		EnergyPerJob: model.EnergyPerJob(&st, mem),
 	}
-	res.EnergyPerJob = model.EnergyPerJob(st, c.MemEvents())
 	o := &Outcome{Result: res}
 	if profiler != nil {
 		o.Attribution = profiler.Snapshot()

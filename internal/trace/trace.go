@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"mmt/internal/isa"
 	"mmt/internal/prog"
@@ -161,9 +162,12 @@ func DefaultAlignConfig() AlignConfig {
 
 // Align walks two traces in lockstep, classifying matched instructions and
 // measuring divergent regions, per §3.2–3.3.
-func Align(a, b []Record, cfg AlignConfig) *Profile {
+func Align(a, b []Record, cfg AlignConfig) *Profile { return align(a, b, cfg, new(pcIndex)) }
+
+// align is Align indexing b into bIdx's arrays, on the first divergence.
+func align(a, b []Record, cfg AlignConfig, bIdx *pcIndex) *Profile {
 	p := &Profile{}
-	var bIdx *pcIndex // built on the first divergence, then reused
+	indexed := false
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		if a[i].PC == b[j].PC {
@@ -176,8 +180,9 @@ func Align(a, b []Record, cfg AlignConfig) *Profile {
 			j++
 			continue
 		}
-		if bIdx == nil {
-			bIdx = indexPCs(b)
+		if !indexed {
+			bIdx.build(b)
+			indexed = true
 		}
 		di, dj, ok := reconverge(a, b, i, j, bIdx, cfg)
 		if !ok {
@@ -218,14 +223,20 @@ type pcIndex struct {
 	id    map[uint64]int
 	start []int
 	pos   []int
+	// ids and next are build's working arrays, kept for the next build.
+	ids, next []int
 }
 
-// indexPCs indexes rs by PC with a counting sort: linear time, and flat
-// arrays rather than one slice per PC.
-func indexPCs(rs []Record) *pcIndex {
-	x := &pcIndex{id: make(map[uint64]int)}
-	ids := make([]int, len(rs))
-	var next []int // per id: its count, then its next free slot in pos
+// build indexes rs with a counting sort, in linear time and into flat
+// arrays rather than one slice per PC. It reuses the arrays of x's last
+// build.
+func (x *pcIndex) build(rs []Record) {
+	if x.id == nil {
+		x.id = make(map[uint64]int)
+	}
+	clear(x.id)
+	ids := slices.Grow(x.ids[:0], len(rs))[:len(rs)]
+	next := x.next[:0] // per id: its count, then its next free slot in pos
 	for k, r := range rs {
 		id, ok := x.id[r.PC]
 		if !ok {
@@ -236,17 +247,18 @@ func indexPCs(rs []Record) *pcIndex {
 		ids[k] = id
 		next[id]++
 	}
-	x.start = make([]int, len(next)+1)
+	x.start = slices.Grow(x.start[:0], len(next)+1)[:len(next)+1]
+	x.start[0] = 0
 	for id, n := range next {
 		x.start[id+1] = x.start[id] + n
 		next[id] = x.start[id]
 	}
-	x.pos = make([]int, len(rs))
+	x.pos = slices.Grow(x.pos[:0], len(rs))[:len(rs)]
 	for k, id := range ids {
 		x.pos[next[id]] = k
 		next[id]++
 	}
-	return x
+	x.ids, x.next = ids, next
 }
 
 // positions returns pc's positions in ascending order.
@@ -301,22 +313,40 @@ func runMatches(a, b []Record, n int) bool {
 	return true
 }
 
+// profileBuffers is the working storage of one ProfileSystem call: both
+// traces and the second one's PC index. ProfileSystem hands it to the next
+// call through profileBufs, so profiling a system allocates little beyond
+// its Profile.
+type profileBuffers struct {
+	a, b []Record
+	bIdx pcIndex
+}
+
+var profileBufs sync.Pool
+
 // ProfileSystem captures and aligns the first two contexts of a freshly
 // built system (the paper profiles thread pairs).
 func ProfileSystem(sys *prog.System, maxInsts int, cfg AlignConfig) (*Profile, error) {
 	if len(sys.Contexts) < 2 {
 		return nil, fmt.Errorf("trace: profiling needs at least 2 contexts")
 	}
-	a, err := Capture(sys.Contexts[0], maxInsts)
+	buf, _ := profileBufs.Get().(*profileBuffers)
+	if buf == nil {
+		buf = new(profileBuffers)
+	}
+	defer profileBufs.Put(buf)
+	a, err := capture(sys.Contexts[0], maxInsts, buf.a[:0])
 	if err != nil {
 		return nil, err
 	}
+	buf.a = a
 	// The contexts run one program, so b's length is near a's (within 4%
 	// on every kernel); the headroom saves regrowing b to hold the rest.
 	// A cap below zero leaves both traces empty.
-	b, err := capture(sys.Contexts[1], maxInsts, make([]Record, 0, min(len(a)+len(a)/8, max(maxInsts, 0))))
+	b, err := capture(sys.Contexts[1], maxInsts, slices.Grow(buf.b[:0], min(len(a)+len(a)/8, max(maxInsts, 0))))
 	if err != nil {
 		return nil, err
 	}
-	return Align(a, b, cfg), nil
+	buf.b = b
+	return align(a, b, cfg, &buf.bIdx), nil
 }

@@ -8,6 +8,8 @@
 // results; it is modeled here because the baseline is defined with it.
 package tracecache
 
+import "sync"
+
 // Limits of one trace, following Rotenberg et al. [44].
 const (
 	MaxInsts    = 16
@@ -34,16 +36,36 @@ type TraceCache struct {
 	capInsts int
 	used     int
 	clock    uint64
+	// free holds evicted traces for the next Insert to reuse.
+	free []*trace
 }
 
+// released holds released trace caches. Their storage (the map and the
+// trace records) does not depend on the capacity, so any run may draw one.
+var released sync.Pool
+
 // New builds a trace cache with the given storage capacity in bytes
-// (Table 4: 1 MB). A zero or negative capacity disables the cache (every
-// lookup misses).
+// (Table 4: 1 MB), reusing a released one when there is one. A zero or
+// negative capacity disables the cache (every lookup misses).
 func New(capacityBytes int) *TraceCache {
-	return &TraceCache{
-		byStart:  make(map[uint64]*trace),
-		capInsts: capacityBytes / instSlotBytes,
+	tc, _ := released.Get().(*TraceCache)
+	if tc == nil {
+		tc = &TraceCache{byStart: make(map[uint64]*trace)}
 	}
+	tc.capInsts = capacityBytes / instSlotBytes
+	return tc
+}
+
+// Release empties tc and hands it to the next New. tc must not be used
+// afterwards. Releasing is optional: an unreleased cache is garbage
+// collected.
+func (tc *TraceCache) Release() {
+	for _, t := range tc.byStart { // mmtvet:ok — collects the records, order-insensitive
+		tc.free = append(tc.free, t)
+	}
+	clear(tc.byStart)
+	tc.used, tc.clock = 0, 0
+	released.Put(tc)
 }
 
 // Lookup reports whether a trace starting at pc is resident.
@@ -76,7 +98,13 @@ func (tc *TraceCache) Insert(startPC uint64, insts int) {
 		tc.evictLRU()
 	}
 	if t == nil {
-		t = &trace{startPC: startPC, lru: tc.clock}
+		if n := len(tc.free); n > 0 {
+			t = tc.free[n-1]
+			tc.free = tc.free[:n-1]
+		} else {
+			t = new(trace)
+		}
+		*t = trace{startPC: startPC, lru: tc.clock}
 		tc.byStart[startPC] = t
 	}
 	t.insts = insts
@@ -96,6 +124,7 @@ func (tc *TraceCache) evictLRU() {
 	}
 	tc.used -= victim.insts
 	delete(tc.byStart, victim.startPC)
+	tc.free = append(tc.free, victim)
 }
 
 // Builder accumulates the committed instruction stream of one thread into
@@ -109,8 +138,9 @@ type Builder struct {
 	started  bool
 }
 
-// NewBuilder builds a per-thread trace builder feeding tc.
-func NewBuilder(tc *TraceCache) *Builder { return &Builder{tc: tc} }
+// NewBuilder returns a per-thread trace builder feeding tc. It returns a
+// value, so a core keeps its builders inline.
+func NewBuilder(tc *TraceCache) Builder { return Builder{tc: tc} }
 
 // Retire feeds one committed instruction. taken marks a taken control
 // instruction (which ends a basic block inside the trace).

@@ -19,6 +19,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"mmt/internal/asm"
 	"mmt/internal/prog"
@@ -103,15 +104,50 @@ func ByName(name string) (App, bool) {
 	return App{}, false
 }
 
+// assembly is one registry source's program, assembled on first use.
+type assembly struct {
+	source string
+	once   sync.Once
+	p      *prog.Program
+	err    error
+}
+
+var (
+	assembliesOnce sync.Once
+	assemblies     map[string]*assembly // by registry name
+)
+
+// program returns a's assembled program. A registry source is assembled
+// once per process and its program shared, read-only, by every Build
+// after that: its contexts clone the data image and never write the
+// program. Any other source (an Override, a test's kernel) is assembled
+// afresh, so the memo holds the registry and nothing else however many
+// variants a long-running process builds.
+func (a App) program() (*prog.Program, error) {
+	assembliesOnce.Do(func() {
+		assemblies = make(map[string]*assembly, len(registry))
+		for _, r := range registry {
+			assemblies[r.Name] = &assembly{source: r.Source}
+		}
+	})
+	e := assemblies[a.Name]
+	if e == nil || e.source != a.Source {
+		return asm.Assemble(a.Name, a.Source)
+	}
+	e.once.Do(func() { e.p, e.err = asm.Assemble(a.Name, a.Source) })
+	return e.p, e.err
+}
+
 // Build assembles the application and creates an n-context system.
 // identicalInputs selects the paper's Limit setup (Table 5): n *identical
 // instances* — same inputs, same context ids, private address spaces —
-// regardless of the application's normal mode.
+// regardless of the application's normal mode. Systems built from a
+// registry source share one read-only program (see program).
 func (a App) Build(n int, identicalInputs bool) (*prog.System, error) {
 	if err := a.CheckThreads(n); err != nil {
 		return nil, err
 	}
-	p, err := asm.Assemble(a.Name, a.Source)
+	p, err := a.program()
 	if err != nil {
 		return nil, fmt.Errorf("workloads: %s: %w", a.Name, err)
 	}
